@@ -9,8 +9,11 @@
 //! cargo run -p radio-bench --release --bin experiments -- scenarios --threads 4
 //! ```
 //!
+//! An unknown experiment id or flag exits 2 with the usage line.
+//!
 //! `scenarios` accepts `--threads N` (worker threads for the scenario
-//! runner; default = available parallelism, `1` = the exact serial path),
+//! runner; default = available parallelism, `1` = one worker running the
+//! cells in order),
 //! `--quiet` (suppress per-scenario progress lines on stderr), and
 //! `--protocol <spec[,spec…]>` (run only the sweep scenarios whose
 //! protocol resolves to one of the given registry specs, e.g.
@@ -166,6 +169,12 @@ fn main() {
             ids.push(lower);
         }
     }
+    let known = |id: &str| {
+        matches!(id, "all" | "scenarios" | "serve") || EXPERIMENTS.iter().any(|&(e, _)| e == id)
+    };
+    if let Some(id) = ids.iter().find(|id| !known(id)) {
+        die(&format!("unknown experiment {id}\n{USAGE}"));
+    }
     // `serve` is exclusive: a long-running server has no business being
     // interleaved with batch experiments, and `--listen` means nothing
     // outside it.
@@ -238,47 +247,10 @@ fn main() {
         die("--xl only applies to the scenarios experiment");
     }
 
-    if wants("e1") {
-        e1_ball_intersections();
-    }
-    if wants("e2") {
-        e2_distance_proxy();
-    }
-    if wants("e3") {
-        e3_local_broadcast();
-    }
-    if wants("e4") {
-        e4_distributed_clustering();
-    }
-    if wants("e5") {
-        e5_cluster_simulation_overhead();
-    }
-    if wants("e6") {
-        e6_bfs_energy_scaling();
-    }
-    if wants("e7") {
-        e7_claims_1_and_2();
-    }
-    if wants("e8") {
-        e8_estimate_evolution();
-    }
-    if wants("e9") {
-        e9_z_sequence();
-    }
-    if wants("e10") {
-        e10_kn_vs_kn_minus_e();
-    }
-    if wants("e11") {
-        e11_disjointness_reduction();
-    }
-    if wants("e12") {
-        e12_two_approx_diameter();
-    }
-    if wants("e13") {
-        e13_three_halves_diameter();
-    }
-    if wants("e14") {
-        e14_polling_tradeoff();
+    for (id, experiment) in EXPERIMENTS {
+        if wants(id) {
+            experiment();
+        }
     }
     if wants("scenarios") {
         let cache = use_dataset_cache.then(|| radio_graph::dataset::DatasetCache::new(dataset_dir));
@@ -292,6 +264,24 @@ fn main() {
         );
     }
 }
+
+/// E1–E14 by id, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 14] = [
+    ("e1", e1_ball_intersections),
+    ("e2", e2_distance_proxy),
+    ("e3", e3_local_broadcast),
+    ("e4", e4_distributed_clustering),
+    ("e5", e5_cluster_simulation_overhead),
+    ("e6", e6_bfs_energy_scaling),
+    ("e7", e7_claims_1_and_2),
+    ("e8", e8_estimate_evolution),
+    ("e9", e9_z_sequence),
+    ("e10", e10_kn_vs_kn_minus_e),
+    ("e11", e11_disjointness_reduction),
+    ("e12", e12_two_approx_diameter),
+    ("e13", e13_three_halves_diameter),
+    ("e14", e14_polling_tradeoff),
+];
 
 const USAGE: &str = "usage: experiments [all | e1..e14 | scenarios | serve] \
 [--threads N] [--quiet] [--protocol <spec[,spec...]>] [--xl] \
@@ -759,6 +749,7 @@ fn e6_bfs_energy_scaling() {
         "Theorem 4.1 — recursive BFS energy grows sub-linearly in D (baseline is linear)",
     );
     let mut rows = Vec::new();
+    let mut ratios: Vec<(u64, f64)> = Vec::new();
     for exp in [7u32, 8, 9, 10, 11] {
         let n = 1usize << exp;
         let depth = (n - 1) as u64;
@@ -784,6 +775,8 @@ fn e6_bfs_energy_scaling() {
             .nodes()
             .filter(|&v| outcome.dist[v] == Some(truth[v] as u64))
             .count();
+        let ratio = query.max_lb_energy as f64 / base.max_lb_energy as f64;
+        ratios.push((depth, ratio));
 
         rows.push(vec![
             depth.to_string(),
@@ -791,10 +784,7 @@ fn e6_bfs_energy_scaling() {
             base.max_lb_energy.to_string(),
             setup.max_lb_energy.to_string(),
             query.max_lb_energy.to_string(),
-            format!(
-                "{:.2}",
-                query.max_lb_energy as f64 / base.max_lb_energy as f64
-            ),
+            format!("{ratio:.2}"),
             format!("{correct}/{n}"),
         ]);
     }
@@ -813,12 +803,26 @@ fn e6_bfs_energy_scaling() {
             &rows
         )
     );
-    println!(
-        "Reading: each doubling of D doubles the baseline energy but grows the recursive query \
-         energy by a smaller factor (≈√2 with one recursion level); the query/baseline ratio \
-         falls as D grows, which is the sub-polynomial-energy shape of Theorem 4.1. Absolute \
-         crossover needs the asymptotic regime; the measured trend is the reproducible claim."
-    );
+    println!("{}", e6_reading(&ratios));
+}
+
+/// E6's "Reading:" line, computed from its `(D, query/baseline)` rows and
+/// never asserted: the ratio range, whether the ratio fell at every doubling
+/// of D, and the smallest D with a ratio below 1.
+fn e6_reading(ratios: &[(u64, f64)]) -> String {
+    let lo = ratios.iter().map(|&(_, r)| r).fold(f64::MAX, f64::min);
+    let hi = ratios.iter().map(|&(_, r)| r).fold(f64::MIN, f64::max);
+    let fell = ratios.windows(2).all(|w| w[1].1 < w[0].1);
+    let max_d = ratios.last().map_or(0, |&(d, _)| d);
+    let crossover = match ratios.iter().find(|&&(_, r)| r < 1.0) {
+        Some((d, _)) => format!("D = {d}"),
+        None => format!("none up to D = {max_d}"),
+    };
+    format!(
+        "Reading: the query/baseline ratio ranges {lo:.2}–{hi:.2}; it {} at every doubling of D; \
+         smallest D with a ratio below 1 (Theorem 4.1's crossover): {crossover}.",
+        if fell { "fell" } else { "did not fall" }
+    )
 }
 
 /// E7 — Claims 1 and 2: per-vertex X_i memberships and per-cluster Special
@@ -1207,4 +1211,32 @@ fn e14_polling_tradeoff() {
         "Latency grows ∝ P while per-sensor energy (awake slots) stays essentially constant; an \
          always-on schedule would pay energy equal to the latency column — the ÷P power saving."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::e6_reading;
+
+    #[test]
+    fn e6_reading_follows_the_table() {
+        let mixed = [
+            (127, 2.77),
+            (255, 6.50),
+            (511, 3.53),
+            (1023, 4.18),
+            (2047, 2.65),
+        ];
+        assert_eq!(
+            e6_reading(&mixed),
+            "Reading: the query/baseline ratio ranges 2.65–6.50; it did not fall at every \
+             doubling of D; smallest D with a ratio below 1 (Theorem 4.1's crossover): none up \
+             to D = 2047."
+        );
+        let falling = [(127, 2.0), (255, 1.5), (511, 0.8), (1023, 0.5)];
+        assert_eq!(
+            e6_reading(&falling),
+            "Reading: the query/baseline ratio ranges 0.50–2.00; it fell at every doubling of \
+             D; smallest D with a ratio below 1 (Theorem 4.1's crossover): D = 511."
+        );
+    }
 }

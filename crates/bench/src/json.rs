@@ -10,8 +10,8 @@
 //!
 //! Emission stays where it always was: records serialize through the
 //! byte-stable formatter in [`crate::scenarios::records_to_json`], and the
-//! server composes responses with the same escaping helpers. This parser
-//! is the *read* side only.
+//! server composes responses around it. [`escape`] is the one string
+//! escaper both use; the rest of this module is the *read* side.
 //!
 //! Because the server parses attacker-shaped bytes, nesting depth is
 //! capped at [`MAX_DEPTH`]: a line of `[[[[…` must come back as a
@@ -344,7 +344,8 @@ impl Parser<'_> {
 }
 
 /// Escapes `s` for embedding in a JSON string literal — the emission twin
-/// of the parser, shared by the server's response composer.
+/// of the parser, shared by the record formatter and the server's response
+/// composer.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

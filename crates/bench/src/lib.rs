@@ -7,19 +7,20 @@
 //!
 //! Workload dispatch goes through the protocol registry ([`registry`],
 //! re-exported from `energy-bfs`): the scenario runner resolves each
-//! [`scenarios::Protocol`] variant's spec once per scenario, and
+//! [`scenarios::Protocol`] variant's spec once per batch item, and
 //! `experiments -- scenarios --protocol <spec>` validates CLI filters
 //! through the same path.
 //!
 //! Sweeps are *incremental*: [`results`] is a content-addressed store of
 //! per-cell [`scenarios::ScenarioRecord`] artifacts — fronted by a bounded
-//! in-memory hot set and indexed by a persistent append-on-write store
-//! index — consulted by the runner before any cell is dispatched, and
-//! [`server`] turns the whole pipeline into a long-running concurrent
-//! service (`experiments -- serve`): an accept pool of connection
-//! handlers over one listener, batched requests scheduled as one
-//! work-item set on a persistent [`pool::WorkPool`], answered from the
-//! store when warm ([`json`] is the dependency-free parser).
+//! in-memory hot set — consulted by the runner before any cell is
+//! dispatched. The runner has one entry point,
+//! [`scenarios::run_batch_with_stores`], and one executor,
+//! [`pool::WorkPool`]. [`server`] turns the whole pipeline into a
+//! long-running concurrent service (`experiments -- serve`): an accept
+//! pool of connection handlers over one listener, batched requests
+//! scheduled as one work-item set on a shared pool, answered from the
+//! store when warm ([`json`] is the dependency-free parser and escaper).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

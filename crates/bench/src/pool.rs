@@ -1,30 +1,24 @@
-//! A scoped-thread worker pool with deterministic, index-ordered results.
+//! Worker pools with deterministic, index-ordered results.
 //!
 //! The scenario runner's unit of work is one (size, seed) cell, and cells
 //! are independent by construction — each builds its own seeded stack and
 //! draws from its own seeded RNG. What parallel execution must *not* change
-//! is the output: `run_scenarios` promises byte-identical JSON for the same
-//! sweep, so results have to come back in work-item order, never in
-//! completion order.
+//! is the output: the runner promises byte-identical JSON for the same
+//! sweep at every thread count, so results have to come back in work-item
+//! order, never in completion order.
 //!
-//! [`run_indexed`] encodes that contract:
+//! [`WorkPool`] is the runner's one executor: long-lived workers behind one
+//! FIFO queue. [`WorkPool::run_batch`] submits the indices `0..len`, writes
+//! every result to slot `i` of the output, and blocks until the batch
+//! completes, so the returned `Vec` is ordered by item index regardless of
+//! which worker finished when. The server shares one pool across all of
+//! its connections; a CLI sweep builds one per call. A pool of one thread
+//! runs the items in index order on its single worker.
 //!
-//! * work items are the indices `0..len`, handed out through a shared
-//!   atomic cursor (no per-item channel, no work stealing, no allocation on
-//!   the distribution path);
-//! * each worker owns one reusable state value (`make_state` runs once per
-//!   worker, on that worker's thread — this is where the scenario runner
-//!   parks its per-worker frame so the frame-reuse discipline survives
-//!   parallelism);
-//! * every result is written to slot `i` of the output, so the returned
-//!   `Vec` is ordered by item index regardless of which worker finished
-//!   when;
-//! * `threads <= 1` runs the items inline on the caller's thread — the
-//!   exact serial path, with no pool machinery at all.
-//!
-//! Workers are scoped threads (`std::thread::scope`), so `work` may borrow
-//! from the caller's stack; a panicking worker propagates the panic to the
-//! caller once the scope joins.
+//! [`run_indexed`] is the scoped-thread form of the same contract, for
+//! callers whose work borrows from their own stack and keeps per-worker
+//! state (the benchmark harness's traced runner replica); the runner itself
+//! does not use it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -119,14 +113,12 @@ struct BatchState<R> {
 
 /// A persistent worker pool shared by many submitters.
 ///
-/// [`run_indexed`] spins workers up and down per call, which is the right
-/// shape for a CLI sweep (one caller, one batch, scoped borrows). A server
-/// handling concurrent connections needs the opposite: **one** set of
-/// long-lived workers that every connection handler submits into, so a
-/// request's cells are scheduled as one work-item set without each
-/// connection spawning its own threads and oversubscribing the machine.
+/// Every submitter — the runner's batch call, or each of the server's
+/// connection handlers — queues its items on the same long-lived workers,
+/// so a request's cells are scheduled as one work-item set without each
+/// caller spawning threads of its own and oversubscribing the machine.
 ///
-/// Contracts, mirroring [`run_indexed`]:
+/// Contracts:
 ///
 /// * [`run_batch`](WorkPool::run_batch) returns results **ordered by item
 ///   index**, never by completion order — slot `i` only ever holds the

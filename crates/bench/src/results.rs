@@ -24,47 +24,39 @@
 //!   and a trailing payload checksum. Floats are stored as raw `f64` bits,
 //!   so a cached record round-trips **bit-exactly** — warm-sweep JSON is
 //!   byte-identical to cold, including the `{:.3}`-formatted mean. Writes
-//!   go through a temp file + rename, so a concurrent reader sees either
-//!   nothing or a complete artifact.
+//!   go through [`radio_graph::dataset::write_atomic`] (a uniquely named
+//!   temp file + rename), so a concurrent reader sees either nothing or a
+//!   complete artifact, and concurrent writers of one key never collide.
 //! * [`ResultStore`] — `get`/`put` over a cache directory (the runner uses
 //!   `target/results/`): a valid artifact is a **hit**; a missing, corrupt,
 //!   truncated, or foreign-fingerprint one is a **miss** that the caller
 //!   heals by recomputing and re-storing. Atomic hit/miss counters feed the
 //!   `[results]` stderr line the CI smoke asserts on.
 //!
-//! The store is what turns `run_scenarios_with` into an *incremental*
+//! The store is what turns the scenario runner into an *incremental*
 //! sweep: only absent cells are dispatched to the worker pool, so a warm
 //! full sweep costs one directory of small file reads instead of the whole
 //! computation — and the `serve` mode answers repeat queries without
 //! recomputing anything.
 //!
-//! Two layers sit above the artifacts for serving at scale:
-//!
-//! * an **in-memory hot set** ([`ResultStore::with_hot_set`]) — a bounded
-//!   LRU of decoded records keyed by [`ResultKey`], so the server's warm
-//!   hits skip the filesystem entirely. The hot set is a pure cache over
-//!   the decoded bytes: because a cell's record is deterministic, a hot
-//!   answer is bit-identical to a disk answer by construction, and tiny
-//!   capacities (heavy eviction) can never change a served byte — only
-//!   which tier answered.
-//! * a **persistent index file** (`index.ridx` in the store directory) —
-//!   a fingerprinted header plus one append-on-write `(key hash, bytes)`
-//!   entry per stored artifact, so `stats` and startup read one small file
-//!   instead of walking the directory. The index is advisory, never
-//!   authoritative: when it is absent, corrupt, truncated mid-entry, or
-//!   carries a stale engine fingerprint, it is rebuilt by walking the
-//!   directory and validating each artifact header — reads of record bytes
-//!   always go through the per-artifact checksums regardless. A crash
-//!   between an artifact rename and its index append can leave the index
-//!   undercounting until the next rebuild; deleting `index.ridx` forces
-//!   one.
+//! For serving, an optional **in-memory hot set**
+//! ([`ResultStore::with_hot_set`]) sits in front of the artifacts: a
+//! bounded LRU of decoded records keyed by [`ResultKey`], so the server's
+//! warm hits skip the filesystem entirely. The hot set is a pure cache over
+//! the decoded bytes: because a cell's record is deterministic, a hot
+//! answer is bit-identical to a disk answer by construction, and tiny
+//! capacities (heavy eviction) can never change a served byte — only which
+//! tier answered. The store keeps no index: [`ResultStore::size`] (the
+//! server's `stats`) walks the directory and checks each artifact header.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use radio_graph::dataset::write_atomic;
 
 use crate::scenarios::ScenarioRecord;
 
@@ -86,16 +78,6 @@ pub const ENGINE_VERSION: u32 = 1;
 const MAGIC: [u8; 4] = *b"RRES";
 /// magic + format version + key hash + engine fingerprint + payload len.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
-
-/// Version of the on-disk index file layout.
-pub const INDEX_FORMAT_VERSION: u32 = 1;
-/// File name of the store index inside the store directory.
-pub const INDEX_FILE_NAME: &str = "index.ridx";
-const INDEX_MAGIC: [u8; 4] = *b"RIDX";
-/// magic + format version + engine fingerprint.
-const INDEX_HEADER_LEN: usize = 4 + 4 + 8;
-/// key hash + artifact byte length.
-const INDEX_ENTRY_LEN: usize = 8 + 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -371,23 +353,15 @@ fn encode(key: &ResultKey, record: &ScenarioRecord) -> Vec<u8> {
 }
 
 /// Writes the artifact for `(key, record)` to `path` atomically: bytes go
-/// to a sibling temp file first and are renamed into place, so a concurrent
-/// reader sees either the old artifact or the complete new one.
+/// to a uniquely named sibling temp file first and are renamed into place,
+/// so a concurrent reader sees either the old artifact or the complete new
+/// one.
 pub fn write_artifact(
     path: &Path,
     key: &ResultKey,
     record: &ScenarioRecord,
 ) -> Result<(), ResultError> {
-    let bytes = encode(key, record);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e.into())
-        }
-    }
+    Ok(write_atomic(path, &encode(key, record))?)
 }
 
 fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
@@ -551,90 +525,6 @@ impl HotSet {
     }
 }
 
-/// Parses the index file, or `None` when it must be rebuilt: missing,
-/// bad magic/version, stale engine fingerprint, or a body truncated
-/// mid-entry (a crashed append). Duplicate key hashes resolve last-wins,
-/// matching append-on-overwrite semantics.
-fn load_index_file(path: &Path) -> Option<HashMap<u64, u64>> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.len() < INDEX_HEADER_LEN || bytes[..4] != INDEX_MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != INDEX_FORMAT_VERSION {
-        return None;
-    }
-    if read_u64_at(&bytes, 8) != engine_fingerprint() {
-        return None;
-    }
-    let body = &bytes[INDEX_HEADER_LEN..];
-    if body.len() % INDEX_ENTRY_LEN != 0 {
-        return None;
-    }
-    let mut map = HashMap::with_capacity(body.len() / INDEX_ENTRY_LEN);
-    for chunk in body.chunks_exact(INDEX_ENTRY_LEN) {
-        map.insert(read_u64_at(chunk, 0), read_u64_at(chunk, 8));
-    }
-    Some(map)
-}
-
-/// Rebuilds the index by walking the store directory: every `.rec` file
-/// whose header carries the right magic, format version, and the current
-/// engine fingerprint contributes one entry. Corrupt and foreign-era
-/// artifacts are skipped — the index counts what this engine can serve.
-fn rebuild_index_from_walk(dir: &Path) -> HashMap<u64, u64> {
-    let mut map = HashMap::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return map;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("rec") {
-            continue;
-        }
-        let Ok(meta) = entry.metadata() else { continue };
-        let Ok(mut file) = std::fs::File::open(&path) else {
-            continue;
-        };
-        let mut header = [0u8; HEADER_LEN];
-        if file.read_exact(&mut header).is_err() || header[..4] != MAGIC {
-            continue;
-        }
-        if u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) != FORMAT_VERSION {
-            continue;
-        }
-        if read_u64_at(&header, 16) != engine_fingerprint() {
-            continue;
-        }
-        map.insert(read_u64_at(&header, 8), meta.len());
-    }
-    map
-}
-
-/// Writes a complete index file atomically (temp + rename), entries
-/// sorted by key hash so the same map always produces the same bytes.
-fn write_index_file(path: &Path, map: &HashMap<u64, u64>) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(INDEX_HEADER_LEN + map.len() * INDEX_ENTRY_LEN);
-    out.extend_from_slice(&INDEX_MAGIC);
-    out.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&engine_fingerprint().to_le_bytes());
-    let mut entries: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort_unstable();
-    for (k, v) in entries {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &out)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 /// A content-addressed result cache over one directory of artifacts.
 ///
 /// `get` answers a probe — a valid artifact is a **hit**, anything else
@@ -646,16 +536,11 @@ fn write_index_file(path: &Path, map: &HashMap<u64, u64>) -> std::io::Result<()>
 /// `[results] hits=… misses=…` afterwards, and the whole store is `Sync`:
 /// one instance is shared by every connection handler.
 ///
-/// Above the artifacts sit two serving tiers:
-///
-/// * the **hot set** (opt-in via [`ResultStore::with_hot_set`]): a bounded
-///   LRU of decoded records, probed before disk. Hot answers count as hits
-///   *and* as [`ResultStore::hot_hits`], so `hits == hot_hits + disk hits`
-///   always holds.
-/// * the **index** (`index.ridx`): loaded lazily on the first
-///   [`ResultStore::size`]/`put`, rebuilt from a directory walk when
-///   absent, corrupt, or stale-fingerprinted, appended on every `put`.
-///   `size()` answers from it in O(1).
+/// Above the artifacts sits one serving tier, the **hot set** (opt-in via
+/// [`ResultStore::with_hot_set`]): a bounded LRU of decoded records,
+/// probed before disk. Hot answers count as hits *and* as
+/// [`ResultStore::hot_hits`], so `hits == hot_hits + disk hits` always
+/// holds.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
@@ -663,9 +548,6 @@ pub struct ResultStore {
     misses: AtomicU64,
     hot_hits: AtomicU64,
     hot: HotSet,
-    /// Lazily-loaded index: `None` until first use, then the in-memory
-    /// mirror of `index.ridx` (key hash → artifact bytes).
-    index: Mutex<Option<HashMap<u64, u64>>>,
 }
 
 impl ResultStore {
@@ -679,7 +561,6 @@ impl ResultStore {
             misses: AtomicU64::new(0),
             hot_hits: AtomicU64::new(0),
             hot: HotSet::new(0),
-            index: Mutex::new(None),
         }
     }
 
@@ -699,11 +580,6 @@ impl ResultStore {
     /// Where `key`'s artifact lives (whether or not it exists yet).
     pub fn path_for(&self, key: &ResultKey) -> PathBuf {
         self.dir.join(key.file_name())
-    }
-
-    /// Where the store's index file lives.
-    pub fn index_path(&self) -> PathBuf {
-        self.dir.join(INDEX_FILE_NAME)
     }
 
     /// Reads `key`'s artifact, if present and valid — no counter movement
@@ -737,17 +613,13 @@ impl ResultStore {
         }
     }
 
-    /// Stores `record` as `key`'s artifact, returning its path. The hot
-    /// set and the index are updated in the same call; index persistence
-    /// is best-effort (an unwritable index degrades `stats`, never
-    /// correctness — record reads still validate per-artifact checksums).
+    /// Stores `record` as `key`'s artifact, returning its path, and
+    /// inserts it into the hot set.
     pub fn put(&self, key: &ResultKey, record: &ScenarioRecord) -> Result<PathBuf, ResultError> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.path_for(key);
         write_artifact(&path, key, record)?;
         self.hot.insert(key, record);
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        self.index_record(key.content_hash(), bytes);
         Ok(path)
     }
 
@@ -777,56 +649,39 @@ impl ResultStore {
         self.hot.cap
     }
 
-    /// Artifact count and total bytes, answered from the store index in
-    /// O(1) — no directory walk. The first call loads `index.ridx`,
-    /// rebuilding it from a directory walk if it is absent, corrupt,
-    /// truncated, or stale-fingerprinted; every `put` keeps it current.
+    /// Artifact count and total bytes, from a walk over the store
+    /// directory: every `.rec` file whose header carries the right magic,
+    /// format version, and the current engine fingerprint counts. Corrupt
+    /// and foreign-era artifacts are skipped — the size is what this engine
+    /// can serve — and a missing directory is an empty store.
     pub fn size(&self) -> StoreSize {
-        self.with_index(|map| StoreSize {
-            entries: map.len() as u64,
-            bytes: map.values().sum(),
-        })
-    }
-
-    /// Runs `f` over the in-memory index map, loading or rebuilding it
-    /// first if this is the store's first index touch.
-    fn with_index<R>(&self, f: impl FnOnce(&mut HashMap<u64, u64>) -> R) -> R {
-        let mut guard = self.index.lock().expect("store index");
-        if guard.is_none() {
-            let map = load_index_file(&self.index_path()).unwrap_or_else(|| {
-                let map = rebuild_index_from_walk(&self.dir);
-                // Persist best-effort; a read-only store still gets
-                // correct in-memory answers.
-                let _ = write_index_file(&self.index_path(), &map);
-                map
-            });
-            *guard = Some(map);
-        }
-        f(guard.as_mut().expect("index just loaded"))
-    }
-
-    /// Records one stored artifact in the index: updates the in-memory
-    /// map and appends the entry to `index.ridx` under the same lock, so
-    /// concurrent `put`s serialize their appends. Last write wins on
-    /// duplicate key hashes, both in memory and on reload.
-    fn index_record(&self, key_hash: u64, bytes: u64) {
-        let path = self.index_path();
-        self.with_index(|map| {
-            map.insert(key_hash, bytes);
-            let mut entry = [0u8; INDEX_ENTRY_LEN];
-            entry[..8].copy_from_slice(&key_hash.to_le_bytes());
-            entry[8..].copy_from_slice(&bytes.to_le_bytes());
-            match std::fs::OpenOptions::new().append(true).open(&path) {
-                Ok(mut file) => {
-                    let _ = file.write_all(&entry);
-                }
-                // The file vanished since load (or was never writable):
-                // rewrite it whole from the map, best-effort.
-                Err(_) => {
-                    let _ = write_index_file(&path, map);
-                }
+        let mut size = StoreSize::default();
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return size;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("rec") {
+                continue;
             }
-        });
+            let Ok(meta) = entry.metadata() else { continue };
+            let Ok(mut file) = std::fs::File::open(&path) else {
+                continue;
+            };
+            let mut header = [0u8; HEADER_LEN];
+            if file.read_exact(&mut header).is_err() || header[..4] != MAGIC {
+                continue;
+            }
+            if u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) != FORMAT_VERSION {
+                continue;
+            }
+            if read_u64_at(&header, 16) != engine_fingerprint() {
+                continue;
+            }
+            size.entries += 1;
+            size.bytes += meta.len();
+        }
+        size
     }
 }
 
@@ -1087,67 +942,26 @@ mod tests {
     }
 
     #[test]
-    fn index_is_written_on_put_and_loaded_without_a_walk() {
-        let scratch = ScratchDir::new("index");
+    fn concurrent_same_key_puts_all_succeed_and_read_back() {
+        // Threads writing one key must never share a temp file: every put
+        // returns Ok, and afterwards the key's artifact is the only file.
+        let scratch = ScratchDir::new("same-key");
         let store = ResultStore::new(scratch.0.clone());
-        let cells = keyed_records(3);
-        for (key, record) in &cells {
-            store.put(key, record).expect("put");
-        }
-        let size = store.size();
-        assert_eq!(size.entries, 3);
-        assert!(size.bytes > 0);
-        assert!(store.index_path().exists());
-        // A fresh store over the same directory answers from the index
-        // file. Remove every artifact first: a walk would now say 0, so
-        // agreeing with the old total proves the index answered.
-        let walked = rebuild_index_from_walk(&scratch.0);
-        assert_eq!(walked.len(), 3);
-        for (key, _) in &cells {
-            std::fs::remove_file(store.path_for(key)).expect("remove");
-        }
-        let reopened = ResultStore::new(scratch.0.clone());
-        assert_eq!(reopened.size(), size);
-    }
-
-    #[test]
-    fn missing_corrupt_truncated_or_stale_index_rebuilds_from_walk() {
-        let scratch = ScratchDir::new("index-heal");
-        let store = ResultStore::new(scratch.0.clone());
-        let cells = keyed_records(4);
-        for (key, record) in &cells {
-            store.put(key, record).expect("put");
-        }
-        let truth = store.size();
-        assert_eq!(truth.entries, 4);
-        let index_path = store.index_path();
-
-        // Deleted index: rebuilt from the walk.
-        std::fs::remove_file(&index_path).expect("delete index");
-        assert_eq!(ResultStore::new(scratch.0.clone()).size(), truth);
-        assert!(index_path.exists(), "rebuild must persist the index");
-
-        // Binary garbage: rejected, rebuilt.
-        std::fs::write(&index_path, b"\xde\xad\xbe\xef not an index").expect("garbage");
-        assert_eq!(ResultStore::new(scratch.0.clone()).size(), truth);
-
-        // Truncated mid-entry (a crashed append): rejected, rebuilt.
-        let full = std::fs::read(&index_path).expect("read index");
-        std::fs::write(&index_path, &full[..full.len() - 7]).expect("truncate");
-        assert_eq!(ResultStore::new(scratch.0.clone()).size(), truth);
-
-        // Stale engine fingerprint: rejected, rebuilt.
-        let mut stale = std::fs::read(&index_path).expect("read index");
-        for b in &mut stale[8..16] {
-            *b ^= 0xff;
-        }
-        std::fs::write(&index_path, &stale).expect("forge fingerprint");
-        assert_eq!(ResultStore::new(scratch.0.clone()).size(), truth);
-        assert_eq!(
-            std::fs::read(&index_path).expect("healed index"),
-            full,
-            "a rebuild from the same artifacts must reproduce the same index bytes"
-        );
+        let (key, record) = (sample_key(), sample_record());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..1000 {
+                        store.put(&key, &record).expect("concurrent same-key put");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.load(&key).expect("artifact reads back"), record);
+        let files = std::fs::read_dir(&scratch.0).expect("store dir").count();
+        assert_eq!(files, 1, "temp files left behind");
     }
 
     #[test]
@@ -1159,7 +973,7 @@ mod tests {
             store.put(key, record).expect("put");
         }
         // Plant a garbage .rec and a stale-fingerprint .rec next to the
-        // real ones; the rebuild must not count either.
+        // real ones; the size walk must not count either.
         std::fs::write(
             scratch.0.join("zz-garbage-s0-0000000000000000.rec"),
             b"junk",
@@ -1175,8 +989,7 @@ mod tests {
             &foreign,
         )
         .expect("foreign rec");
-        std::fs::remove_file(store.index_path()).expect("force rebuild");
-        let size = ResultStore::new(scratch.0.clone()).size();
+        let size = store.size();
         assert_eq!(size.entries, 2, "only servable artifacts count");
     }
 }

@@ -4,10 +4,9 @@
 //! a list of seeds, a protocol, and a [`StackSpec`] choosing the backend —
 //! and the runner executes the full cartesian product, emitting one
 //! [`ScenarioRecord`] of energy/time metrics per (size, seed) cell. Within
-//! one size the graph is built once and a single [`radio_protocols::LbFrame`] is reused
-//! across every seed (the frame-engine reuse discipline), so large-n
-//! many-seed sweeps cost one allocation per size instead of one per
-//! Local-Broadcast call.
+//! one size the graph is built once and shared by every seed as one
+//! `Arc<Graph>`; each cell allocates one [`radio_protocols::LbFrame`] and
+//! reuses it across all of its Local-Broadcast calls.
 //!
 //! The stack dimension rides the [`StackBuilder`] API: the same scenario
 //! can run on the paper's abstract accounting backend, on the slot-accurate
@@ -29,22 +28,24 @@
 //!
 //! Determinism is also what makes records *cacheable*: a cell's record is a
 //! pure function of its [`ResultKey`] (scenario, family, target size, seed,
-//! protocol spec, stack, active set) plus the engine fingerprint, so
-//! [`run_scenario_with_stores`] can consult a [`ResultStore`] before
-//! dispatching anything and compute only the absent cells — the
-//! incremental-sweep discipline behind `experiments`' warm re-runs and the
-//! `serve` mode.
+//! protocol spec, stack, active set) plus the engine fingerprint, so the
+//! runner consults a [`ResultStore`] before dispatching anything and
+//! computes only the absent cells — the incremental-sweep discipline behind
+//! `experiments`' warm re-runs and the `serve` mode.
 //!
-//! Seeds within a scenario are independent — each (size, seed) cell builds
-//! its own seeded stack and draws from its own seeded RNG — so the runner
-//! executes cells on a [`crate::pool`] worker pool: work items go out
-//! through a shared atomic cursor, every worker owns one reusable frame,
-//! and results are collected **by index, not completion order**. The
-//! byte-identical-JSON contract therefore holds for *every* thread count;
-//! [`RunnerConfig::threads`]` = 1` is the exact serial path. The
-//! conformance tests in `tests/determinism.rs` and the property tests in
+//! The runner has one entry point, [`run_batch_with_stores`], and one
+//! executor, a [`WorkPool`]. Seeds within a scenario are independent — each
+//! (size, seed) cell builds its own seeded stack and draws from its own
+//! seeded RNG — so the missing cells of a whole batch go to the pool as one
+//! work-item set, and results are collected **by index, not completion
+//! order**. The byte-identical-JSON contract therefore holds for *every*
+//! thread count; [`RunnerConfig::threads`]` = 1` is one pool worker running
+//! the cells in order. [`run_scenarios_with_stores`] is the in-order list
+//! form over one pool that the CLI sweep uses. The conformance tests in
+//! `tests/determinism.rs` and the property tests in
 //! `crates/bench/tests/properties.rs` pin parallel output to serial output.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use radio_graph::dataset::{self, DatasetCache, DatasetKey};
@@ -55,6 +56,8 @@ use radio_protocols::protocol::{
 };
 use radio_protocols::{EnergyModel, RadioStack, Stack, StackBuilder};
 
+use crate::json::escape;
+use crate::pool::WorkPool;
 use crate::results::{ResultKey, ResultStore};
 
 /// Graph family of a scenario. `size` is always the *target node count*;
@@ -597,9 +600,10 @@ pub struct ScenarioRecord {
 /// identical for every configuration — only wall-clock and stderr differ.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunnerConfig {
-    /// Worker threads for the (size, seed) cells of each scenario.
-    /// `1` is the exact serial path (no pool machinery); `0` is treated
-    /// as 1. The default is the machine's available parallelism.
+    /// Worker threads of the pool the cells run on — built per runner call,
+    /// or once per `serve`. `1` is one worker running the cells in order;
+    /// `0` is treated as 1. The default is the machine's available
+    /// parallelism.
     pub threads: usize,
     /// Suppress the per-scenario completion lines on stderr. Progress is on
     /// by default so a hung sweep's log shows where it stopped.
@@ -616,9 +620,8 @@ impl Default for RunnerConfig {
 }
 
 impl RunnerConfig {
-    /// The exact serial path with progress suppressed — what the plain
-    /// [`run_scenario`]/[`run_scenarios`] entry points use, and the
-    /// reference configuration the conformance tests compare against.
+    /// One worker with progress suppressed — the reference configuration
+    /// the conformance tests compare every other thread count against.
     pub fn serial() -> Self {
         RunnerConfig {
             threads: 1,
@@ -635,60 +638,46 @@ impl RunnerConfig {
     }
 }
 
-/// Per-worker scratch: one reusable [`radio_protocols::LbFrame`], re-sized only when a
-/// worker crosses into a size with a different node universe. This carries
-/// the frame-reuse discipline (one allocation amortized over many cells)
-/// into the pool, where each worker owns its own frame.
-struct WorkerScratch {
-    frame: Option<radio_protocols::LbFrame>,
-}
-
-impl WorkerScratch {
-    fn new() -> Self {
-        WorkerScratch { frame: None }
-    }
-
-    fn frame_for(&mut self, n: usize) -> &mut radio_protocols::LbFrame {
-        if self.frame.as_ref().is_none_or(|f| f.num_nodes() != n) {
-            self.frame = Some(radio_protocols::LbFrame::new(n));
-        }
-        self.frame.as_mut().expect("frame just ensured")
-    }
+/// One dispatched cell, with everything a pool worker needs *owned*
+/// (`Arc`s over the shared pieces): pool jobs are `'static`, so the job
+/// list moves into the pool behind one `Arc`.
+struct CellJob {
+    /// Index of the originating batch item.
+    item: usize,
+    /// Cell index within that item (size-major, seed-minor).
+    cell: usize,
+    scenario: Arc<Scenario>,
+    protocol: Arc<dyn ProtocolImpl>,
+    /// The shared graph, its realized `n`, and the target size.
+    graph: (Arc<Graph>, usize, usize),
+    seed: u64,
+    active: Option<Arc<[usize]>>,
 }
 
 /// Runs one (size, seed) cell: builds the seeded stack, dispatches the
-/// resolved protocol through [`ProtocolImpl::run_with_frame`], and reads
-/// the record off the report's energy view (a diff over exactly this run —
-/// equal to the stack's whole view, since the stack is fresh). Cells are
-/// pure in the index — everything seeded is derived from `seed`, and the
-/// frame is cleared before every use — which is what makes parallel
-/// execution record-identical to serial.
-fn run_cell(
-    scenario: &Scenario,
-    protocol: &dyn ProtocolImpl,
-    graph: &(Arc<Graph>, usize, usize),
-    seed: u64,
-    active: Option<&[usize]>,
-    frame: &mut radio_protocols::LbFrame,
-) -> ScenarioRecord {
-    let (g, n, target_n) = graph;
+/// resolved protocol on a fresh frame, and reads the record off the
+/// report's energy view (a diff over exactly this run — equal to the
+/// stack's whole view, since the stack is fresh). Cells are pure in the
+/// job — everything seeded is derived from `seed` — which is what makes
+/// parallel execution record-identical to serial.
+fn run_cell(job: &CellJob) -> ScenarioRecord {
+    let (scenario, seed) = (&job.scenario, job.seed);
+    let (g, n, target_n) = &job.graph;
     let (n, target_n) = (*n, *target_n);
     // `Arc::clone`, not `Graph::clone`: the per-cell graph cost is a
     // refcount bump, so setup no longer scales with |V| + |E| per seed.
     let mut net = scenario.stack.build(Arc::clone(g), seed);
     let mut input = ProtocolInput::from_seed(seed);
-    if let Some(set) = active {
+    if let Some(set) = &job.active {
         input = input.with_active(set.to_vec());
     }
-    let report = protocol
-        .run_with_frame(&mut net, &input, frame)
-        .unwrap_or_else(|e| {
-            panic!(
-                "scenario {:?} (protocol {}, seed {seed}): {e}",
-                scenario.name,
-                scenario.protocol.label()
-            )
-        });
+    let report = job.protocol.run(&mut net, &input).unwrap_or_else(|e| {
+        panic!(
+            "scenario {:?} (protocol {}, seed {seed}): {e}",
+            scenario.name,
+            scenario.protocol.label()
+        )
+    });
     let caps = net.capabilities();
     let label = scenario.protocol.label();
     let estimate = report.output.diameter_estimate();
@@ -765,30 +754,9 @@ pub fn diameter_agreement(label: &str, estimate: u64, exact: u64) -> bool {
     }
 }
 
-/// Runs one scenario under `config`: graphs are materialized once per size
-/// — through the dataset `cache` when one is given (generator output
-/// compiled to a content-addressed CSR artifact on first use, bulk-read on
-/// every later run), from the generator otherwise — then the `sizes ×
-/// seeds` cells are distributed over the worker pool and the records
-/// collected in cell order (size-major, seed-minor — the serial order).
-/// Either way every worker shares the one immutable `Arc<Graph>` per size;
-/// per-cell stack construction is a refcount bump. Every worker owns one
-/// reusable frame.
-///
-/// The cache affects *where graph bytes come from*, never what they are:
-/// artifacts round-trip the CSR exactly (pinned by the dataset round-trip
-/// tests), so records are byte-identical with and without a cache.
-pub fn run_scenario_with_cache(
-    scenario: &Scenario,
-    config: &RunnerConfig,
-    cache: Option<&DatasetCache>,
-) -> Vec<ScenarioRecord> {
-    run_scenario_with_stores(scenario, config, cache, None, None)
-}
-
 /// One work item of a batched run: a scenario plus an optional restricted
 /// active set. A server `run` request decodes to a list of these; the CLI
-/// path wraps a single one.
+/// sweep wraps one per scenario.
 #[derive(Clone, Debug)]
 pub struct BatchItem {
     /// The sweep to run (or answer from the store).
@@ -815,73 +783,46 @@ pub struct BatchOutcome {
     pub computed: u64,
 }
 
-/// One dispatched cell, with everything a worker needs *owned* (`Arc`s
-/// over the shared pieces). The same description serves both execution
-/// paths: scoped workers borrow it, and the server's persistent
-/// [`WorkPool`](crate::pool::WorkPool) moves an `Arc` of the whole job
-/// list into its `'static` closures.
-struct CellJob {
-    /// Index of the originating batch item.
-    item: usize,
-    /// Cell index within that item (size-major, seed-minor).
-    cell: usize,
-    scenario: Arc<Scenario>,
-    protocol: Arc<dyn ProtocolImpl>,
-    graph: (Arc<Graph>, usize, usize),
-    seed: u64,
-    active: Option<Arc<[usize]>>,
-}
-
-thread_local! {
-    /// Per-thread scratch for persistent-pool workers: the pool outlives
-    /// any one batch, so its workers keep their reusable frame across
-    /// batches here (scoped workers get theirs from `run_indexed`'s
-    /// `make_state` instead).
-    static POOL_SCRATCH: std::cell::RefCell<WorkerScratch> =
-        std::cell::RefCell::new(WorkerScratch::new());
-}
-
-/// Renders a caught panic payload the way `panic!` produced it.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload the way `panic!` produced it — how a
+/// cell's panic crosses from a pool worker to the caller, and how the
+/// server turns a failed run into an error response.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else {
-        "cell panicked with a non-string payload".to_string()
+        "protocol execution failed".to_string()
     }
 }
 
-/// Runs a whole batch of items as **one work-item set**: every missing
-/// cell of every item is flattened into a single job list and dispatched
-/// together, so a server request carrying many scenarios saturates the
-/// pool instead of draining items one at a time.
+/// The runner's one entry point: runs a whole batch of items as **one
+/// work-item set**, so a server request carrying many scenarios saturates
+/// the pool instead of draining items one at a time.
 ///
-/// The incremental discipline per item is unchanged from the single-
-/// scenario path: every (size, seed) cell's [`ResultKey`] is probed first
-/// — keys are over the *target* size, so a fully warm item never
-/// materializes a graph at all — and only the missing cells become jobs
-/// (graphs are built lazily, only for sizes that still have at least one
-/// miss). Freshly computed records are written back on the caller's
-/// thread. Because artifacts round-trip records bit-exactly, a warm run's
-/// record vector — and hence its JSON — is byte-identical to a cold or
-/// uncached run at every thread count, on either execution path.
+/// Every (size, seed) cell's [`ResultKey`] is probed first — keys are over
+/// the *target* size, so a fully warm item never materializes a graph at
+/// all — and only the missing cells become jobs. Graphs are built lazily,
+/// once per (item, size) with at least one miss, through the dataset cache
+/// when one is given: artifacts round-trip the CSR exactly, so records are
+/// byte-identical with and without a cache. Freshly computed records are
+/// written back on the caller's thread. Because result artifacts
+/// round-trip records bit-exactly, a warm run's record vector — and hence
+/// its JSON — is byte-identical to a cold or uncached run at every thread
+/// count.
 ///
-/// `pool` selects the execution path: `None` runs the jobs on scoped
-/// workers spun up for this call (`config.threads`, the CLI sweep shape);
-/// `Some` submits them to a shared persistent [`WorkPool`] — the server's
-/// shape, where concurrent requests interleave their jobs on one FIFO
-/// queue and `config.threads` was fixed at pool construction. A cell that
-/// panics (e.g. a capability mismatch raised mid-run) re-panics on the
-/// caller's thread with the original message on both paths.
-///
-/// [`WorkPool`]: crate::pool::WorkPool
+/// The jobs run on `pool` — the server shares one persistent pool, so
+/// concurrent requests interleave their cells on its FIFO queue — or, when
+/// `pool` is `None` and some cell is missing, on a pool of
+/// `config.threads` workers built for this call. A cell that panics (e.g.
+/// a capability mismatch raised mid-run) re-panics on the caller's thread
+/// with the original message, and no record of the batch is written back.
 pub fn run_batch_with_stores(
     items: &[BatchItem],
     config: &RunnerConfig,
     datasets: Option<&DatasetCache>,
     results: Option<&ResultStore>,
-    pool: Option<&crate::pool::WorkPool>,
+    pool: Option<&WorkPool>,
 ) -> Vec<BatchOutcome> {
     // Probe phase: per item, cell order size-major seed-minor — the
     // serial order each item's record vector keeps.
@@ -967,59 +908,32 @@ pub fn run_batch_with_stores(
     }
     let mut computed = vec![0u64; items.len()];
     if !jobs.is_empty() {
-        let jobs: Arc<Vec<CellJob>> = Arc::new(jobs);
-        // Collect-by-index on both paths keeps computed records in job
-        // order regardless of scheduling, exactly as in a full dispatch.
-        let records: Vec<ScenarioRecord> = match pool {
-            Some(pool) => {
-                let pool_jobs = Arc::clone(&jobs);
-                let raw = pool.run_batch(jobs.len(), move |j| {
-                    let job = &pool_jobs[j];
-                    // Catch here (not only in the pool) so the panic
-                    // *message* survives the hop between threads.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        POOL_SCRATCH.with(|scratch| {
-                            let mut scratch = scratch.borrow_mut();
-                            run_cell(
-                                &job.scenario,
-                                &*job.protocol,
-                                &job.graph,
-                                job.seed,
-                                job.active.as_deref(),
-                                scratch.frame_for(job.graph.1),
-                            )
-                        })
-                    }))
-                    .map_err(panic_message)
-                });
-                raw.into_iter()
-                    .map(|slot| match slot {
-                        Some(Ok(record)) => record,
-                        Some(Err(msg)) => panic!("{msg}"),
-                        None => panic!("batch cell panicked in the worker pool"),
-                    })
-                    .collect()
+        let local;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                local = WorkPool::new(config.threads);
+                &local
             }
-            None => crate::pool::run_indexed(
-                jobs.len(),
-                config.threads,
-                WorkerScratch::new,
-                |scratch, j| {
-                    let job = &jobs[j];
-                    run_cell(
-                        &job.scenario,
-                        &*job.protocol,
-                        &job.graph,
-                        job.seed,
-                        job.active.as_deref(),
-                        scratch.frame_for(job.graph.1),
-                    )
-                },
-            ),
         };
+        let jobs: Arc<Vec<CellJob>> = Arc::new(jobs);
+        let pool_jobs = Arc::clone(&jobs);
+        // Catch here (not only in the pool) so the panic *message* survives
+        // the hop between threads. Slots come back in job order regardless
+        // of scheduling.
+        let records: Vec<ScenarioRecord> = pool
+            .run_batch(jobs.len(), move |j| {
+                catch_unwind(AssertUnwindSafe(|| run_cell(&pool_jobs[j]))).map_err(panic_message)
+            })
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Ok(record)) => record,
+                Some(Err(msg)) => panic!("{msg}"),
+                None => panic!("batch cell panicked in the worker pool"),
+            })
+            .collect();
         // Write-back on the caller's thread, in job order.
-        for (j, record) in records.into_iter().enumerate() {
-            let job = &jobs[j];
+        for (job, record) in jobs.iter().zip(records) {
             if let Some(store) = results {
                 let key = job
                     .scenario
@@ -1050,94 +964,45 @@ pub fn run_batch_with_stores(
         .collect()
 }
 
-/// The single-scenario entry point: [`run_scenario_with_cache`] plus an
-/// optional [`ResultStore`] consulted *before* any cell is dispatched, and
-/// an optional restricted active set threaded into every cell's
-/// [`ProtocolInput`]. A thin wrapper over [`run_batch_with_stores`] with a
-/// one-item batch on the scoped-worker path — the CLI sweep shape.
-pub fn run_scenario_with_stores(
-    scenario: &Scenario,
-    config: &RunnerConfig,
-    datasets: Option<&DatasetCache>,
-    results: Option<&ResultStore>,
-    active: Option<&[usize]>,
-) -> Vec<ScenarioRecord> {
-    let item = BatchItem {
-        scenario: scenario.clone(),
-        active: active.map(<[usize]>::to_vec),
-    };
-    run_batch_with_stores(std::slice::from_ref(&item), config, datasets, results, None)
-        .pop()
-        .expect("one item in, one outcome out")
-        .records
-}
-
-/// [`run_scenario_with_cache`] without a dataset cache: graphs come
-/// straight from the generators (still shared as one `Arc` per size).
-pub fn run_scenario_with(scenario: &Scenario, config: &RunnerConfig) -> Vec<ScenarioRecord> {
-    run_scenario_with_cache(scenario, config, None)
-}
-
-/// Runs a batch of scenarios back to back under `config`. Scenarios run in
-/// list order (each internally parallel over its cells), so the record
-/// stream is grouped by scenario exactly as in a serial run; unless
-/// `config.quiet`, a completion line per scenario goes to stderr so long
-/// sweeps show progress — and a hung sweep's log shows where it stopped.
-pub fn run_scenarios_with(scenarios: &[Scenario], config: &RunnerConfig) -> Vec<ScenarioRecord> {
-    run_scenarios_with_cache(scenarios, config, None)
-}
-
-/// [`run_scenarios_with`] through an optional dataset cache: every
-/// scenario's graphs go through [`run_scenario_with_cache`], so a sweep
-/// that revisits a (family, size) pair — or a re-run of the whole sweep —
-/// bulk-reads the compiled artifact instead of re-running the generator.
-pub fn run_scenarios_with_cache(
-    scenarios: &[Scenario],
-    config: &RunnerConfig,
-    cache: Option<&DatasetCache>,
-) -> Vec<ScenarioRecord> {
-    run_scenarios_with_stores(scenarios, config, cache, None)
-}
-
-/// [`run_scenarios_with_cache`] through an optional [`ResultStore`] as
-/// well: every scenario goes through [`run_scenario_with_stores`], so an
-/// incremental sweep — one that appends scenarios, seeds, or sizes to a
-/// previously stored sweep — computes exactly the absent cells and answers
-/// the rest from artifacts. The store's hit/miss counters accumulate across
-/// the batch; callers print them once at the end (the `[results]` stderr
-/// line of the `experiments` binary).
+/// Runs `scenarios` in list order over one pool of `config.threads`
+/// workers: each scenario is a one-item [`run_batch_with_stores`] call, so
+/// the record stream is grouped by scenario exactly as in a serial run.
+/// With a [`ResultStore`], an incremental sweep — one that appends
+/// scenarios, seeds, or sizes to a previously stored sweep — computes
+/// exactly the absent cells and answers the rest from artifacts; the
+/// store's hit/miss counters accumulate across the list, and callers print
+/// them once at the end (the `[results]` stderr line of the `experiments`
+/// binary). Unless `config.quiet`, a completion line per scenario goes to
+/// stderr, so a hung sweep's log shows where it stopped.
 pub fn run_scenarios_with_stores(
     scenarios: &[Scenario],
     config: &RunnerConfig,
     datasets: Option<&DatasetCache>,
     results: Option<&ResultStore>,
 ) -> Vec<ScenarioRecord> {
+    let pool = WorkPool::new(config.threads);
     let mut records = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let recs = run_scenario_with_stores(s, config, datasets, results, None);
+    for (i, scenario) in scenarios.iter().enumerate() {
+        let item = BatchItem {
+            scenario: scenario.clone(),
+            active: None,
+        };
+        let recs = run_batch_with_stores(&[item], config, datasets, results, Some(&pool))
+            .pop()
+            .expect("one item in, one outcome out")
+            .records;
         if !config.quiet {
             eprintln!(
                 "[scenarios] {}/{} {}: {} records",
                 i + 1,
                 scenarios.len(),
-                s.name,
+                scenario.name,
                 recs.len()
             );
         }
         records.extend(recs);
     }
     records
-}
-
-/// Runs one scenario on the exact serial path (one thread, one frame
-/// reused across every cell, no progress output).
-pub fn run_scenario(scenario: &Scenario) -> Vec<ScenarioRecord> {
-    run_scenario_with(scenario, &RunnerConfig::serial())
-}
-
-/// Runs a batch of scenarios back to back on the exact serial path.
-pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<ScenarioRecord> {
-    run_scenarios_with(scenarios, &RunnerConfig::serial())
 }
 
 /// The default sweep wired into `experiments -- scenarios`: the PR-2 era
@@ -1486,23 +1351,6 @@ pub fn xl_scenarios() -> Vec<Scenario> {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_opt(v: Option<u64>) -> String {
     v.map_or_else(|| "null".into(), |x| x.to_string())
 }
@@ -1524,13 +1372,13 @@ pub fn record_json_object(r: &ScenarioRecord) -> String {
          \"lb_calls\":{},\"max_lb_energy\":{},\
          \"mean_lb_energy\":{:.3},\"max_physical_energy\":{},\"physical_slots\":{},\
          \"outcome\":{},\"target_n\":{}",
-        json_escape(&r.scenario),
-        json_escape(&r.family),
+        escape(&r.scenario),
+        escape(&r.family),
         r.n,
         r.seed,
-        json_escape(&r.protocol),
-        json_escape(&r.backend),
-        json_escape(&r.energy_model),
+        escape(&r.protocol),
+        escape(&r.backend),
+        escape(&r.energy_model),
         r.lb_calls,
         r.max_lb_energy,
         r.mean_lb_energy,
@@ -1570,6 +1418,15 @@ pub fn records_to_json(records: &[ScenarioRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scenarios on one worker, with no stores.
+    fn run_serial(scenarios: &[Scenario]) -> Vec<ScenarioRecord> {
+        run_scenarios_with_stores(scenarios, &RunnerConfig::serial(), None, None)
+    }
+
+    fn run_one(scenario: &Scenario) -> Vec<ScenarioRecord> {
+        run_serial(std::slice::from_ref(scenario))
+    }
 
     fn small_sweep() -> Vec<Scenario> {
         vec![
@@ -1676,7 +1533,7 @@ mod tests {
         // The size-rounding pin: grid at target 1000 realizes 31×31 = 961,
         // and the record must carry *both* numbers so the cell can't be
         // mislabelled as a 1000-node run.
-        let records = run_scenario(&Scenario {
+        let records = run_one(&Scenario {
             name: "rounded".into(),
             family: Family::Grid,
             sizes: vec![1000],
@@ -1688,7 +1545,7 @@ mod tests {
         assert_eq!(records[0].n, 961);
         assert_eq!(records[0].target_n, 1000);
         // Exact families keep the two equal.
-        let exact = run_scenario(&Scenario {
+        let exact = run_one(&Scenario {
             name: "exact".into(),
             family: Family::Path,
             sizes: vec![100],
@@ -1725,7 +1582,7 @@ mod tests {
         // does NOT have this property — its per-vertex RNG draws map by
         // vertex id — which is why the layout is per-scenario opt-in.)
         let run = |family: Family| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "inv".into(),
                 family,
                 sizes: vec![256],
@@ -1747,7 +1604,7 @@ mod tests {
     fn depth_bounded_trivial_bfs_labels_exactly_the_horizon_ball() {
         // The xl workload's contract: depth=D labels exactly the ≤D-ball
         // around the source — on a path, D+1 vertices.
-        let records = run_scenario(&Scenario {
+        let records = run_one(&Scenario {
             name: "ball".into(),
             family: Family::Path,
             sizes: vec![512],
@@ -1805,11 +1662,11 @@ mod tests {
         let cache = DatasetCache::new(&dir);
         let sweep = small_sweep();
         let cfg = RunnerConfig::serial();
-        let uncached = run_scenarios_with_cache(&sweep, &cfg, None);
-        let cold = run_scenarios_with_cache(&sweep, &cfg, Some(&cache));
+        let uncached = run_scenarios_with_stores(&sweep, &cfg, None, None);
+        let cold = run_scenarios_with_stores(&sweep, &cfg, Some(&cache), None);
         assert!(cache.misses() > 0, "cold run must compile artifacts");
         let hits_before = cache.hits();
-        let warm = run_scenarios_with_cache(&sweep, &cfg, Some(&cache));
+        let warm = run_scenarios_with_stores(&sweep, &cfg, Some(&cache), None);
         assert!(cache.hits() > hits_before, "warm run must hit the cache");
         assert_eq!(uncached, cold);
         assert_eq!(uncached, warm);
@@ -1830,7 +1687,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_full_grid_of_cells() {
-        let records = run_scenarios(&small_sweep());
+        let records = run_serial(&small_sweep());
         assert_eq!(records.len(), 12, "2 scenarios × 1 size × 6 seeds");
         // Trivial BFS on a connected graph labels everybody.
         for r in records.iter().filter(|r| r.protocol == "trivial_bfs") {
@@ -1854,12 +1711,12 @@ mod tests {
         // The multi-seed determinism property the runner guarantees: same
         // scenarios, same seeds ⇒ byte-identical JSON (there is no
         // wall-clock or hash-order dependence anywhere in the pipeline).
-        let a = records_to_json(&run_scenarios(&small_sweep()));
-        let b = records_to_json(&run_scenarios(&small_sweep()));
+        let a = records_to_json(&run_serial(&small_sweep()));
+        let b = records_to_json(&run_serial(&small_sweep()));
         assert_eq!(a, b);
         // And distinct seeds genuinely produce distinct runs where the
         // protocol is randomized (clustering cluster counts vary).
-        let records = run_scenarios(&small_sweep());
+        let records = run_serial(&small_sweep());
         let cluster_counts: std::collections::BTreeSet<u64> = records
             .iter()
             .filter(|r| r.protocol.starts_with("clustering"))
@@ -1873,7 +1730,7 @@ mod tests {
 
     #[test]
     fn recursive_bfs_scenario_labels_everything_on_a_path() {
-        let records = run_scenario(&Scenario {
+        let records = run_one(&Scenario {
             name: "rec".into(),
             family: Family::Path,
             sizes: vec![96],
@@ -1888,7 +1745,7 @@ mod tests {
 
     #[test]
     fn physical_backend_scenarios_carry_slot_columns() {
-        let records = run_scenario(&Scenario {
+        let records = run_one(&Scenario {
             name: "phys".into(),
             family: Family::Grid,
             sizes: vec![36],
@@ -1922,10 +1779,15 @@ mod tests {
             protocol: Protocol::Clustering { inv_beta: 3 },
             stack: StackSpec::Abstract,
         };
-        let serial = run_scenario(&sweep);
+        let serial = run_one(&sweep);
         assert_eq!(serial.len(), 14);
         for threads in [2usize, 3, 8] {
-            let parallel = run_scenario_with(&sweep, &RunnerConfig::with_threads(threads));
+            let parallel = run_scenarios_with_stores(
+                std::slice::from_ref(&sweep),
+                &RunnerConfig::with_threads(threads),
+                None,
+                None,
+            );
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -1960,7 +1822,7 @@ mod tests {
     #[test]
     fn decay_bfs_scenarios_label_everything_and_match_trivial_outcomes() {
         let run = |protocol: Protocol| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "decaycmp".into(),
                 family: Family::Grid,
                 sizes: vec![64],
@@ -1988,7 +1850,7 @@ mod tests {
         // identical workload and seeds, CD stack vs plain physical stack —
         // same labels and LB accounting, strictly cheaper slots.
         let run = |cd: bool| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "cdtwin".into(),
                 family: Family::Grid,
                 sizes: vec![64],
@@ -2020,7 +1882,7 @@ mod tests {
         // The runner turns the registry's typed error into a panic naming
         // the scenario; the message must carry the capability mismatch.
         let result = std::panic::catch_unwind(|| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "badcaps".into(),
                 family: Family::Path,
                 sizes: vec![8],
@@ -2041,7 +1903,7 @@ mod tests {
         // exact same slots; only the energy column changes, and the 4:1
         // listen-heavy model dominates on listen-bound wavefronts.
         let run = |model: EnergyModel| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "es".into(),
                 family: Family::Grid,
                 sizes: vec![49],
@@ -2085,7 +1947,7 @@ mod tests {
         // abstract stack. Same distance labels, no physical columns, and
         // the backend column reads `abstract_cd`.
         let run = |cd: bool| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "acd".into(),
                 family: Family::Grid,
                 sizes: vec![64],
@@ -2162,7 +2024,7 @@ mod tests {
         // read time), so physical_slots agree while the weighted energy
         // column grows.
         let sweep = |model: EnergyModel| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "w".into(),
                 family: Family::Path,
                 sizes: vec![48],
@@ -2270,7 +2132,7 @@ mod tests {
     fn diameter_cells_carry_estimate_exact_and_agreement_columns() {
         let registry = energy_bfs::protocol::registry();
         let run = |spec: &str| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "diam".into(),
                 family: Family::Grid,
                 sizes: vec![64],
@@ -2298,7 +2160,7 @@ mod tests {
             }
         }
         // Non-diameter protocols keep all three columns absent.
-        let plain = run_scenario(&Scenario {
+        let plain = run_one(&Scenario {
             name: "plain".into(),
             family: Family::Grid,
             sizes: vec![64],
@@ -2345,7 +2207,7 @@ mod tests {
             transmit: 1,
         };
         let run = |stack: StackSpec| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "tuned".into(),
                 family: Family::Grid,
                 sizes: vec![256],
@@ -2390,7 +2252,7 @@ mod tests {
         // it aliases — spec equality means registry equality means record
         // equality.
         let run = |protocol: Protocol| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "custom".into(),
                 family: Family::Grid,
                 sizes: vec![49],
@@ -2416,7 +2278,7 @@ mod tests {
             line!()
         ));
         let sweep = small_sweep();
-        let uncached = records_to_json(&run_scenarios(&sweep));
+        let uncached = records_to_json(&run_serial(&sweep));
         let store = ResultStore::new(&dir);
         let cfg = RunnerConfig::serial();
         let cold = records_to_json(&run_scenarios_with_stores(&sweep, &cfg, None, Some(&store)));
@@ -2457,11 +2319,19 @@ mod tests {
             line!()
         ));
         let store = ResultStore::new(&dir);
-        let cfg = RunnerConfig::serial();
-        let full = run_scenario_with_stores(&scenario, &cfg, None, Some(&store), None);
+        let run = |active: Option<&[usize]>| {
+            let item = BatchItem {
+                scenario: scenario.clone(),
+                active: active.map(<[usize]>::to_vec),
+            };
+            let cfg = RunnerConfig::serial();
+            run_batch_with_stores(&[item], &cfg, None, Some(&store), None)
+                .remove(0)
+                .records
+        };
+        let full = run(None);
         let prefix: Vec<usize> = (0..12).collect();
-        let restricted =
-            run_scenario_with_stores(&scenario, &cfg, None, Some(&store), Some(&prefix));
+        let restricted = run(Some(&prefix));
         assert_eq!(full[0].outcome, 24, "full set labels the whole path");
         assert_eq!(
             restricted[0].outcome, 12,
@@ -2476,8 +2346,8 @@ mod tests {
             scenario.result_key(24, 0, Some(&prefix)).content_hash()
         );
         // And both warm up independently.
-        run_scenario_with_stores(&scenario, &cfg, None, Some(&store), Some(&prefix));
-        run_scenario_with_stores(&scenario, &cfg, None, Some(&store), None);
+        run(Some(&prefix));
+        run(None);
         assert_eq!(store.hits(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2490,7 +2360,7 @@ mod tests {
         // senders retire via the echo slot, so both the max per-node energy
         // and the elapsed slots drop.
         let run = |cd: bool| {
-            run_scenario(&Scenario {
+            run_one(&Scenario {
                 name: "cdcmp".into(),
                 family: Family::Path,
                 sizes: vec![64],

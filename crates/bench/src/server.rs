@@ -52,15 +52,19 @@
 //!   "hits":H,"computed":C}` — one entry per item, in request order, plus
 //!   request-level totals.
 //! * `{"cmd":"stats"}` — hit/miss/hot-hit/served/computed/request/
-//!   connection counters plus store size (answered from the store index in
-//!   O(1)).
+//!   connection counters plus store size (a walk over the store directory
+//!   that counts the servable artifacts).
 //! * `{"cmd":"shutdown"}` — acknowledge, stop accepting, and let in-flight
 //!   requests finish their responses.
 //!
 //! Single-scenario run responses keep the PR 8 shape:
-//! `{"ok":true,"records":[…],"hits":H,"computed":C}` with each record
-//! emitted by [`record_json_object`] — byte-identical to the same record's
-//! line in a sweep JSON file.
+//! `{"ok":true,"records":[…],"hits":H,"computed":C}`. Both response shapes
+//! write their records through one helper that emits each record with
+//! [`record_json_object`] — byte-identical to the same record's line in a
+//! sweep JSON file.
+//!
+//! The catalog that named requests resolve against (the default sweep,
+//! then the xl sweep) is built once per [`serve`] call.
 //!
 //! ## Fault containment
 //!
@@ -90,8 +94,8 @@ use crate::json::{escape, Json};
 use crate::pool::WorkPool;
 use crate::results::ResultStore;
 use crate::scenarios::{
-    default_scenarios, record_json_object, run_batch_with_stores, xl_scenarios, BatchItem,
-    BatchOutcome, Family, Protocol, RunnerConfig, Scenario, StackSpec,
+    default_scenarios, panic_message, record_json_object, run_batch_with_stores, xl_scenarios,
+    BatchItem, BatchOutcome, Family, Protocol, RunnerConfig, Scenario, ScenarioRecord, StackSpec,
 };
 
 /// Hard cap on one request line. A line that exceeds it is answered with a
@@ -147,10 +151,13 @@ pub struct ServeSummary {
 }
 
 /// Everything the connection handlers share: the read-only run
-/// configuration, the stores, the one persistent compute pool, the
-/// summary counters, and the shutdown flag.
+/// configuration, the scenario catalog, the stores, the one persistent
+/// compute pool, the summary counters, and the shutdown flag.
 struct ServerShared<'a> {
     config: &'a RunnerConfig,
+    /// The named scenarios a `run` request may ask for: the default sweep
+    /// first, then the xl sweep.
+    catalog: Vec<Scenario>,
     datasets: Option<&'a DatasetCache>,
     results: &'a ResultStore,
     pool: WorkPool,
@@ -167,8 +174,13 @@ impl<'a> ServerShared<'a> {
         datasets: Option<&'a DatasetCache>,
         results: &'a ResultStore,
     ) -> Self {
+        let catalog = default_scenarios()
+            .into_iter()
+            .chain(xl_scenarios())
+            .collect();
         ServerShared {
             config,
+            catalog,
             datasets,
             results,
             pool: WorkPool::new(config.threads),
@@ -197,14 +209,6 @@ fn refuse<T>(msg: impl Into<String>) -> Result<T, Refusal> {
     Err(Refusal(msg.into()))
 }
 
-/// Looks up a catalog scenario (default sweep first, then xl) by name.
-fn catalog_scenario(name: &str) -> Option<Scenario> {
-    default_scenarios()
-        .into_iter()
-        .chain(xl_scenarios())
-        .find(|s| s.name == name)
-}
-
 fn u64_list(value: &Json, what: &str) -> Result<Vec<u64>, Refusal> {
     let items = value
         .as_array()
@@ -220,14 +224,20 @@ fn u64_list(value: &Json, what: &str) -> Result<Vec<u64>, Refusal> {
 
 /// Decodes one `run` object into the scenario to execute plus its optional
 /// restricted active set, validating every coordinate through the same
-/// parsers the CLI uses.
-fn decode_run(request: &Json) -> Result<(Scenario, Option<Vec<usize>>), Refusal> {
+/// parsers the CLI uses; a scenario name resolves against `catalog`.
+fn decode_run(
+    request: &Json,
+    catalog: &[Scenario],
+) -> Result<(Scenario, Option<Vec<usize>>), Refusal> {
     let mut scenario = match request.get("scenario") {
         Some(name) => {
             let name = name
                 .as_str()
                 .ok_or_else(|| Refusal("scenario must be a string".into()))?;
-            catalog_scenario(name)
+            catalog
+                .iter()
+                .find(|s| s.name == name)
+                .cloned()
                 .ok_or_else(|| Refusal(format!("unknown scenario {name:?} (not in the catalog)")))?
         }
         None => {
@@ -301,9 +311,9 @@ fn decode_run(request: &Json) -> Result<(Scenario, Option<Vec<usize>>), Refusal>
 /// object itself, or every element of `"batch"`. **All** items validate
 /// before any cell computes — an invalid element refuses the whole
 /// request, naming its index.
-fn decode_items(request: &Json) -> Result<(Vec<BatchItem>, bool), Refusal> {
+fn decode_items(request: &Json, catalog: &[Scenario]) -> Result<(Vec<BatchItem>, bool), Refusal> {
     let Some(batch) = request.get("batch") else {
-        let (scenario, active) = decode_run(request)?;
+        let (scenario, active) = decode_run(request, catalog)?;
         return Ok((vec![BatchItem { scenario, active }], false));
     };
     if request.get("scenario").is_some() || request.get("family").is_some() {
@@ -328,8 +338,8 @@ fn decode_items(request: &Json) -> Result<(Vec<BatchItem>, bool), Refusal> {
             if !matches!(entry, Json::Obj(_)) {
                 return refuse(format!("batch[{i}] must be a run object"));
             }
-            let (scenario, active) =
-                decode_run(entry).map_err(|Refusal(msg)| Refusal(format!("batch[{i}]: {msg}")))?;
+            let (scenario, active) = decode_run(entry, catalog)
+                .map_err(|Refusal(msg)| Refusal(format!("batch[{i}]: {msg}")))?;
             Ok(BatchItem { scenario, active })
         })
         .collect::<Result<Vec<BatchItem>, Refusal>>()?;
@@ -349,27 +359,20 @@ fn execute(items: &[BatchItem], shared: &ServerShared<'_>) -> Result<Vec<BatchOu
             Some(&shared.pool),
         )
     }))
-    .map_err(|panic| {
-        let msg = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "protocol execution failed".into());
-        Refusal(msg)
-    })
+    .map_err(|panic| Refusal(panic_message(panic)))
 }
 
 fn error_response(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\",\"code\":2}}", escape(msg))
 }
 
-fn item_json(outcome: &BatchOutcome) -> String {
-    let body: Vec<String> = outcome.records.iter().map(record_json_object).collect();
+/// The `"records":[…],"hits":H,"computed":C` fields shared by a
+/// single-run response and every item of a batch response.
+fn records_fields(records: &[ScenarioRecord], hits: u64, computed: u64) -> String {
+    let body: Vec<String> = records.iter().map(record_json_object).collect();
     format!(
-        "{{\"records\":[{}],\"hits\":{},\"computed\":{}}}",
-        body.join(","),
-        outcome.hits,
-        outcome.computed
+        "\"records\":[{}],\"hits\":{hits},\"computed\":{computed}",
+        body.join(",")
     )
 }
 
@@ -385,7 +388,7 @@ fn handle_request(line: &str, shared: &ServerShared<'_>) -> (String, bool) {
             .ok_or_else(|| Refusal("request needs a string \"cmd\"".into()))?;
         match cmd {
             "run" => {
-                let (items, batched) = decode_items(&request)?;
+                let (items, batched) = decode_items(&request, &shared.catalog)?;
                 let outcomes = execute(&items, shared)?;
                 let served: u64 = outcomes.iter().map(|o| o.records.len() as u64).sum();
                 let hits: u64 = outcomes.iter().map(|o| o.hits).sum();
@@ -393,18 +396,17 @@ fn handle_request(line: &str, shared: &ServerShared<'_>) -> (String, bool) {
                 shared.served.fetch_add(served, Ordering::Relaxed);
                 shared.computed.fetch_add(computed, Ordering::Relaxed);
                 let response = if batched {
-                    let parts: Vec<String> = outcomes.iter().map(item_json).collect();
+                    let parts: Vec<String> = outcomes
+                        .iter()
+                        .map(|o| format!("{{{}}}", records_fields(&o.records, o.hits, o.computed)))
+                        .collect();
                     format!(
                         "{{\"ok\":true,\"batch\":[{}],\"hits\":{hits},\"computed\":{computed}}}",
                         parts.join(",")
                     )
                 } else {
-                    let body: Vec<String> =
-                        outcomes[0].records.iter().map(record_json_object).collect();
-                    format!(
-                        "{{\"ok\":true,\"records\":[{}],\"hits\":{hits},\"computed\":{computed}}}",
-                        body.join(",")
-                    )
+                    let fields = records_fields(&outcomes[0].records, hits, computed);
+                    format!("{{\"ok\":true,{fields}}}")
                 };
                 Ok((response, false))
             }
@@ -610,7 +612,7 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::run_scenario_with_stores;
+    use crate::scenarios::run_scenarios_with_stores;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -821,13 +823,15 @@ mod tests {
     fn named_catalog_requests_cross_warm_with_batch_sweeps() {
         let dir = scratch("crosswarm");
         let results = ResultStore::new(dir.clone());
-        let scenario = catalog_scenario("grid32-trivial").expect("catalog name");
-        run_scenario_with_stores(
-            &scenario,
+        let scenario = default_scenarios()
+            .into_iter()
+            .find(|s| s.name == "grid32-trivial")
+            .expect("catalog name");
+        run_scenarios_with_stores(
+            std::slice::from_ref(&scenario),
             &RunnerConfig::serial(),
             None,
             Some(&results),
-            None,
         );
         let warmed_misses = results.misses();
 

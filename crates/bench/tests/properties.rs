@@ -1,7 +1,7 @@
 //! Property-based tests for the parallel scenario runner and the protocol
 //! registry: randomly drawn `Scenario` configurations (family × size × seed
 //! count × backend × protocol) must produce record-for-record identical
-//! output on the worker pool and on the exact serial path; reordering a
+//! output on a many-worker pool and on a single worker; reordering a
 //! scenario *list* must only permute the output stream by whole scenario —
 //! never within one; and registry-dispatched protocol runs must be
 //! byte-identical to the direct free-function calls they wrap, on every
@@ -17,13 +17,18 @@ use energy_bfs::baseline::{decay_bfs, trivial_bfs, trivial_bfs_cd};
 use energy_bfs::{build_hierarchy, recursive_bfs_with_hierarchy, RecursiveBfsConfig};
 use radio_bench::results::ResultStore;
 use radio_bench::scenarios::{
-    records_to_json, run_scenario, run_scenario_with, run_scenario_with_stores, run_scenarios_with,
-    Family, Protocol, RunnerConfig, Scenario, StackSpec,
+    records_to_json, run_scenarios_with_stores, Family, Protocol, RunnerConfig, Scenario,
+    ScenarioRecord, StackSpec,
 };
 use radio_protocols::protocol::ProtocolInput;
 use radio_protocols::{
     cluster_distributed, ClusteringConfig, EnergyModel, Msg, RadioStack, Stack, StackBuilder,
 };
+
+/// Runs one scenario through the runner's list form.
+fn run(s: &Scenario, cfg: &RunnerConfig, store: Option<&ResultStore>) -> Vec<ScenarioRecord> {
+    run_scenarios_with_stores(std::slice::from_ref(s), cfg, None, store)
+}
 
 /// Decodes a drawn configuration into a `Scenario`. Families, backends and
 /// protocols are picked by small integers so the vendored proptest's range
@@ -107,9 +112,9 @@ proptest! {
         let scenario = decode_scenario(
             family_pick, size, seed_lo, seed_count, backend_pick, proto_pick,
         );
-        let serial = run_scenario(&scenario);
+        let serial = run(&scenario, &RunnerConfig::serial(), None);
         prop_assert_eq!(serial.len(), seed_count);
-        let parallel = run_scenario_with(&scenario, &RunnerConfig::with_threads(threads));
+        let parallel = run(&scenario, &RunnerConfig::with_threads(threads), None);
         prop_assert_eq!(parallel.len(), serial.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             prop_assert_eq!(
@@ -137,11 +142,11 @@ proptest! {
             .join(format!("{}-{family_pick}-{size}-{seed_lo}-{seed_count}-{backend_pick}-{proto_pick}",
                 std::process::id()));
         let store = ResultStore::new(&dir);
-        let reference = records_to_json(&run_scenario(&scenario));
+        let reference = records_to_json(&run(&scenario, &RunnerConfig::serial(), None));
         let cfg = RunnerConfig::with_threads(threads);
-        let cold = records_to_json(&run_scenario_with_stores(&scenario, &cfg, None, Some(&store), None));
+        let cold = records_to_json(&run(&scenario, &cfg, Some(&store)));
         prop_assert_eq!(store.misses() as usize, seed_count, "cold run computes every cell");
-        let warm = records_to_json(&run_scenario_with_stores(&scenario, &cfg, None, Some(&store), None));
+        let warm = records_to_json(&run(&scenario, &cfg, Some(&store)));
         prop_assert_eq!(store.hits() as usize, seed_count, "warm run answers every cell");
         prop_assert_eq!(&cold, &reference, "cold store run diverged from the serial reference");
         prop_assert_eq!(&warm, &reference, "warm store run diverged from the serial reference");
@@ -169,7 +174,10 @@ proptest! {
         })
         .collect();
         // Per-scenario reference blocks from the unshuffled serial run.
-        let blocks: Vec<_> = list.iter().map(run_scenario).collect();
+        let blocks: Vec<_> = list
+            .iter()
+            .map(|s| run(s, &RunnerConfig::serial(), None))
+            .collect();
 
         // Fisher–Yates the list with a seeded RNG.
         let mut order: Vec<usize> = (0..list.len()).collect();
@@ -178,7 +186,8 @@ proptest! {
             order.swap(i, rng.gen_range(0..i + 1));
         }
         let shuffled: Vec<Scenario> = order.iter().map(|&i| list[i].clone()).collect();
-        let records = run_scenarios_with(&shuffled, &RunnerConfig::with_threads(threads));
+        let records =
+            run_scenarios_with_stores(&shuffled, &RunnerConfig::with_threads(threads), None, None);
 
         // The output must be exactly the reference blocks, concatenated in
         // shuffled order: grouped by scenario, internally untouched.

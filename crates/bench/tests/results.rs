@@ -9,8 +9,7 @@ use std::path::PathBuf;
 
 use radio_bench::results::{read_artifact, ResultError, ResultStore};
 use radio_bench::scenarios::{
-    records_to_json, run_scenario_with_stores, run_scenarios, run_scenarios_with_stores, Family,
-    Protocol, RunnerConfig, Scenario, StackSpec,
+    records_to_json, run_scenarios_with_stores, Family, Protocol, RunnerConfig, Scenario, StackSpec,
 };
 
 /// A scratch directory under the cargo-managed target tmpdir, unique per
@@ -60,7 +59,12 @@ fn warm_sweeps_are_byte_identical_to_cold_and_uncached_at_every_thread_count() {
     let dir = scratch("identity");
     let store = ResultStore::new(&dir);
     let sweep = sweep();
-    let uncached = records_to_json(&run_scenarios(&sweep));
+    let uncached = records_to_json(&run_scenarios_with_stores(
+        &sweep,
+        &RunnerConfig::serial(),
+        None,
+        None,
+    ));
     let cold = records_to_json(&run_scenarios_with_stores(
         &sweep,
         &RunnerConfig::serial(),
@@ -120,7 +124,12 @@ fn incremental_sweeps_compute_only_the_absent_cells() {
     // cell — warmed prefixes splice in transparently.
     assert_eq!(
         records_to_json(&records),
-        records_to_json(&run_scenarios(&extended))
+        records_to_json(&run_scenarios_with_stores(
+            &extended,
+            &RunnerConfig::serial(),
+            None,
+            None
+        ))
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -138,7 +147,7 @@ fn corrupt_artifacts_are_rejected_as_typed_errors_and_healed_by_the_runner() {
         stack: StackSpec::Abstract,
     };
     let cfg = RunnerConfig::serial();
-    let cold = run_scenario_with_stores(&scenario, &cfg, None, Some(&store), None);
+    let cold = run_scenarios_with_stores(std::slice::from_ref(&scenario), &cfg, None, Some(&store));
     let key = scenario.result_key(64, 0, None);
     let path = store.path_for(&key);
     let pristine = std::fs::read(&path).expect("artifact exists");
@@ -164,7 +173,8 @@ fn corrupt_artifacts_are_rejected_as_typed_errors_and_healed_by_the_runner() {
         // recomputing: the records come out right and the artifact is
         // restored to the pristine bytes.
         let hits_before = store.hits();
-        let healed = run_scenario_with_stores(&scenario, &cfg, None, Some(&store), None);
+        let healed =
+            run_scenarios_with_stores(std::slice::from_ref(&scenario), &cfg, None, Some(&store));
         assert_eq!(healed, cold, "{what}: healed records must match");
         assert_eq!(
             store.hits() - hits_before,

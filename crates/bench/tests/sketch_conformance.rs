@@ -7,10 +7,16 @@
 //! diameter record must come out byte-identical at `--threads 1` and `4`.
 
 use radio_bench::scenarios::{
-    diameter_agreement, records_to_json, run_scenario, run_scenario_with, Family, Protocol,
-    RunnerConfig, Scenario, StackSpec,
+    diameter_agreement, records_to_json, run_scenarios_with_stores, Family, Protocol, RunnerConfig,
+    Scenario, ScenarioRecord, StackSpec,
 };
 use radio_protocols::sketch::relative_error;
+
+/// Runs one scenario on `threads` workers, with no stores.
+fn run(scenario: &Scenario, threads: usize) -> Vec<ScenarioRecord> {
+    let cfg = RunnerConfig::with_threads(threads);
+    run_scenarios_with_stores(std::slice::from_ref(scenario), &cfg, None, None)
+}
 
 fn diameter_scenario(name: String, family: Family, sizes: Vec<usize>, spec: &str) -> Scenario {
     let registry = energy_bfs::protocol::registry();
@@ -46,7 +52,7 @@ fn hyperball_estimates_stay_inside_the_pinned_error_envelope() {
                 sizes,
                 &format!("diameter:hyperball:p={p}"),
             );
-            let records = run_scenario(&scenario);
+            let records = run(&scenario, 1);
             assert!(!records.is_empty());
             for r in &records {
                 let est = r.estimate.expect("hyperball cells carry an estimate");
@@ -93,7 +99,7 @@ fn exact_estimators_honor_their_approximation_guarantees() {
     ] {
         for (family, tag, sizes) in conformance_cases() {
             let scenario = diameter_scenario(format!("conf-{tag}-{spec}"), family, sizes, spec);
-            for r in run_scenario(&scenario) {
+            for r in run(&scenario, 1) {
                 let est = r.estimate.expect("diameter cells carry an estimate");
                 let exact = r.exact.expect("exact diameter fits under the ceiling");
                 assert!(
@@ -130,8 +136,8 @@ fn diameter_records_are_byte_identical_at_one_and_four_threads() {
             protocol: Protocol::from_spec(spec, &registry).expect("diameter spec resolves"),
             stack: StackSpec::Abstract,
         };
-        let serial = run_scenario(&scenario);
-        let pooled = run_scenario_with(&scenario, &RunnerConfig::with_threads(4));
+        let serial = run(&scenario, 1);
+        let pooled = run(&scenario, 4);
         assert_eq!(
             records_to_json(&serial),
             records_to_json(&pooled),

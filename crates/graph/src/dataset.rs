@@ -14,8 +14,9 @@
 //! * [`write_artifact`] / [`read_artifact`] — the versioned binary format:
 //!   a fixed header (magic, format version, key hash, realized `n`, edge
 //!   count), `u32` offsets and neighbor ids, and a trailing payload
-//!   checksum. Writes go through a temp file + rename, so readers never
-//!   observe a half-written artifact.
+//!   checksum. Writes go through [`write_atomic`] (a uniquely named temp
+//!   file + rename), so readers never observe a half-written artifact and
+//!   concurrent writers of one key never collide.
 //! * [`DatasetCache`] — `load_or_build` over a cache directory (the runner
 //!   uses `target/datasets/`): a valid artifact is a **hit** (bulk read, no
 //!   generator run); a missing or corrupt one is a **miss** (rebuild, then
@@ -185,21 +186,30 @@ fn encode(key: &DatasetKey, graph: &Graph) -> Result<Vec<u8>, DatasetError> {
     Ok(out)
 }
 
-/// Writes the artifact for `(key, graph)` to `path` atomically: the bytes
-/// go to a sibling temp file first and are renamed into place, so a
-/// concurrent reader sees either the old artifact or the complete new one,
-/// never a prefix.
+/// Writes `bytes` to `path` atomically: they go to a sibling temp file
+/// first and are renamed into place, so a concurrent reader sees either the
+/// old file or the complete new one, never a prefix. The temp name carries
+/// the process id and a process-wide counter, so concurrent writers of the
+/// same `path` — threads or processes — never share a temp file; the last
+/// rename wins. Both artifact stores (datasets here, scenario results in
+/// the bench crate) write through this.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// Writes the artifact for `(key, graph)` to `path` atomically through
+/// [`write_atomic`].
 pub fn write_artifact(path: &Path, key: &DatasetKey, graph: &Graph) -> Result<(), DatasetError> {
-    let bytes = encode(key, graph)?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e.into())
-        }
-    }
+    Ok(write_atomic(path, &encode(key, graph)?)?)
 }
 
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
@@ -569,6 +579,31 @@ mod tests {
             let back = read_artifact(&path, &key).expect("read");
             assert_eq!(back.csr_parts(), g.csr_parts(), "{tag}");
         }
+    }
+
+    #[test]
+    fn concurrent_same_key_writes_all_succeed_and_read_back() {
+        // Threads writing one key must never share a temp file: every write
+        // returns Ok, and afterwards the key's artifact is the only file.
+        let scratch = ScratchDir::new("same-key");
+        let g = generators::grid(5, 5);
+        let key = DatasetKey::new("grid", "", g.num_nodes());
+        let path = scratch.0.join(key.file_name());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..1000 {
+                        write_artifact(&path, &key, &g).expect("concurrent same-key write");
+                    }
+                });
+            }
+        });
+        let back = read_artifact(&path, &key).expect("artifact reads back");
+        assert_eq!(back.csr_parts(), g.csr_parts());
+        let files = std::fs::read_dir(&scratch.0).expect("scratch dir").count();
+        assert_eq!(files, 1, "temp files left behind");
     }
 
     #[test]

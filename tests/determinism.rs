@@ -165,13 +165,14 @@ fn parallel_scenario_runner_is_thread_count_invariant_on_the_default_sweep() {
     // first diverging record rather than dumping two multi-hundred-line
     // JSON blobs.
     use radio_bench::scenarios::{
-        default_scenarios, records_to_json, run_scenarios_with, RunnerConfig,
+        default_scenarios, records_to_json, run_scenarios_with_stores, RunnerConfig,
     };
     let scenarios = default_scenarios();
-    let reference = run_scenarios_with(&scenarios, &RunnerConfig::serial());
+    let reference = run_scenarios_with_stores(&scenarios, &RunnerConfig::serial(), None, None);
     let reference_json = records_to_json(&reference);
     for threads in [2usize, 8] {
-        let parallel = run_scenarios_with(&scenarios, &RunnerConfig::with_threads(threads));
+        let parallel =
+            run_scenarios_with_stores(&scenarios, &RunnerConfig::with_threads(threads), None, None);
         assert_eq!(
             parallel.len(),
             reference.len(),
