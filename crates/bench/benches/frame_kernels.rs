@@ -1,6 +1,7 @@
-//! E6 bench: the word-parallel frame kernels in isolation.
+//! E6 bench: the word-parallel frame kernels in isolation, and the per-call
+//! cost of a sparse Local-Broadcast on a large universe.
 //!
-//! Two groups:
+//! Three groups:
 //!
 //! * `nodeset_kernels` — bulk [`NodeSet`] operations (`union_with`,
 //!   `difference_with`, `count_intersection`) against a per-bit scalar
@@ -12,9 +13,16 @@
 //!   `step_frame` arbitrates between: a handful of transmitters with the
 //!   whole graph listening (columnar territory) and a dense transmitter set
 //!   (scan territory).
+//! * `sparse_lb_call` — one Local-Broadcast per iteration on a grid, with a
+//!   single sender near the top of the id range and its grid neighbours
+//!   listening, on the default abstract stack (ledger on), from n = 2^12 to
+//!   2^20. This is HyperBall's call shape; since every frame set carries a
+//!   two-sided occupied-word range, the time per call should stay flat in n
+//!   (within 2x across the sizes) instead of growing with the sender's id.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use radio_graph::generators;
+use radio_protocols::{Msg, RadioStack, StackBuilder};
 use radio_sim::{NodeSet, RadioNetwork, SlotFrame};
 
 /// A deterministic set over `0..n` holding every `stride`-th element,
@@ -110,5 +118,50 @@ fn bench_delivery_resolution(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_nodeset_kernels, bench_delivery_resolution);
+/// One sparse Local-Broadcast per iteration: a sender in the grid's
+/// second-to-last row (cycling over up to 64 of them) with its four
+/// neighbours as receivers, on one reused frame — the id range a sparse
+/// call touches sits at the top of the universe.
+fn bench_sparse_lb_call(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sparse_lb_call");
+    group.sample_size(20_000);
+    for log_n in [12u32, 14, 16, 18, 20] {
+        let side = 1usize << (log_n / 2);
+        let g = generators::grid(side, side);
+        let senders: Vec<usize> = (1..side.min(65) - 1)
+            .map(|col| (side - 2) * side + col)
+            .collect();
+        let neighbours: Vec<Vec<usize>> =
+            senders.iter().map(|&u| g.neighbors(u).to_vec()).collect();
+        let mut net = StackBuilder::new(g).build();
+        let mut frame = net.new_frame();
+        let msg = Msg::words(&[7]);
+        let mut next = 0usize;
+        group.bench_with_input(
+            BenchmarkId::new("abstract_grid", format!("2^{log_n}")),
+            &log_n,
+            |b, _| {
+                b.iter(|| {
+                    let i = next % senders.len();
+                    next += 1;
+                    frame.clear();
+                    frame.add_sender(senders[i], msg.clone());
+                    for &v in &neighbours[i] {
+                        frame.add_receiver(v);
+                    }
+                    net.local_broadcast(&mut frame);
+                    black_box(frame.delivered().len())
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_nodeset_kernels,
+    bench_delivery_resolution,
+    bench_sparse_lb_call
+);
 criterion_main!(benches);

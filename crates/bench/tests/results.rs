@@ -4,13 +4,29 @@
 //! absent cells are computed), and self-healing (corrupt, truncated, or
 //! foreign-fingerprint artifacts are rejected as misses and recomputed —
 //! never silently decoded into a wrong record).
+//!
+//! Every test here holds the `serial()` guard for its whole body. The
+//! speed-up test times a few-millisecond cold sweep against warm reads, and
+//! the other tests' worker pools running beside it on a small machine can
+//! stretch either side enough to break its bound.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use radio_bench::results::{read_artifact, ResultError, ResultStore};
 use radio_bench::scenarios::{
     records_to_json, run_scenarios_with_stores, Family, Protocol, RunnerConfig, Scenario, StackSpec,
 };
+
+/// Runs this file's tests one at a time: hold the guard for the whole test.
+/// The lock guards no data, so the guard of a lock poisoned by a test that
+/// panicked is taken over rather than failing the tests after it.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A scratch directory under the cargo-managed target tmpdir, unique per
 /// test so parallel test binaries never collide.
@@ -56,6 +72,7 @@ fn sweep() -> Vec<Scenario> {
 
 #[test]
 fn warm_sweeps_are_byte_identical_to_cold_and_uncached_at_every_thread_count() {
+    let _serial = serial();
     let dir = scratch("identity");
     let store = ResultStore::new(&dir);
     let sweep = sweep();
@@ -94,6 +111,7 @@ fn warm_sweeps_are_byte_identical_to_cold_and_uncached_at_every_thread_count() {
 
 #[test]
 fn incremental_sweeps_compute_only_the_absent_cells() {
+    let _serial = serial();
     // Warm a sweep, then extend it with a new scenario, new seeds, and a
     // new size: only the genuinely new cells are computed.
     let dir = scratch("incremental");
@@ -136,6 +154,7 @@ fn incremental_sweeps_compute_only_the_absent_cells() {
 
 #[test]
 fn corrupt_artifacts_are_rejected_as_typed_errors_and_healed_by_the_runner() {
+    let _serial = serial();
     let dir = scratch("healing");
     let store = ResultStore::new(&dir);
     let scenario = Scenario {
@@ -192,6 +211,7 @@ fn corrupt_artifacts_are_rejected_as_typed_errors_and_healed_by_the_runner() {
 
 #[test]
 fn warm_runs_are_more_than_ten_times_faster_than_cold() {
+    let _serial = serial();
     // The acceptance bound on real compute: a sweep with enough work that
     // wall-clock comparison is meaningful, timed cold (computing +
     // writing artifacts) vs warm (pure store reads). The >10x bar is the

@@ -64,7 +64,10 @@ pub struct CastScratch {
     steps: Vec<usize>,
     /// Down-cast only: `wrapped[c]` is `wrap(c, messages[c])`, computed once
     /// per cast — every holder of cluster `c` sends exactly this message, so
-    /// the per-sender tag-prepend becomes a straight clone.
+    /// the per-sender tag-prepend becomes a straight clone. Only the casting
+    /// clusters' entries are written; the schedule never names any other
+    /// cluster, so stale entries are never read and the table is not
+    /// cleared between casts.
     wrapped: Vec<Option<Msg>>,
 }
 
@@ -145,8 +148,9 @@ pub fn down_cast_with<'s>(
     // Centers start out holding their message; by induction every holder of
     // cluster `c` holds exactly `messages[c]`, so the tagged message each
     // sender transmits is the same per cluster — wrap it once up front.
-    wrapped.clear();
-    wrapped.resize(state.num_clusters(), None);
+    if wrapped.len() < state.num_clusters() {
+        wrapped.resize(state.num_clusters(), None);
+    }
     for (c, m) in messages.iter() {
         holding[state.centers[c]] = Some(m.clone());
         touched.push(state.centers[c]);

@@ -26,6 +26,8 @@
 //! pure function of (graph, p, seed). On lossy stacks missed deliveries
 //! can only *lower* register values, never corrupt them.
 
+use radio_sim::NodeSet;
+
 use crate::lb::LbFrame;
 use crate::message::Msg;
 use crate::protocol::{
@@ -303,7 +305,8 @@ impl HyperballProtocol {
         let n = net.num_nodes();
         let wp = words_for(self.p);
         // Flat register plane: node v's counter is regs[v*wp..(v+1)*wp],
-        // so the per-round snapshot is one memcpy, not n allocations.
+        // so snapshotting a sender's counter is a slice copy, not an
+        // allocation.
         let mut regs: Vec<u64> = Vec::with_capacity(n * wp);
         for v in 0..n {
             regs.extend_from_slice(HllSketch::singleton(self.p, seed, v).words());
@@ -315,19 +318,23 @@ impl HyperballProtocol {
         let mut nf_sum: f64 = est.iter().sum();
         let mut nf = vec![nf_sum];
         let mut ecc = vec![0u64; n];
-        let mut active = vec![true; n];
-        let mut changed = vec![false; n];
+        // Senders of the round and the nodes it changed, as sets, so a
+        // round costs its active nodes rather than n once activity thins.
+        let mut active = NodeSet::new(n);
+        active.extend(0..n);
+        let mut changed = NodeSet::new(n);
         let bound = self.rounds.unwrap_or(n as u64);
         let mut round = 0u64;
         let mut last_change = 0u64;
-        while round < bound && active.iter().any(|&a| a) {
+        while round < bound && !active.is_empty() {
             round += 1;
-            prev.copy_from_slice(&regs);
-            changed.iter_mut().for_each(|c| *c = false);
-            for u in 0..n {
-                if !active[u] {
-                    continue;
-                }
+            // Every message of the round carries its sender's counter as
+            // the round began, before this round's merges into it.
+            for u in active.iter() {
+                prev[u * wp..(u + 1) * wp].copy_from_slice(&regs[u * wp..(u + 1) * wp]);
+            }
+            changed.clear();
+            for u in active.iter() {
                 frame.clear();
                 frame.add_sender(u, Msg::words(&prev[u * wp..(u + 1) * wp]));
                 match net.topology() {
@@ -344,20 +351,18 @@ impl HyperballProtocol {
                 }
                 net.local_broadcast(frame);
                 for (v, msg) in frame.delivered().iter() {
-                    changed[v] |= merge_words(&mut regs[v * wp..(v + 1) * wp], msg.as_slice());
+                    if merge_words(&mut regs[v * wp..(v + 1) * wp], msg.as_slice()) {
+                        changed.insert(v);
+                    }
                 }
             }
-            let mut any = false;
-            for v in 0..n {
-                if changed[v] {
-                    any = true;
-                    let e = estimate_words(&regs[v * wp..(v + 1) * wp], self.p);
-                    nf_sum += e - est[v];
-                    est[v] = e;
-                    ecc[v] = round;
-                }
+            for v in changed.iter() {
+                let e = estimate_words(&regs[v * wp..(v + 1) * wp], self.p);
+                nf_sum += e - est[v];
+                est[v] = e;
+                ecc[v] = round;
             }
-            if any {
+            if !changed.is_empty() {
                 last_change = round;
                 nf.push(nf_sum);
             }

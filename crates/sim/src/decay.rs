@@ -285,8 +285,7 @@ pub fn decay_local_broadcast_cd<M: Payload + Default, R: Rng + ?Sized>(
         heard_activity,
         pending,
     } = scratch;
-    active_senders.clear();
-    active_senders.extend(senders.keys().iter());
+    active_senders.copy_from(senders.keys());
     let mut slots_used = 0u64;
 
     // The unresolved receivers — neither resolved with a verdict nor

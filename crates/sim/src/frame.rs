@@ -17,30 +17,38 @@
 //! * [`RoundFrame<M>`] — one Local-Broadcast-shaped round: senders (with
 //!   their messages), receivers, and the delivered output, all reusable
 //!   across calls via [`RoundFrame::clear`] (clearing touches only the
-//!   previously occupied entries, so a sparse round on a large universe
-//!   stays cheap).
+//!   words and slots the previous round occupied, so a sparse round on a
+//!   large universe stays cheap wherever its ids sit).
 //! * [`SlotFrame<M>`] — one physical channel slot: transmitters, listeners,
 //!   and per-listener feedback, used by the columnar
 //!   [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame).
 
 use crate::model::{Feedback, LbFeedback};
 
+/// The low end of an empty set's occupied-word range: above every real
+/// word index, so widening the range is a plain `min`/`max` with no
+/// emptiness branch on the insert path.
+const EMPTY_LO: usize = usize::MAX;
+
 /// A dense set of node identifiers over a fixed universe `0..n`.
 ///
 /// Insert, remove and membership are `O(1)`; iteration is ascending by
-/// construction. An *occupied-word watermark* tracks one past the highest
-/// `u64` block that may hold a set bit, so [`NodeSet::clear`] and the word
-/// loops only touch the prefix a sparse set actually uses, and a sparse
-/// round on a large universe stays cheap.
+/// construction. Every set carries a conservative *occupied-word range*
+/// `lo..hi` over its `u64` blocks: every word outside it is zero. Insert
+/// grows the range, [`NodeSet::clear`] resets it, and the word loops —
+/// `clear`, `iter` and the bulk kernels — run only inside it, so a sparse
+/// set costs the words it touches wherever its members sit in a large
+/// universe, not the position of its highest member.
 ///
 /// The bulk kernels ([`NodeSet::union_with`], [`NodeSet::intersect_with`],
 /// [`NodeSet::difference_with`], [`NodeSet::copy_from`],
 /// [`NodeSet::is_disjoint`], [`NodeSet::count_intersection`]) are written
 /// as straight-line loops over `u64` blocks — 64 membership decisions per
-/// iteration, autovectorizer-friendly — with `len` recomputed exactly by
+/// iteration, autovectorizer-friendly — with `len` kept exact by
 /// `count_ones` accumulation. Raw word access for external kernels is
 /// available through [`NodeSet::words`] / [`NodeSet::words_mut`] +
-/// [`NodeSet::recount`].
+/// [`NodeSet::recount`], with [`NodeSet::occupied_words`] naming the range
+/// a read-only kernel needs to walk.
 ///
 /// # Out-of-universe ids
 ///
@@ -51,21 +59,24 @@ use crate::model::{Feedback, LbFeedback};
 /// non-member is a no-op and an out-of-universe id is never a member, so
 /// both have a sensible total answer). Frame-reuse call sites that probe
 /// speculatively can use [`NodeSet::try_insert`] instead of pre-checking.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct NodeSet {
     words: Vec<u64>,
     universe: usize,
     len: usize,
-    /// One past the highest word index that may hold a set bit; words at
-    /// `hi..` are all zero. Grows on insert, resets on clear, and is *not*
-    /// shrunk by remove — it is a conservative bound, not an exact one.
+    /// The occupied-word range `lo..hi`: every word outside it is zero.
+    /// Grows on insert and union, resets on clear, and is *not* shrunk by
+    /// remove — it is a conservative bound, not an exact one. An empty
+    /// range is stored as `EMPTY_LO..0`, which
+    /// [`NodeSet::occupied_words`] reports as `0..0`.
+    lo: usize,
     hi: usize,
 }
 
 /// Equality is semantic — same universe, same members. The occupied-word
-/// watermark is bookkeeping (two equal sets may carry different watermarks
-/// after different insert/remove histories), so `PartialEq` is implemented
-/// by hand over `universe` and the words rather than derived.
+/// range is bookkeeping (two equal sets may carry different ranges after
+/// different insert/remove histories), so `PartialEq` is implemented by
+/// hand over `universe` and the words rather than derived.
 impl PartialEq for NodeSet {
     fn eq(&self, other: &Self) -> bool {
         self.universe == other.universe && self.len == other.len && self.words == other.words
@@ -74,6 +85,13 @@ impl PartialEq for NodeSet {
 
 impl Eq for NodeSet {}
 
+/// The empty set over the empty universe.
+impl Default for NodeSet {
+    fn default() -> Self {
+        NodeSet::new(0)
+    }
+}
+
 impl NodeSet {
     /// An empty set over the universe `0..n`.
     pub fn new(n: usize) -> Self {
@@ -81,6 +99,7 @@ impl NodeSet {
             words: vec![0; n.div_ceil(64)],
             universe: n,
             len: 0,
+            lo: EMPTY_LO,
             hi: 0,
         }
     }
@@ -100,13 +119,20 @@ impl NodeSet {
         self.len == 0
     }
 
-    /// Removes every member. `O(watermark)`: only the word prefix that may
-    /// hold bits is zeroed, so clearing a sparse set over a big universe
+    /// Removes every member. `O(occupied range)`: only the words that may
+    /// hold bits are zeroed, so clearing a sparse set over a big universe
     /// costs proportional to what was actually occupied.
     pub fn clear(&mut self) {
-        self.words[..self.hi].fill(0);
-        self.hi = 0;
-        self.len = 0;
+        let range = self.occupied_words();
+        self.words[range].fill(0);
+        (self.len, self.lo, self.hi) = (0, EMPTY_LO, 0);
+    }
+
+    /// The words both sets' occupied ranges share (empty if they do not
+    /// overlap) — the only words where a bit can be in both sets.
+    fn overlap(&self, other: &NodeSet) -> std::ops::Range<usize> {
+        let hi = self.hi.min(other.hi);
+        self.lo.max(other.lo).min(hi)..hi
     }
 
     /// Inserts `v`; returns `true` if it was not already present.
@@ -123,9 +149,8 @@ impl NodeSet {
         let fresh = self.words[w] & b == 0;
         self.words[w] |= b;
         self.len += usize::from(fresh);
-        if w >= self.hi {
-            self.hi = w + 1;
-        }
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w + 1);
         fresh
     }
 
@@ -159,13 +184,14 @@ impl NodeSet {
         v < self.universe && self.words[v / 64] & (1u64 << (v % 64)) != 0
     }
 
-    /// Iterates the members in ascending order. `O(watermark + |set|)`.
+    /// Iterates the members in ascending order. `O(occupied range + |set|)`.
     pub fn iter(&self) -> NodeSetIter<'_> {
-        let words = &self.words[..self.hi];
+        let range = self.occupied_words();
+        let words = &self.words[..range.end];
         NodeSetIter {
             words,
-            word_idx: 0,
-            current: words.first().copied().unwrap_or(0),
+            word_idx: range.start,
+            current: words.get(range.start).copied().unwrap_or(0),
         }
     }
 
@@ -176,31 +202,42 @@ impl NodeSet {
         }
     }
 
-    /// One past the highest word index that may hold a set bit. Words at
-    /// `watermark()..` of [`NodeSet::words`] are guaranteed zero, so word
-    /// loops over `words()[..watermark()]` see every member.
+    /// The occupied-word range `lo..hi`: every word of [`NodeSet::words`]
+    /// outside it is zero, so a read-only word loop over
+    /// `words()[occupied_words()]` sees every member. Conservative — words
+    /// inside it may be zero too — and `0..0` for a cleared or fresh set.
+    pub fn occupied_words(&self) -> std::ops::Range<usize> {
+        self.lo.min(self.hi)..self.hi
+    }
+
+    /// One past the highest word index that may hold a set bit — the high
+    /// end of [`NodeSet::occupied_words`]. Words at `watermark()..` of
+    /// [`NodeSet::words`] are guaranteed zero, so word loops over
+    /// `words()[..watermark()]` see every member.
     pub fn watermark(&self) -> usize {
         self.hi
     }
 
     /// The raw backing words, least-significant bit of word `w` = node
     /// `64 * w`. The slice always has `universe.div_ceil(64)` words; those
-    /// at [`NodeSet::watermark`] and beyond are zero.
+    /// outside [`NodeSet::occupied_words`] are zero.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Mutable raw word access for external word-at-a-time kernels.
     ///
-    /// After writing through this slice the cached `len` and watermark are
-    /// stale — call [`NodeSet::recount`] before using any other method.
-    /// Callers must not set bits at `universe` or beyond.
+    /// After writing through this slice the cached `len` and occupied-word
+    /// range are stale — call [`NodeSet::recount`] before using any other
+    /// method. Callers must not set bits at `universe` or beyond.
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
 
-    /// Recomputes `len` and the watermark from the raw words after a
-    /// [`NodeSet::words_mut`] edit. `O(n/64)`.
+    /// Recomputes `len` and the occupied-word range (tight: first to last
+    /// nonzero word) from the raw words after a [`NodeSet::words_mut`]
+    /// edit. `O(n/64)` — the one method that walks the whole universe,
+    /// because an external edit may have touched any word.
     pub fn recount(&mut self) {
         debug_assert!(
             self.universe.is_multiple_of(64)
@@ -211,92 +248,111 @@ impl NodeSet {
             "bit set beyond universe {}",
             self.universe
         );
-        let mut len = 0usize;
-        let mut hi = 0usize;
+        let (mut len, mut lo, mut hi) = (0usize, EMPTY_LO, 0usize);
         for (i, &w) in self.words.iter().enumerate() {
             len += w.count_ones() as usize;
             if w != 0 {
+                lo = lo.min(i);
                 hi = i + 1;
             }
         }
-        self.len = len;
-        self.hi = hi;
+        (self.len, self.lo, self.hi) = (len, lo, hi);
     }
 
     /// Makes this set a copy of `other` (same universe required) without
-    /// reallocating. `O(max(watermarks))`.
+    /// reallocating. `O(both occupied ranges)`: the words of `self`'s range
+    /// that `other`'s does not cover are zeroed, `other`'s range is copied,
+    /// and the rest of the universe is zero on both sides already.
     pub fn copy_from(&mut self, other: &NodeSet) {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        // Copying up to the larger watermark overwrites any stale words of
-        // `self` with `other`'s zeros, so no separate clear is needed.
-        let m = self.hi.max(other.hi);
-        self.words[..m].copy_from_slice(&other.words[..m]);
-        self.len = other.len;
-        self.hi = other.hi;
+        let (own, src) = (self.occupied_words(), other.occupied_words());
+        // Stale words of `self` below and above `other`'s range.
+        if own.start < src.start {
+            self.words[own.start..src.start.min(own.end)].fill(0);
+        }
+        if own.end > src.end {
+            self.words[src.end.max(own.start)..own.end].fill(0);
+        }
+        self.words[src.clone()].copy_from_slice(&other.words[src]);
+        (self.len, self.lo, self.hi) = (other.len, other.lo, other.hi);
     }
 
-    /// `self |= other` (same universe required), word-parallel; `len` is
-    /// recomputed exactly via `count_ones` accumulation.
+    /// `self |= other` (same universe required), word-parallel over
+    /// `other`'s occupied range; `len` stays exact by counting the bits
+    /// each word gains.
     pub fn union_with(&mut self, other: &NodeSet) {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        let m = self.hi.max(other.hi);
-        let mut len = 0usize;
-        for (a, &b) in self.words[..m].iter_mut().zip(&other.words[..m]) {
-            let w = *a | b;
-            *a = w;
-            len += w.count_ones() as usize;
+        let src = other.occupied_words();
+        let mut gained = 0usize;
+        for (a, &b) in self.words[src.clone()].iter_mut().zip(&other.words[src]) {
+            gained += (b & !*a).count_ones() as usize;
+            *a |= b;
         }
-        self.len = len;
-        self.hi = m;
+        self.len += gained;
+        self.lo = self.lo.min(other.lo);
+        self.hi = self.hi.max(other.hi);
     }
 
-    /// `self &= other` (same universe required), word-parallel.
+    /// `self &= other` (same universe required), word-parallel over
+    /// `self`'s occupied range; the range narrows to the overlap of both
+    /// sets' ranges, the only words a common member can sit in.
     pub fn intersect_with(&mut self, other: &NodeSet) {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        // Words at self.hi.. are already zero; intersecting can only clear
-        // bits, so the watermark stays valid and the loop stops there.
-        let m = self.hi;
+        let both = self.overlap(other);
+        if both.is_empty() {
+            self.clear();
+            return;
+        }
+        let own = self.occupied_words();
+        self.words[own.start..both.start].fill(0);
+        self.words[both.end..own.end].fill(0);
         let mut len = 0usize;
-        for (a, &b) in self.words[..m].iter_mut().zip(&other.words[..m]) {
+        for (a, &b) in self.words[both.clone()]
+            .iter_mut()
+            .zip(&other.words[both.clone()])
+        {
             let w = *a & b;
             *a = w;
             len += w.count_ones() as usize;
         }
-        self.len = len;
+        (self.len, self.lo, self.hi) = (len, both.start, both.end);
     }
 
-    /// `self -= other` (same universe required), word-parallel.
+    /// `self -= other` (same universe required), word-parallel over the
+    /// overlap of both sets' occupied ranges — elsewhere one side is zero
+    /// and nothing changes. The range is kept (removal never grows it).
     pub fn difference_with(&mut self, other: &NodeSet) {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        let m = self.hi;
-        let mut len = 0usize;
-        for (a, &b) in self.words[..m].iter_mut().zip(&other.words[..m]) {
-            let w = *a & !b;
-            *a = w;
-            len += w.count_ones() as usize;
+        let both = self.overlap(other);
+        let mut removed = 0usize;
+        for (a, &b) in self.words[both.clone()].iter_mut().zip(&other.words[both]) {
+            removed += (*a & b).count_ones() as usize;
+            *a &= !b;
         }
-        self.len = len;
+        self.len -= removed;
     }
 
     /// `true` iff the sets share no member (same universe required).
-    /// Word-parallel with early exit on the first shared word.
+    /// Word-parallel over the overlap of the occupied ranges, with early
+    /// exit on the first shared word.
     pub fn is_disjoint(&self, other: &NodeSet) -> bool {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        let m = self.hi.min(other.hi);
-        self.words[..m]
+        let both = self.overlap(other);
+        self.words[both.clone()]
             .iter()
-            .zip(&other.words[..m])
+            .zip(&other.words[both])
             .all(|(&a, &b)| a & b == 0)
     }
 
     /// `|self & other|` without materialising the intersection (same
-    /// universe required), word-parallel `count_ones` accumulation.
+    /// universe required), word-parallel `count_ones` accumulation over the
+    /// overlap of the occupied ranges.
     pub fn count_intersection(&self, other: &NodeSet) -> usize {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        let m = self.hi.min(other.hi);
-        self.words[..m]
+        let both = self.overlap(other);
+        self.words[both.clone()]
             .iter()
-            .zip(&other.words[..m])
+            .zip(&other.words[both])
             .map(|(&a, &b)| (a & b).count_ones() as usize)
             .sum()
     }
@@ -372,9 +428,10 @@ impl<T> NodeSlots<T> {
     }
 
     /// Removes every entry, touching only the occupied slots.
+    /// `O(occupied range + |occupied|)`.
     pub fn clear(&mut self) {
         // Drop values via the occupancy index rather than scanning all n
-        // slots: sparse rounds over big universes stay O(|occupied|).
+        // slots: sparse rounds over big universes cost what they touched.
         let slots = &mut self.slots;
         for v in self.occupied.iter() {
             slots[v] = None;
@@ -450,7 +507,8 @@ impl<M> RoundFrame<M> {
         self.receivers.universe()
     }
 
-    /// Clears senders, receivers, deliveries and feedback for reuse.
+    /// Clears senders, receivers, deliveries and feedback for reuse, each
+    /// in `O(occupied range + |set|)`.
     pub fn clear(&mut self) {
         self.senders.clear();
         self.receivers.clear();
@@ -743,6 +801,36 @@ mod tests {
     }
 
     #[test]
+    fn node_set_occupied_range_is_two_sided() {
+        let mut s = NodeSet::new(64 * 100);
+        assert_eq!(s.occupied_words(), 0..0);
+        s.insert(64 * 90 + 5);
+        assert_eq!(s.occupied_words(), 90..91, "a high member starts high");
+        s.insert(64 * 95);
+        s.insert(64 * 92 + 63);
+        assert_eq!(s.occupied_words(), 90..96);
+        assert_eq!(s.watermark(), 96, "watermark is the high end");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5765, 5951, 6080]);
+        s.remove(64 * 90 + 5);
+        assert_eq!(s.occupied_words(), 90..96, "remove keeps the range");
+        let mut low = NodeSet::new(64 * 100);
+        low.insert(3);
+        s.union_with(&low);
+        assert_eq!(s.occupied_words(), 0..96, "union covers both ranges");
+        s.intersect_with(&low);
+        assert_eq!(s.occupied_words(), 0..1, "intersect narrows to the overlap");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3]);
+        let mut high = NodeSet::new(64 * 100);
+        high.insert(64 * 99 + 1);
+        s.copy_from(&high);
+        assert_eq!(s.occupied_words(), 99..100, "copy adopts the source range");
+        assert_eq!(s.words()[0], 0, "the stale low word is zeroed");
+        s.clear();
+        assert_eq!(s.occupied_words(), 0..0);
+        assert!(s.words().iter().all(|&w| w == 0));
+    }
+
+    #[test]
     fn node_set_words_mut_recount_round_trip() {
         let mut s = NodeSet::new(130);
         s.insert(129);
@@ -750,7 +838,10 @@ mod tests {
         s.recount();
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 3, 129]);
         assert_eq!(s.len(), 4);
-        assert_eq!(s.watermark(), 3);
+        assert_eq!(s.occupied_words(), 0..3);
+        s.words_mut()[0] = 0;
+        s.recount();
+        assert_eq!(s.occupied_words(), 2..3, "recount finds the low end too");
         s.words_mut().fill(0);
         s.recount();
         assert!(s.is_empty());

@@ -215,9 +215,9 @@ impl<M: Payload> RadioNetwork<M> {
         // bench): the scan path costs ~Σ deg(listener) bitset probes, the
         // columnar path ~Σ deg(transmitter) coverage writes — each a little
         // heavier than a probe, hence the 2x weight — plus a word-parallel
-        // classification sweep over the listen prefix. Both sums are O(|set|)
-        // to compute from the CSR degree table, negligible next to either
-        // resolution loop.
+        // classification sweep over the listen set's occupied-word range.
+        // Both sums are O(range + |set|) to compute from the CSR degree
+        // table, negligible next to either resolution loop.
         let t_deg: usize = frame
             .transmit
             .keys()
@@ -230,7 +230,7 @@ impl<M: Payload> RadioNetwork<M> {
             .filter(|&v| !frame.transmit.contains(v))
             .map(|v| self.graph.degree(v))
             .sum();
-        if 2 * t_deg + frame.listen.watermark() <= l_deg {
+        if 2 * t_deg + frame.listen.occupied_words().len() <= l_deg {
             self.step_frame_columnar(frame);
         } else {
             self.step_frame_scan(frame);
@@ -300,9 +300,10 @@ impl<M: Payload> RadioNetwork<M> {
 
     /// The columnar resolution path: accumulate each transmitter's coverage
     /// into `covered_once`/`covered_twice` bitsets (`O(Σ deg(transmitter))`),
-    /// then classify all listeners a `u64` word at a time — silence, unique
-    /// delivery, or collision fall out of `listen & !transmit`, `once` and
-    /// `twice` word combinations. Byte-identical in outputs and energy to
+    /// then classify all listeners a `u64` word at a time over the listen
+    /// set's occupied-word range — silence, unique delivery, or collision
+    /// fall out of `listen & !transmit`, `once` and `twice` word
+    /// combinations. Byte-identical in outputs and energy to
     /// [`RadioNetwork::step_frame_scan`]; [`RadioNetwork::step_frame`]
     /// selects it when transmitters are few relative to listeners.
     pub fn step_frame_columnar(&mut self, frame: &mut SlotFrame<M>) {
@@ -337,7 +338,7 @@ impl<M: Payload> RadioNetwork<M> {
         let transmit_w = frame.transmit.keys().words();
         let once_w = covered_once.words();
         let twice_w = covered_twice.words();
-        for wi in 0..frame.listen.watermark() {
+        for wi in frame.listen.occupied_words() {
             // 64 listeners classified per word; only actual listeners cost
             // a per-bit feedback insert.
             let mut bits = listen_w[wi] & !transmit_w[wi];
