@@ -6,7 +6,7 @@
 //! vtable call.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use energy_bfs::baseline::trivial_bfs_with_frame;
+use energy_bfs::baseline::trivial_bfs;
 use energy_bfs::protocol::registry;
 use radio_graph::generators;
 use radio_protocols::protocol::ProtocolInput;
@@ -19,25 +19,23 @@ fn bench_registry_dispatch(c: &mut Criterion) {
         let side = (n as f64).sqrt() as usize;
         let g = generators::grid(side, side);
         group.bench_with_input(BenchmarkId::new("trivial_direct", n), &n, |b, _| {
-            let mut frame = radio_protocols::LbFrame::new(g.num_nodes());
             b.iter(|| {
                 let mut net = StackBuilder::new(g.clone()).with_seed(1).build();
                 let nodes = net.num_nodes();
                 let active = vec![true; nodes];
-                let result =
-                    trivial_bfs_with_frame(&mut net, &[0], &active, nodes as u64, &mut frame);
+                let result = trivial_bfs(&mut net, &[0], &active, nodes as u64);
                 result.dist.iter().filter(|d| d.is_some()).count()
             });
         });
         group.bench_with_input(BenchmarkId::new("trivial_registry", n), &n, |b, _| {
             // Spec resolution inside the loop, as the scenario runner pays
             // it once per scenario — still noise next to the BFS itself.
-            let mut frame = radio_protocols::LbFrame::new(g.num_nodes());
+            // Both arms allocate their frame per run.
             b.iter(|| {
                 let protocol = registry().get("trivial_bfs").expect("registered");
                 let mut net = StackBuilder::new(g.clone()).with_seed(1).build();
                 let report = protocol
-                    .run_with_frame(&mut net, &ProtocolInput::from_seed(1), &mut frame)
+                    .run(&mut net, &ProtocolInput::from_seed(1))
                     .expect("capabilities satisfied");
                 report.outcome()
             });

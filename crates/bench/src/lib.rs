@@ -67,19 +67,11 @@ pub fn standard_families(seed: u64) -> Vec<(String, Graph)> {
 }
 
 /// The recursive-BFS configuration used by the energy-scaling experiments:
-/// `1/β ≈ √D` (the paper's tuning, up to constants) with one recursion
-/// level, which is the profitable depth at simulator scale.
+/// [`RecursiveBfsConfig::for_depth`] at `1/β ≈ √D` (the paper's tuning, up
+/// to constants) with one recursion level, which is the profitable depth at
+/// simulator scale.
 pub fn scaling_config(depth: u64, seed: u64) -> RecursiveBfsConfig {
-    let inv_beta = ((depth as f64).sqrt().round() as u64)
-        .next_power_of_two()
-        .max(4);
-    RecursiveBfsConfig {
-        inv_beta,
-        max_depth: 1,
-        trivial_cutoff: inv_beta,
-        seed,
-        ..Default::default()
-    }
+    RecursiveBfsConfig::for_depth(depth, 0.5, seed)
 }
 
 #[cfg(test)]

@@ -250,16 +250,7 @@ fn run_direct(spec: &str, net: &mut Stack, seed: u64) -> u64 {
         }
         "recursive" => {
             let depth = (n - 1) as u64;
-            let inv_beta = ((depth as f64).sqrt().round() as u64)
-                .next_power_of_two()
-                .max(4);
-            let config = RecursiveBfsConfig {
-                inv_beta,
-                max_depth: 1,
-                trivial_cutoff: inv_beta,
-                seed,
-                ..Default::default()
-            };
+            let config = RecursiveBfsConfig::for_depth(depth, 0.5, seed);
             let hierarchy = build_hierarchy(net, &config);
             let result = recursive_bfs_with_hierarchy(net, &hierarchy, &[0], depth, &config, &[]);
             result.dist.iter().filter(|d| d.is_some()).count() as u64

@@ -1,4 +1,11 @@
-//! Baseline BFS algorithms.
+//! Baseline BFS algorithms, all driven by one wavefront loop.
+//!
+//! `Wavefront::advance` is the only place a BFS frontier sends its
+//! distance. In each Local-Broadcast call the vertices settled by the
+//! previous call (the sources, before the first) transmit their distance,
+//! the unsettled listeners listen, and each delivery settles its receiver
+//! one hop further. Its callers differ only in who listens and when the
+//! loop stops:
 //!
 //! * [`trivial_bfs`] — the "trivial BFS algorithm that settles all distances
 //!   up to `D'` using `D'` time and energy, by calling Local-Broadcast `D'`
@@ -7,13 +14,14 @@
 //!   (\[3\]) that the recursive algorithm is compared against in experiment
 //!   E6: every active, unsettled vertex listens in every call, so the
 //!   per-vertex energy is `Θ(D)` Local-Broadcast units.
-//! * [`decay_bfs`] — the same wavefront protocol without a known distance
-//!   bound: it keeps advancing until a full sweep settles nothing new.
+//! * [`decay_bfs`] — the same wavefront without a known distance bound: it
+//!   stops after the first call that settles nobody.
 //! * [`trivial_bfs_cd`] — the wavefront on a collision-detection-capable
-//!   stack: per-receiver verdicts from the frame's feedback lane settle
-//!   collided/failed deliveries exactly (`Noise` at step `t` ⇒ distance
-//!   `t + 1`) and retire listeners the silence record proves are beyond the
-//!   depth bound.
+//!   stack: a `Noise` verdict at step `t` settles its receiver at distance
+//!   `t + 1`, and a call that settles nobody ends the run.
+//! * Step 5 of the recursion ([`mod@crate::recursive_bfs`]) — `β⁻¹` calls from
+//!   the stage's wavefront `W_i` in which only the unsettled vertices of
+//!   `X_i` listen: the trivial BFS restricted to `X_i` (Figure 2).
 
 use radio_protocols::{LbFeedback, LbFrame, Msg, NodeSet, RadioStack};
 
@@ -27,14 +35,142 @@ pub struct WavefrontResult {
     pub calls: u64,
 }
 
-/// Advances a BFS wavefront for exactly `depth` Local-Broadcast calls,
-/// restricted to `active` vertices, starting from `sources` (which must be
-/// active). Every active unsettled vertex listens in every call; settled
-/// frontier vertices transmit their distance.
+/// A BFS wavefront in progress: the labels settled so far, the frontier
+/// that sends in the next call, and the unsettled vertices that listen.
+#[derive(Debug)]
+pub(crate) struct Wavefront {
+    /// `dist[v] = Some(d)` once `v` is settled at distance `d`.
+    pub(crate) dist: Vec<Option<u64>>,
+    /// The vertices that send in the next call, all of them settled.
+    pub(crate) frontier: Vec<usize>,
+    /// The unsettled vertices that listen in the next call.
+    pub(crate) listeners: NodeSet,
+}
+
+impl Wavefront {
+    /// Settles the active `sources` at distance 0 as the first frontier;
+    /// every other active vertex listens.
+    pub(crate) fn from_sources(sources: &[usize], active: &[bool]) -> Self {
+        let n = active.len();
+        let mut dist: Vec<Option<u64>> = vec![None; n];
+        let mut frontier = Vec::new();
+        for &s in sources {
+            if active[s] && dist[s].is_none() {
+                dist[s] = Some(0);
+                frontier.push(s);
+            }
+        }
+        let mut listeners = NodeSet::new(n);
+        for (v, &a) in active.iter().enumerate() {
+            if a && dist[v].is_none() {
+                listeners.insert(v);
+            }
+        }
+        Wavefront {
+            dist,
+            frontier,
+            listeners,
+        }
+    }
+
+    /// Runs the wavefront through `frame`. In call `step` (from 0) the
+    /// frontier sends `first + step`, the listeners listen, and a receiver
+    /// that hears `d` settles at `d + 1`, stops listening, and joins the
+    /// next frontier. The loop stops once nobody is left to listen, and
+    /// otherwise:
+    ///
+    /// * after `limit` calls, when given. An empty frontier still costs its
+    ///   call: without collision detection the listeners cannot tell.
+    /// * after the first call that settles nobody, when `limit` is `None`
+    ///   or `cd` is set.
+    ///
+    /// With `cd` the loop also reads the frame's verdicts: a `Noise`
+    /// receiver settles at `first + step + 1`, because channel activity
+    /// proves a sending neighbour even when no payload was decoded. Without
+    /// it the verdicts are never read, even on a CD stack. Panics if `cd`
+    /// is set on a stack without receiver-side collision detection.
+    ///
+    /// Returns the number of calls made.
+    pub(crate) fn advance(
+        &mut self,
+        net: &mut dyn RadioStack,
+        frame: &mut LbFrame,
+        first: u64,
+        limit: Option<u64>,
+        cd: bool,
+    ) -> u64 {
+        assert!(
+            !cd || net.capabilities().collision_detection.is_receiver(),
+            "trivial_bfs_cd needs a stack built with_cd(); \
+             the registry path reports this as a typed ProtocolError instead"
+        );
+        let stop_when_idle = cd || limit.is_none();
+        let mut next: Vec<usize> = Vec::new();
+        let mut calls = 0u64;
+        while limit.is_none_or(|l| calls < l) && !self.listeners.is_empty() {
+            let sent = first + calls;
+            frame.clear();
+            for &v in &self.frontier {
+                frame.add_sender(v, Msg::words(&[sent]));
+            }
+            frame.set_receivers(&self.listeners);
+            net.local_broadcast(frame);
+            calls += 1;
+            next.clear();
+            for (v, m) in frame.delivered().iter() {
+                if self.dist[v].is_none() {
+                    self.dist[v] = Some(m.word(0) + 1);
+                    self.listeners.remove(v);
+                    next.push(v);
+                }
+            }
+            if cd {
+                for (v, fb) in frame.feedback().iter() {
+                    if *fb == LbFeedback::Noise && self.dist[v].is_none() {
+                        self.dist[v] = Some(sent + 1);
+                        self.listeners.remove(v);
+                        next.push(v);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut next);
+            if stop_when_idle && self.frontier.is_empty() {
+                break;
+            }
+        }
+        calls
+    }
+}
+
+/// The wavefront from `sources` over the `active` vertices, through the
+/// caller's `frame`, under [`Wavefront::advance`]'s `limit` and `cd` rules.
+pub(crate) fn wavefront_bfs(
+    net: &mut dyn RadioStack,
+    frame: &mut LbFrame,
+    sources: &[usize],
+    active: &[bool],
+    limit: Option<u64>,
+    cd: bool,
+) -> WavefrontResult {
+    assert_eq!(active.len(), net.num_nodes());
+    let mut wave = Wavefront::from_sources(sources, active);
+    let calls = wave.advance(net, frame, 0, limit, cd);
+    WavefrontResult {
+        dist: wave.dist,
+        calls,
+    }
+}
+
+/// Advances a BFS wavefront for `depth` Local-Broadcast calls, restricted
+/// to `active` vertices, starting from `sources` (inactive ones are
+/// ignored). Every active unsettled vertex listens in every call — even
+/// after the frontier died, since the listeners cannot know — and the
+/// vertices settled by the previous call transmit their distance. The calls
+/// stop early only once every active vertex is settled.
 ///
-/// This is the trivial algorithm of Section 4.3 and also the building block
-/// the recursive algorithm uses to advance its wavefront one `β⁻¹`-step
-/// stage at a time (there restricted to the set `X_i`).
+/// This is the trivial algorithm of Section 4.3; the recursive algorithm
+/// runs the same loop to advance its wavefront one `β⁻¹`-step stage at a
+/// time, restricted to the set `X_i`.
 pub fn trivial_bfs(
     net: &mut dyn RadioStack,
     sources: &[usize],
@@ -42,65 +178,7 @@ pub fn trivial_bfs(
     depth: u64,
 ) -> WavefrontResult {
     let mut frame = net.new_frame();
-    trivial_bfs_with_frame(net, sources, active, depth, &mut frame)
-}
-
-/// [`trivial_bfs`] driving all of its Local-Broadcast calls through a
-/// caller-provided frame, so batched callers (the recursion's base case,
-/// the multi-seed scenario runner) reuse one allocation across many runs.
-pub fn trivial_bfs_with_frame(
-    net: &mut dyn RadioStack,
-    sources: &[usize],
-    active: &[bool],
-    depth: u64,
-    frame: &mut LbFrame,
-) -> WavefrontResult {
-    let n = net.num_nodes();
-    assert_eq!(active.len(), n);
-    let mut dist: Vec<Option<u64>> = vec![None; n];
-    let mut frontier: Vec<usize> = Vec::new();
-    for &s in sources {
-        if active[s] && dist[s].is_none() {
-            dist[s] = Some(0);
-            frontier.push(s);
-        }
-    }
-    // The listening set — active and unsettled — maintained incrementally
-    // so each round's receivers are one word-parallel copy instead of an
-    // O(n) rescan. A vertex only ever transmits in the round right after it
-    // settles, so the settled-this-round list doubles as the next frontier.
-    let mut unsettled = NodeSet::new(n);
-    for (v, &a) in active.iter().enumerate() {
-        if a && dist[v].is_none() {
-            unsettled.insert(v);
-        }
-    }
-    let mut next_frontier: Vec<usize> = Vec::new();
-    let mut calls = 0u64;
-    for step in 0..depth {
-        frame.clear();
-        for &v in &frontier {
-            frame.add_sender(v, Msg::words(&[step]));
-        }
-        frame.set_receivers(&unsettled);
-        if frame.receivers().is_empty() {
-            break;
-        }
-        // Even when the frontier is empty the receivers still listen (they
-        // cannot know); this is what makes the trivial algorithm expensive.
-        net.local_broadcast(frame);
-        calls += 1;
-        next_frontier.clear();
-        for (v, m) in frame.delivered().iter() {
-            if dist[v].is_none() {
-                dist[v] = Some(m.word(0) + 1);
-                unsettled.remove(v);
-                next_frontier.push(v);
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next_frontier);
-    }
-    WavefrontResult { dist, calls }
+    wavefront_bfs(net, &mut frame, sources, active, Some(depth), false)
 }
 
 /// [`trivial_bfs`] on a collision-detection-capable stack, exploiting the
@@ -114,9 +192,7 @@ pub fn trivial_bfs_with_frame(
 ///   listening (and starts transmitting) one step earlier.
 /// * **All-`Silence` rounds end the run.** A call whose every verdict is
 ///   `Silence` settled nobody, so the next frontier is empty and every
-///   remaining round is provably dead: settled-frontier-adjacent vertices
-///   (there are none left) cannot appear again, and all pending listeners
-///   skip their remaining listen rounds. This is exactly the termination
+///   remaining round is provably dead. This is exactly the termination
 ///   rule [`decay_bfs`] already uses — but the no-CD wavefront cannot apply
 ///   it ("the receivers still listen; they cannot know"), because without
 ///   collision detection an unheard round and a dead frontier look the
@@ -139,131 +215,15 @@ pub fn trivial_bfs_cd(
     depth: u64,
 ) -> WavefrontResult {
     let mut frame = net.new_frame();
-    trivial_bfs_cd_with_frame(net, sources, active, depth, &mut frame)
-}
-
-/// [`trivial_bfs_cd`] driving its calls through a caller-provided frame.
-pub fn trivial_bfs_cd_with_frame(
-    net: &mut dyn RadioStack,
-    sources: &[usize],
-    active: &[bool],
-    depth: u64,
-    frame: &mut LbFrame,
-) -> WavefrontResult {
-    let n = net.num_nodes();
-    assert_eq!(active.len(), n);
-    assert!(
-        net.capabilities().collision_detection.is_receiver(),
-        "trivial_bfs_cd needs a stack built with_cd(); \
-         the registry path reports this as a typed ProtocolError instead"
-    );
-    let mut dist: Vec<Option<u64>> = vec![None; n];
-    let mut frontier: Vec<usize> = Vec::new();
-    for &s in sources {
-        if active[s] && dist[s].is_none() {
-            dist[s] = Some(0);
-            frontier.push(s);
-        }
-    }
-    let mut unsettled = NodeSet::new(n);
-    for (v, &a) in active.iter().enumerate() {
-        if a && dist[v].is_none() {
-            unsettled.insert(v);
-        }
-    }
-    let mut next_frontier: Vec<usize> = Vec::new();
-    let mut calls = 0u64;
-    for step in 0..depth {
-        frame.clear();
-        for &v in &frontier {
-            frame.add_sender(v, Msg::words(&[step]));
-        }
-        frame.set_receivers(&unsettled);
-        if frame.receivers().is_empty() {
-            break;
-        }
-        net.local_broadcast(frame);
-        calls += 1;
-        next_frontier.clear();
-        for (v, m) in frame.delivered().iter() {
-            if dist[v].is_none() {
-                dist[v] = Some(m.word(0) + 1);
-                unsettled.remove(v);
-                next_frontier.push(v);
-            }
-        }
-        // Noise verdicts: activity without a decoded payload still pins the
-        // distance — a sending neighbour exists at `step`.
-        for (v, fb) in frame.feedback().iter() {
-            if *fb == LbFeedback::Noise && dist[v].is_none() {
-                dist[v] = Some(step + 1);
-                unsettled.remove(v);
-                next_frontier.push(v);
-            }
-        }
-        // All verdicts Silence ⇒ the frontier died; every remaining round
-        // is provably dead, so the pending listeners stop here.
-        if next_frontier.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut frontier, &mut next_frontier);
-    }
-    WavefrontResult { dist, calls }
+    wavefront_bfs(net, &mut frame, sources, active, Some(depth), true)
 }
 
 /// Decay-style BFS without a distance bound: advances the wavefront until a
-/// sweep settles no new vertex. All unsettled vertices listen in every call.
+/// call settles no new vertex. All unsettled vertices listen in every call.
 pub fn decay_bfs(net: &mut dyn RadioStack, source: usize) -> WavefrontResult {
     let mut frame = net.new_frame();
-    decay_bfs_with_frame(net, source, &mut frame)
-}
-
-/// [`decay_bfs`] driving its calls through a caller-provided frame, so
-/// batched callers (the scenario runner) reuse one allocation across runs.
-pub fn decay_bfs_with_frame(
-    net: &mut dyn RadioStack,
-    source: usize,
-    frame: &mut LbFrame,
-) -> WavefrontResult {
-    let n = net.num_nodes();
-    let mut dist: Vec<Option<u64>> = vec![None; n];
-    dist[source] = Some(0);
-    let mut frontier: Vec<usize> = vec![source];
-    let mut next_frontier: Vec<usize> = Vec::new();
-    let mut unsettled = NodeSet::new(n);
-    for v in 0..n {
-        if v != source {
-            unsettled.insert(v);
-        }
-    }
-    let mut calls = 0u64;
-    let mut frontier_dist = 0u64;
-    loop {
-        frame.clear();
-        for &v in &frontier {
-            frame.add_sender(v, Msg::words(&[frontier_dist]));
-        }
-        frame.set_receivers(&unsettled);
-        if frame.senders().is_empty() || frame.receivers().is_empty() {
-            break;
-        }
-        net.local_broadcast(frame);
-        calls += 1;
-        next_frontier.clear();
-        for (v, m) in frame.delivered().iter() {
-            if dist[v].is_none() {
-                dist[v] = Some(m.word(0) + 1);
-                unsettled.remove(v);
-                next_frontier.push(v);
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next_frontier);
-        frontier_dist += 1;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    WavefrontResult { dist, calls }
+    let active = vec![true; net.num_nodes()];
+    wavefront_bfs(net, &mut frame, &[source], &active, None, false)
 }
 
 #[cfg(test)]

@@ -74,6 +74,29 @@ impl RecursiveBfsConfig {
         }
     }
 
+    /// The depth-tuned configuration the experiments, the `recursive` spec
+    /// and the diameter estimators run with: `1/β = D^eps` rounded to the
+    /// nearest integer, then up to a power of two, and at least 4 — the
+    /// paper's `1/β ≈ √D` (up to constants) at `eps = 0.5` — with one
+    /// recursion level, the trivial cutoff at `1/β`, and `seed`.
+    pub fn for_depth(depth: u64, eps: f64, seed: u64) -> Self {
+        // `sqrt`, not `powf(0.5)`: the two can differ in the last ulp, which
+        // would flip `round` and change the pinned sweep records.
+        let base = if eps == 0.5 {
+            (depth as f64).sqrt()
+        } else {
+            (depth as f64).powf(eps)
+        };
+        let inv_beta = (base.round() as u64).next_power_of_two().max(4);
+        RecursiveBfsConfig {
+            inv_beta,
+            max_depth: 1,
+            trivial_cutoff: inv_beta,
+            seed,
+            ..Default::default()
+        }
+    }
+
     /// β as a float.
     pub fn beta(&self) -> f64 {
         1.0 / self.inv_beta as f64
@@ -132,6 +155,29 @@ mod tests {
         assert!(large.inv_beta > small.inv_beta);
         assert!(large.max_depth >= small.max_depth);
         assert!(small.inv_beta.is_power_of_two());
+    }
+
+    #[test]
+    fn for_depth_rounds_the_root_up_to_a_power_of_two() {
+        // (depth, eps, 1/β): √95 ≈ 9.7 rounds to 10, then up to 16; √4095
+        // rounds to 64 exactly; small depths hit the floor of 4.
+        for (depth, eps, inv_beta) in [
+            (0, 0.5, 4),
+            (15, 0.5, 4),
+            (63, 0.5, 8),
+            (95, 0.5, 16),
+            (127, 0.5, 16),
+            (511, 0.5, 32),
+            (4095, 0.5, 64),
+            (4096, 0.25, 8),
+            (4096, 1.0, 4096),
+        ] {
+            let c = RecursiveBfsConfig::for_depth(depth, eps, 7);
+            assert_eq!(c.inv_beta, inv_beta, "depth {depth}, eps {eps}");
+            assert_eq!(c.trivial_cutoff, inv_beta);
+            assert_eq!(c.max_depth, 1);
+            assert_eq!(c.seed, 7);
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::config::RecursiveBfsConfig;
 use crate::metrics::EnergySummary;
-use crate::recursive_bfs::{build_hierarchy, recursive_bfs_with_hierarchy};
+use crate::recursive_bfs::{build_hierarchy, recursive_bfs_full};
 
 /// The output of a diameter-approximation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,26 +49,6 @@ fn labels_to_dists(dist: &[Option<u64>]) -> Vec<Dist> {
         .collect()
 }
 
-/// Runs one BFS (over the pre-built hierarchy) from `sources` with the
-/// doubling trick so that every reachable vertex is labelled.
-fn full_bfs(
-    net: &mut dyn RadioStack,
-    hierarchy: &[radio_protocols::ClusterState],
-    sources: &[usize],
-    config: &RecursiveBfsConfig,
-) -> Vec<Option<u64>> {
-    let n = net.num_nodes() as u64;
-    let mut bound = (2 * config.inv_beta).max(2);
-    loop {
-        let outcome = recursive_bfs_with_hierarchy(net, hierarchy, sources, bound, config, &[]);
-        let unlabeled = outcome.dist.iter().filter(|d| d.is_none()).count();
-        if unlabeled == 0 || bound >= 2 * n.max(1) {
-            return outcome.dist;
-        }
-        bound *= 2;
-    }
-}
-
 /// Theorem 5.3: a 2-approximation of the diameter (`D' ∈ [diam/2, diam]`)
 /// using one BFS plus one Find-Maximum.
 pub fn two_approx_diameter(
@@ -79,7 +59,7 @@ pub fn two_approx_diameter(
     let hierarchy = build_hierarchy(net, config);
     let setup_energy = EnergySummary::of(net);
 
-    let labels = full_bfs(net, &hierarchy, &[leader], config);
+    let labels = recursive_bfs_full(net, &hierarchy, &[leader], config).dist;
     let label_dists = labels_to_dists(&labels);
     let n = net.num_nodes();
     // Find-Maximum over the BFS labels so that every device knows the
@@ -113,7 +93,7 @@ pub fn three_halves_approx_diameter(
     let mut bfs_count = 0u64;
 
     // BFS from the leader: gives the aggregation tree and one eccentricity.
-    let leader_labels = full_bfs(net, &hierarchy, &[leader], config);
+    let leader_labels = recursive_bfs_full(net, &hierarchy, &[leader], config).dist;
     bfs_count += 1;
     let tree = labels_to_dists(&leader_labels);
     let mut best = max_finite(&leader_labels);
@@ -133,7 +113,7 @@ pub fn three_halves_approx_diameter(
     // dist(·, S) and the max label over the BFS from each s ∈ S.
     let mut dist_to_s: Vec<u64> = vec![u64::MAX; n];
     for &s in &s_set {
-        let labels = full_bfs(net, &hierarchy, &[s], config);
+        let labels = recursive_bfs_full(net, &hierarchy, &[s], config).dist;
         bfs_count += 1;
         best = best.max(max_finite(&labels));
         for v in 0..n {
@@ -154,7 +134,7 @@ pub fn three_halves_approx_diameter(
         .unwrap_or(leader);
 
     // BFS from v*; everyone learns its distance to v*.
-    let star_labels = full_bfs(net, &hierarchy, &[v_star], config);
+    let star_labels = recursive_bfs_full(net, &hierarchy, &[v_star], config).dist;
     bfs_count += 1;
     best = best.max(max_finite(&star_labels));
 
@@ -186,7 +166,7 @@ pub fn three_halves_approx_diameter(
 
     // BFS from every vertex of R.
     for &r in &r_set {
-        let labels = full_bfs(net, &hierarchy, &[r], config);
+        let labels = recursive_bfs_full(net, &hierarchy, &[r], config).dist;
         bfs_count += 1;
         best = best.max(max_finite(&labels));
     }

@@ -11,7 +11,8 @@
 //!   Section 4 (Figure 2), together with the cluster-hierarchy construction
 //!   it recurses through.
 //! * [`baseline`] — the trivial wavefront BFS and the Decay-style
-//!   everyone-listens BFS used as baselines.
+//!   everyone-listens BFS used as baselines, and the one wavefront loop
+//!   they share with the recursion's stage advance.
 //! * [`diameter`] — the energy-efficient diameter approximations of
 //!   Section 5.1 (Theorems 5.3 and 5.4).
 //! * [`hardness`] — executable versions of the lower-bound arguments of

@@ -30,7 +30,7 @@ use radio_protocols::{
     ProtocolRegistry, RadioStack,
 };
 
-use crate::baseline::{decay_bfs_with_frame, trivial_bfs_cd_with_frame, trivial_bfs_with_frame};
+use crate::baseline::wavefront_bfs;
 use crate::config::RecursiveBfsConfig;
 use crate::diameter::{three_halves_approx_diameter, two_approx_diameter};
 use crate::recursive_bfs::{build_hierarchy, recursive_bfs_with_hierarchy};
@@ -163,7 +163,7 @@ pub fn registry() -> ProtocolRegistry {
 pub struct TrivialBfsProtocol {
     /// Explicit depth bound; `None` defers to the input/default.
     pub depth: Option<u64>,
-    /// Run the CD-exploiting variant ([`trivial_bfs_cd_with_frame`]).
+    /// Run the CD-exploiting variant ([`crate::baseline::trivial_bfs_cd`]).
     pub cd: bool,
 }
 
@@ -197,11 +197,7 @@ impl Protocol for TrivialBfsProtocol {
         let n = net.num_nodes();
         let depth = self.depth.or(input.depth).unwrap_or(n as u64);
         let active = input.active_mask(n);
-        let result = if self.cd {
-            trivial_bfs_cd_with_frame(net, &input.sources, &active, depth, frame)
-        } else {
-            trivial_bfs_with_frame(net, &input.sources, &active, depth, frame)
-        };
+        let result = wavefront_bfs(net, frame, &input.sources, &active, Some(depth), self.cd);
         ProtocolOutput::Distances(result.dist)
     }
 }
@@ -226,7 +222,9 @@ impl Protocol for DecayBfsProtocol {
         frame: &mut LbFrame,
     ) -> ProtocolOutput {
         let source = input.sources.first().copied().unwrap_or(0);
-        ProtocolOutput::Distances(decay_bfs_with_frame(net, source, frame).dist)
+        let active = vec![true; net.num_nodes()];
+        let result = wavefront_bfs(net, frame, &[source], &active, None, false);
+        ProtocolOutput::Distances(result.dist)
     }
 }
 
@@ -246,24 +244,13 @@ pub struct RecursiveBfsProtocol {
 
 impl RecursiveBfsProtocol {
     fn config_for(&self, depth: u64, seed: u64) -> RecursiveBfsConfig {
-        let inv_beta = self.inv_beta.unwrap_or_else(|| {
-            // `sqrt` (not `powf(0.5)`) on the default path: it is the exact
-            // expression the scenario runner always used, and the two can
-            // differ in the last ulp — which would flip `round` and silently
-            // perturb the pinned sweep JSON.
-            let base = if self.eps == 0.5 {
-                (depth as f64).sqrt()
-            } else {
-                (depth as f64).powf(self.eps)
-            };
-            (base.round() as u64).next_power_of_two().max(4)
-        });
+        let tuned = RecursiveBfsConfig::for_depth(depth, self.eps, seed);
+        let inv_beta = self.inv_beta.unwrap_or(tuned.inv_beta);
         RecursiveBfsConfig {
             inv_beta,
-            max_depth: self.max_depth,
             trivial_cutoff: inv_beta,
-            seed,
-            ..Default::default()
+            max_depth: self.max_depth,
+            ..tuned
         }
     }
 }
@@ -377,22 +364,13 @@ impl Protocol for DiameterProtocol {
 }
 
 /// The depth-tuned [`RecursiveBfsConfig`] the exact diameter estimators
-/// run with — the same `√D`-rounded `1/β` derivation as the `recursive`
-/// wrapper's default path (see the ulp note there).
+/// run with: [`RecursiveBfsConfig::for_depth`] at the `recursive` wrapper's
+/// default `√D`.
 fn diameter_config(net: &dyn RadioStack, input: &ProtocolInput) -> RecursiveBfsConfig {
     let depth = input
         .depth
         .unwrap_or((net.num_nodes() as u64).saturating_sub(1));
-    let inv_beta = ((depth as f64).sqrt().round() as u64)
-        .next_power_of_two()
-        .max(4);
-    RecursiveBfsConfig {
-        inv_beta,
-        max_depth: 1,
-        trivial_cutoff: inv_beta,
-        seed: input.seed,
-        ..Default::default()
-    }
+    RecursiveBfsConfig::for_depth(depth, 0.5, input.seed)
 }
 
 #[cfg(test)]
@@ -493,16 +471,7 @@ mod tests {
         };
         let mut net = StackBuilder::new(g.clone()).with_seed(seed).build();
         let depth = (g.num_nodes() as u64) - 1;
-        let inv_beta = ((depth as f64).sqrt().round() as u64)
-            .next_power_of_two()
-            .max(4);
-        let config = RecursiveBfsConfig {
-            inv_beta,
-            max_depth: 1,
-            trivial_cutoff: inv_beta,
-            seed,
-            ..Default::default()
-        };
+        let config = RecursiveBfsConfig::for_depth(depth, 0.5, seed);
         let direct = crate::diameter::two_approx_diameter(&mut net, &config);
         assert_eq!(report.outcome(), direct.estimate);
         assert_eq!(report.output.diameter_estimate(), Some(direct.estimate));
@@ -526,16 +495,7 @@ mod tests {
         };
         let mut net = StackBuilder::new(g.clone()).with_seed(seed).build();
         let depth = (g.num_nodes() as u64) - 1;
-        let inv_beta = ((depth as f64).sqrt().round() as u64)
-            .next_power_of_two()
-            .max(4);
-        let config = RecursiveBfsConfig {
-            inv_beta,
-            max_depth: 1,
-            trivial_cutoff: inv_beta,
-            seed,
-            ..Default::default()
-        };
+        let config = RecursiveBfsConfig::for_depth(depth, 0.5, seed);
         let direct = crate::diameter::three_halves_approx_diameter(&mut net, &config, seed);
         assert_eq!(report.outcome(), direct.estimate);
         assert_eq!(report.energy, net.energy_view());
@@ -667,16 +627,7 @@ mod tests {
         };
         // The exact historical derivation the scenario runner used.
         let depth = 95u64;
-        let inv_beta = ((depth as f64).sqrt().round() as u64)
-            .next_power_of_two()
-            .max(4);
-        let config = RecursiveBfsConfig {
-            inv_beta,
-            max_depth: 1,
-            trivial_cutoff: inv_beta,
-            seed,
-            ..Default::default()
-        };
+        let config = RecursiveBfsConfig::for_depth(depth, 0.5, seed);
         let mut net = StackBuilder::new(g).with_seed(seed).build();
         let hierarchy = build_hierarchy(&mut net, &config);
         let direct = recursive_bfs_with_hierarchy(&mut net, &hierarchy, &[0], depth, &config, &[]);

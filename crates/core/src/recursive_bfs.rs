@@ -9,7 +9,12 @@
 //! 2. **Advance the wavefront in `⌈βD⌉` stages** — stage `i` advances the
 //!    frontier by `β⁻¹` hops using `β⁻¹` Local-Broadcast calls in which only
 //!    the vertices of `X_i = {u : L_i(Cl(u)) ≤ β⁻¹}` participate; everyone
-//!    else sleeps.
+//!    else sleeps. This is the trivial BFS of [`crate::baseline`] restricted
+//!    to `X_i`, and it runs that module's wavefront loop: the stage's
+//!    wavefront `W_i` sends first, and `X_i`'s unsettled vertices listen.
+//!    Step 4 builds that listener set once per stage, so a hop costs its
+//!    frontier and listeners, not `n`. The base case runs the same loop on
+//!    its active set.
 //! 3. **Refresh estimates** — after stage `i`, clusters whose lower bound is
 //!    small enough (`Υ`) join a *Special Update*: a recursive BFS on `G*`
 //!    from the clusters touching the new wavefront, to radius `Z[i+1]`
@@ -19,7 +24,8 @@
 //! The recursion on `G*` happens through
 //! [`radio_protocols::VirtualClusterNet`], so all energy ultimately lands on
 //! the physical devices of the original network — the accounting of
-//! equation (3) and Theorem 4.1.
+//! equation (3) and Theorem 4.1. When the depth is unknown,
+//! [`recursive_bfs_full`] finds it with Theorem 4.1's doubling trick.
 
 use radio_protocols::cast::{down_cast, up_cast};
 use radio_protocols::{
@@ -29,7 +35,7 @@ use radio_protocols::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::baseline::trivial_bfs_with_frame;
+use crate::baseline::{wavefront_bfs, Wavefront};
 use crate::config::RecursiveBfsConfig;
 use crate::estimates::{DistanceEstimate, EstimateTracePoint, UpdateKind};
 use crate::metrics::RecursionStats;
@@ -90,19 +96,20 @@ pub fn recursive_bfs(
     recursive_bfs_with_hierarchy(net, &hierarchy, &[source], depth_bound, config, &[])
 }
 
-/// Runs the full algorithm with the doubling trick of Theorem 4.1: distance
-/// thresholds `D₀ = 2, 4, 8, …` are tried until every vertex reachable from
-/// the source is labelled (or the threshold exceeds `2n`).
+/// Runs BFS queries from `sources` on a pre-built hierarchy with the
+/// doubling trick of Theorem 4.1: distance thresholds `D₀ = 2/β, 4/β, …`
+/// (at least 2) are tried until every vertex is labelled or the threshold
+/// reaches `2n`, and the last query's outcome is returned.
 pub fn recursive_bfs_full(
     net: &mut dyn RadioStack,
-    source: usize,
+    hierarchy: &[ClusterState],
+    sources: &[usize],
     config: &RecursiveBfsConfig,
 ) -> BfsOutcome {
-    let hierarchy = build_hierarchy(net, config);
     let n = net.num_nodes() as u64;
     let mut bound = (2 * config.inv_beta).max(2);
     loop {
-        let outcome = recursive_bfs_with_hierarchy(net, &hierarchy, &[source], bound, config, &[]);
+        let outcome = recursive_bfs_with_hierarchy(net, hierarchy, sources, bound, config, &[]);
         let unlabeled = outcome.dist.iter().filter(|d| d.is_none()).count();
         if unlabeled == 0 || bound >= 2 * n.max(1) {
             return outcome;
@@ -174,8 +181,7 @@ fn recurse(
     // Base case: no further cluster level, or the remaining radius is small
     // enough that the trivial wavefront is at least as cheap.
     if hierarchy.is_empty() || depth <= config.trivial_cutoff || active_count <= 4 {
-        let srcs: Vec<usize> = sources.iter().copied().filter(|&s| active[s]).collect();
-        return trivial_bfs_with_frame(net, &srcs, active, depth, &mut frame).dist;
+        return wavefront_bfs(net, &mut frame, sources, active, Some(depth), false).dist;
     }
 
     let state = &hierarchy[0];
@@ -235,65 +241,41 @@ fn recurse(
         }
     }
 
-    // ---- Step 3: the main wavefront loop.
-    let mut dist: Vec<Option<u64>> = vec![None; n];
-    for &s in sources {
-        if active[s] {
-            dist[s] = Some(0);
-        }
-    }
+    // ---- Step 3: the main wavefront loop. The active sources settle at 0
+    // and form the first wavefront W_0.
+    let mut wave = Wavefront::from_sources(sources, active);
     let num_stages = depth.div_ceil(inv_beta);
 
     for i in 0..num_stages {
         if trace_top {
             stats.stages = i + 1;
         }
-        // Step 4: the participation set X_i.
-        let joins: Vec<bool> = (0..n)
-            .map(|v| {
-                active[v]
-                    && estimates[state.cluster_of[v]]
-                        .map(|e| e.joins_wavefront(beta))
-                        .unwrap_or(false)
-            })
-            .collect();
-        if trace_top {
-            for (v, &joined) in joins.iter().enumerate() {
-                if joined {
+        // Step 4: the participation set X_i. Its unsettled vertices are the
+        // listeners of step 5.
+        wave.listeners.clear();
+        for v in 0..n {
+            let joins = active[v]
+                && estimates[state.cluster_of[v]].is_some_and(|e| e.joins_wavefront(beta));
+            if joins {
+                if trace_top {
                     stats.wavefront_memberships[v] += 1;
+                }
+                if wave.dist[v].is_none() {
+                    wave.listeners.insert(v);
                 }
             }
         }
 
-        // Step 5: advance the wavefront β⁻¹ hops, reusing this level's
-        // frame for every hop.
-        for t in 0..inv_beta {
-            let frontier_value = i * inv_beta + t;
-            frame.clear();
-            for v in 0..n {
-                if active[v] && dist[v] == Some(frontier_value) {
-                    frame.add_sender(v, Msg::words(&[frontier_value]));
-                } else if joins[v] && dist[v].is_none() {
-                    frame.add_receiver(v);
-                }
-            }
-            if frame.receivers().is_empty() {
-                break;
-            }
-            net.local_broadcast(&mut frame);
-            for (v, m) in frame.delivered().iter() {
-                if dist[v].is_none() {
-                    dist[v] = Some(m.word(0) + 1);
-                }
-            }
-        }
+        // Step 5: the trivial BFS restricted to X_i — β⁻¹ calls from W_i,
+        // reusing this level's frame for every hop.
+        wave.advance(net, &mut frame, i * inv_beta, Some(inv_beta), false);
 
         // Step 6: deactivate settled vertices strictly inside the new
         // wavefront.
         let boundary = (i + 1) * inv_beta;
-        for v in 0..n {
-            if active[v] && dist[v].is_some_and(|d| d < boundary) {
-                active[v] = false;
+        for (a, d) in active.iter_mut().zip(&wave.dist) {
+            if *a && d.is_some_and(|d| d < boundary) {
+                *a = false;
             }
         }
 
@@ -301,16 +283,16 @@ fn recurse(
             break;
         }
 
-        // The new wavefront W_{i+1}.
-        let wavefront: Vec<usize> = (0..n)
-            .filter(|&v| active[v] && dist[v] == Some(boundary))
-            .collect();
-        if wavefront.is_empty() {
+        // The new wavefront W_{i+1}, which sends first in the next stage.
+        wave.frontier.clear();
+        wave.frontier
+            .extend((0..n).filter(|&v| active[v] && wave.dist[v] == Some(boundary)));
+        if wave.frontier.is_empty() {
             // The search has exhausted everything reachable within the
             // remaining radius; further stages cannot settle anyone.
             break;
         }
-        if active.iter().filter(|&&a| a).count() == wavefront.len() {
+        if active.iter().filter(|&&a| a).count() == wave.frontier.len() {
             // Only the frontier itself is left; nothing beyond it to settle.
             break;
         }
@@ -327,7 +309,7 @@ fn recurse(
             }
         }
         let mut wavefront_clusters = NodeSet::new(state.num_clusters());
-        for &v in &wavefront {
+        for &v in &wave.frontier {
             wavefront_clusters.insert(state.cluster_of[v]);
         }
         upsilon.extend(wavefront_clusters.iter());
@@ -340,7 +322,7 @@ fn recurse(
         // The wavefront vertices inform their cluster centers (an up-cast),
         // the recursive BFS runs on the induced subgraph of G*, and the new
         // distances come back down (a down-cast).
-        charge_wavefront_upcast(net, state, &wavefront, &upsilon, &mut frame);
+        charge_wavefront_upcast(net, state, &wave.frontier, &upsilon, &mut frame);
         let upsilon_active: Vec<bool> = (0..state.num_clusters())
             .map(|c| upsilon.contains(c))
             .collect();
@@ -383,6 +365,7 @@ fn recurse(
 
     // Output: settled distances within the depth bound, for vertices that
     // were active when the call began.
+    let mut dist = wave.dist;
     for d in dist.iter_mut() {
         if d.is_some_and(|x| x > depth) {
             *d = None;
@@ -697,7 +680,8 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        let outcome = recursive_bfs_full(&mut net, 0, &config);
+        let hierarchy = build_hierarchy(&mut net, &config);
+        let outcome = recursive_bfs_full(&mut net, &hierarchy, &[0], &config);
         let truth = bfs_distances(&g, 0);
         for v in g.nodes() {
             assert_eq!(outcome.dist[v], Some(truth[v] as u64), "vertex {v}");

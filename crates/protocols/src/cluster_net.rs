@@ -131,7 +131,6 @@ impl RadioStack for VirtualClusterNet<'_> {
             collision_detection: radio_sim::CollisionDetection::None,
             energy_model: radio_sim::EnergyModel::Uniform,
             physical: false,
-            ledger: true,
         }
     }
 
@@ -338,7 +337,6 @@ mod tests {
         let (a, b) = quotient.edges().next().unwrap();
         let mut virt = VirtualClusterNet::new(&mut net, &state);
         assert!(!virt.parent_capabilities().physical);
-        assert!(virt.parent_capabilities().ledger);
         let before = virt.parent_energy_view();
         let _ = local_broadcast_once(&mut virt, &[(a, Msg::words(&[9]))], &[b]);
         let spent = virt.parent_energy_view().diff(&before);

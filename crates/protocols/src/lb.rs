@@ -73,7 +73,7 @@ pub struct AbstractLbNetwork {
     graph: Arc<Graph>,
     global_n: usize,
     cd: CollisionDetection,
-    ledger: Option<LbLedger>,
+    ledger: LbLedger,
     failure_prob: f64,
     rng: ChaCha8Rng,
     /// Per-receiver scratch: the sending neighbours found in the single CSR
@@ -86,7 +86,6 @@ impl AbstractLbNetwork {
         graph: Arc<Graph>,
         global_n: usize,
         cd: CollisionDetection,
-        ledger: bool,
         failure_prob: f64,
         seed: u64,
     ) -> Self {
@@ -95,7 +94,7 @@ impl AbstractLbNetwork {
             graph,
             global_n,
             cd,
-            ledger: ledger.then(|| LbLedger::new(n)),
+            ledger: LbLedger::new(n),
             failure_prob,
             rng: ChaCha8Rng::seed_from_u64(seed),
             pick_buf: Vec::new(),
@@ -107,9 +106,9 @@ impl AbstractLbNetwork {
         &self.graph
     }
 
-    /// The full ledger, when per-node accounting is enabled.
-    pub fn ledger(&self) -> Option<&LbLedger> {
-        self.ledger.as_ref()
+    /// The per-node Local-Broadcast ledger.
+    pub fn ledger(&self) -> &LbLedger {
+        &self.ledger
     }
 }
 
@@ -127,16 +126,14 @@ impl RadioStack for AbstractLbNetwork {
             collision_detection: self.cd,
             energy_model: EnergyModel::Uniform,
             physical: false,
-            ledger: self.ledger.is_some(),
         }
     }
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
         frame.clear_delivered();
         let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
-        if let Some(ledger) = &mut self.ledger {
-            ledger.record_call(senders.keys().iter(), receivers.iter());
-        }
+        self.ledger
+            .record_call(senders.keys().iter(), receivers.iter());
         let cd = self.cd == CollisionDetection::Receiver;
         // Receivers are visited in ascending node order — the frame's
         // iteration order by construction — so the RNG stream maps to
@@ -181,20 +178,18 @@ impl RadioStack for AbstractLbNetwork {
     }
 
     fn lb_energy(&self, v: usize) -> u64 {
-        self.ledger.as_ref().map_or(0, |l| l.participations(v))
+        self.ledger.participations(v)
     }
 
     fn lb_time(&self) -> u64 {
-        self.ledger.as_ref().map_or(0, LbLedger::calls)
+        self.ledger.calls()
     }
 
     fn energy_view(&self) -> EnergyView {
         let n = self.num_nodes();
         EnergyView::lb_only(
             (0..n).map(|v| self.lb_energy(v)).collect(),
-            (0..n)
-                .map(|v| self.ledger.as_ref().map_or(0, |l| l.sends(v)))
-                .collect(),
+            (0..n).map(|v| self.ledger.sends(v)).collect(),
             self.lb_time(),
         )
     }
@@ -220,7 +215,7 @@ pub struct PhysicalLbNetwork {
     cd: CollisionDetection,
     model: EnergyModel,
     decay: DecayParams,
-    ledger: Option<LbLedger>,
+    ledger: LbLedger,
     scratch: DecayScratch<Msg>,
     rng: ChaCha8Rng,
 }
@@ -230,7 +225,6 @@ impl PhysicalLbNetwork {
         graph: Arc<Graph>,
         global_n: usize,
         cd: CollisionDetection,
-        ledger: bool,
         model: EnergyModel,
         decay: Option<DecayParams>,
         seed: u64,
@@ -244,7 +238,7 @@ impl PhysicalLbNetwork {
             cd,
             model,
             decay,
-            ledger: ledger.then(|| LbLedger::new(n)),
+            ledger: LbLedger::new(n),
             scratch: DecayScratch::new(n),
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
@@ -277,9 +271,9 @@ impl PhysicalLbNetwork {
         self.net.slots()
     }
 
-    /// The LB ledger, when per-node accounting is enabled.
-    pub fn ledger(&self) -> Option<&LbLedger> {
-        self.ledger.as_ref()
+    /// The per-node Local-Broadcast ledger.
+    pub fn ledger(&self) -> &LbLedger {
+        &self.ledger
     }
 }
 
@@ -297,14 +291,12 @@ impl RadioStack for PhysicalLbNetwork {
             collision_detection: self.cd,
             energy_model: self.model,
             physical: true,
-            ledger: self.ledger.is_some(),
         }
     }
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
-        if let Some(ledger) = &mut self.ledger {
-            ledger.record_call(frame.senders().keys().iter(), frame.receivers().iter());
-        }
+        self.ledger
+            .record_call(frame.senders().keys().iter(), frame.receivers().iter());
         match self.cd {
             CollisionDetection::None => {
                 decay_local_broadcast(
@@ -328,11 +320,11 @@ impl RadioStack for PhysicalLbNetwork {
     }
 
     fn lb_energy(&self, v: usize) -> u64 {
-        self.ledger.as_ref().map_or(0, |l| l.participations(v))
+        self.ledger.participations(v)
     }
 
     fn lb_time(&self) -> u64 {
-        self.ledger.as_ref().map_or(0, LbLedger::calls)
+        self.ledger.calls()
     }
 
     fn energy_view(&self) -> EnergyView {
@@ -340,9 +332,7 @@ impl RadioStack for PhysicalLbNetwork {
         let meter = self.net.meter();
         EnergyView::lb_only(
             (0..n).map(|v| self.lb_energy(v)).collect(),
-            (0..n)
-                .map(|v| self.ledger.as_ref().map_or(0, |l| l.sends(v)))
-                .collect(),
+            (0..n).map(|v| self.ledger.sends(v)).collect(),
             self.lb_time(),
         )
         .with_physical(

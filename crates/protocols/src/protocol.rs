@@ -14,8 +14,8 @@
 //! * [`ProtocolReport`] — the unified result: a typed payload
 //!   ([`ProtocolOutput`]: distances, a clustering, or a delivery count), the
 //!   [`EnergyView`] *diff* over exactly the protocol's own calls, and the
-//!   scalar `outcome` the scenario records carry. Reports serialize to the
-//!   same null-stable JSON columns the sweep emits.
+//!   scalar `outcome` the scenario records carry. The scenario runner's
+//!   record writer turns reports into the sweep's JSON columns.
 //! * [`ProtocolRegistry`] — resolves string specs like `trivial_bfs`,
 //!   `decay_bfs`, `clustering:b=4`, `recursive:eps=0.5`, or `lb_sweep:r=16`
 //!   into boxed protocols, so a new workload is a registry entry instead of
@@ -262,26 +262,6 @@ impl ProtocolReport {
     /// Elapsed physical slots, on physically-capable stacks.
     pub fn physical_slots(&self) -> Option<u64> {
         self.energy.physical_slots()
-    }
-
-    /// Serializes the report to one JSON object with the sweep's null-stable
-    /// column set (fixed field order, floats at three decimals, `null` for
-    /// absent physical counters) — the same shape a `ScenarioRecord` row
-    /// carries, minus the scenario coordinates.
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or_else(|| "null".into(), |x: u64| x.to_string());
-        format!(
-            "{{\"protocol\":\"{}\",\"lb_calls\":{},\"max_lb_energy\":{},\
-             \"mean_lb_energy\":{:.3},\"max_physical_energy\":{},\"physical_slots\":{},\
-             \"outcome\":{}}}",
-            self.protocol,
-            self.lb_calls(),
-            self.energy.max_lb_energy(),
-            self.energy.mean_lb_energy(),
-            opt(self.energy.max_physical_energy()),
-            opt(self.energy.physical_slots()),
-            self.outcome(),
-        )
     }
 }
 
@@ -833,9 +813,6 @@ mod tests {
         assert_eq!(report.lb_calls(), 4);
         assert!(report.outcome() >= 1);
         assert!(report.physical_slots().unwrap() > 0);
-        let json = report.to_json();
-        assert!(json.contains("\"protocol\":\"lb_sweep_4\""), "{json}");
-        assert!(json.contains("\"outcome\":"), "{json}");
     }
 
     #[test]
@@ -847,9 +824,8 @@ mod tests {
             .unwrap()
             .run(&mut net, &ProtocolInput::default())
             .unwrap();
-        let json = report.to_json();
-        assert!(json.contains("\"max_physical_energy\":null"), "{json}");
-        assert!(json.contains("\"physical_slots\":null"), "{json}");
+        assert_eq!(report.energy.max_physical_energy(), None);
+        assert_eq!(report.physical_slots(), None);
     }
 
     #[test]

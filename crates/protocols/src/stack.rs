@@ -11,9 +11,9 @@
 //!
 //! * a [`Capabilities`] descriptor — what the stack can do (collision
 //!   detection: none or receiver-side; energy model: `listen = transmit` or
-//!   weighted; whether slot-level physical counters and a per-node ledger
-//!   exist) — so generic code can branch on capabilities instead of
-//!   downcasting to concrete backends;
+//!   weighted; whether slot-level physical counters exist) — so generic
+//!   code can branch on capabilities instead of downcasting to concrete
+//!   backends;
 //! * a unified [`EnergyView`] snapshot/diff API that subsumes the ledger
 //!   and the meter: one call captures LB-unit *and* (when capable)
 //!   slot-level counters, and `view.diff(&earlier)` measures any phase of a
@@ -67,15 +67,11 @@ pub struct Capabilities {
     /// Whether slot-level counters exist ([`EnergyView::physical_energy`]
     /// returns `Some`): true exactly for Decay-expanding physical backends.
     pub physical: bool,
-    /// Whether per-node LB-unit accounting is recorded. Stacks built
-    /// `without_ledger` report zero LB energy/time (useful only for raw
-    /// delivery benchmarks).
-    pub ledger: bool,
 }
 
 impl Capabilities {
     /// The empty requirement/weakest capability set: no collision detection,
-    /// uniform energy model, no physical counters, no ledger. As a
+    /// uniform energy model, no physical counters. As a
     /// [`crate::protocol::Protocol::requires`] descriptor this means "runs
     /// on any stack"; every concrete stack satisfies it.
     pub fn baseline() -> Self {
@@ -83,19 +79,17 @@ impl Capabilities {
             collision_detection: CollisionDetection::None,
             energy_model: EnergyModel::Uniform,
             physical: false,
-            ledger: false,
         }
     }
 
     /// Whether a stack with these capabilities satisfies `required`,
     /// interpreting `required` field-wise as lower bounds: receiver-side
-    /// collision detection, physical counters, and the ledger are required
-    /// only when set in `required`; the energy model is descriptive, never a
-    /// requirement (any model satisfies any other).
+    /// collision detection and physical counters are required only when set
+    /// in `required`; the energy model is descriptive, never a requirement
+    /// (any model satisfies any other).
     pub fn satisfies(&self, required: &Capabilities) -> bool {
         (!required.collision_detection.is_receiver() || self.collision_detection.is_receiver())
             && (!required.physical || self.physical)
-            && (!required.ledger || self.ledger)
     }
 
     /// A human-readable rendering of these capabilities *as a requirement*,
@@ -109,9 +103,6 @@ impl Capabilities {
         }
         if self.physical {
             parts.push("slot-level physical counters (a `physical(...)` stack)");
-        }
-        if self.ledger {
-            parts.push("per-node LB accounting (a stack built with its ledger)");
         }
         if parts.is_empty() {
             "no particular capabilities".to_string()
@@ -351,7 +342,7 @@ pub trait RadioStack {
     fn local_broadcast(&mut self, frame: &mut LbFrame);
 
     /// Energy of node `v` in Local-Broadcast units (number of calls on this
-    /// network in which `v` participated). Zero on ledger-less stacks.
+    /// network in which `v` participated).
     fn lb_energy(&self, v: usize) -> u64;
 
     /// Time in Local-Broadcast units (number of calls on this network).
@@ -404,18 +395,19 @@ enum Backend {
 
 /// The one way to construct a concrete [`RadioStack`].
 ///
-/// Defaults: abstract backend (the paper's LB-unit accounting), no
-/// collision detection, uniform energy model, per-node ledger on, seed 0.
+/// Defaults: abstract backend (the paper's LB-unit accounting: one unit of
+/// time per call, one unit of energy per participation — the exact
+/// accounting of Theorem 4.1), no collision detection, uniform energy
+/// model, seed 0. Every stack keeps a per-node ledger of its
+/// Local-Broadcast calls, and its globally known `n` is `|V|`.
 #[derive(Clone, Debug)]
 pub struct StackBuilder {
     graph: Arc<Graph>,
     backend: Backend,
     energy_model: EnergyModel,
     cd: CollisionDetection,
-    ledger: bool,
     seed: u64,
     failure_prob: f64,
-    global_n: Option<usize>,
     decay: Option<DecayParams>,
 }
 
@@ -432,20 +424,10 @@ impl StackBuilder {
             backend: Backend::Abstract,
             energy_model: EnergyModel::Uniform,
             cd: CollisionDetection::None,
-            ledger: true,
             seed: 0,
             failure_prob: 0.0,
-            global_n: None,
             decay: None,
         }
-    }
-
-    /// Selects the abstract accounting backend (the default): one unit of
-    /// time per call, one unit of energy per participation — the exact
-    /// accounting of Theorem 4.1.
-    pub fn abstract_backend(mut self) -> Self {
-        self.backend = Backend::Abstract;
-        self
     }
 
     /// Selects the physical backend under the given energy model: every
@@ -466,21 +448,6 @@ impl StackBuilder {
         self
     }
 
-    /// Enables per-node LB-unit accounting (on by default; pairs with
-    /// [`StackBuilder::without_ledger`]).
-    pub fn with_ledger(mut self) -> Self {
-        self.ledger = true;
-        self
-    }
-
-    /// Disables per-node LB-unit accounting: `lb_energy`/`lb_time` report
-    /// zero. Only for raw delivery benchmarks where the ledger writes are
-    /// measurable overhead.
-    pub fn without_ledger(mut self) -> Self {
-        self.ledger = false;
-        self
-    }
-
     /// Seeds the stack's RNG (tie-breaking and failure draws on the
     /// abstract backend; Decay slot draws on the physical one).
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -494,13 +461,6 @@ impl StackBuilder {
     pub fn with_failures(mut self, failure_prob: f64) -> Self {
         assert!((0.0..1.0).contains(&failure_prob));
         self.failure_prob = failure_prob;
-        self
-    }
-
-    /// Overrides the globally known upper bound `n` (defaults to `|V|`).
-    pub fn with_global_n(mut self, n: usize) -> Self {
-        assert!(n >= self.graph.num_nodes());
-        self.global_n = Some(n.max(2));
         self
     }
 
@@ -522,15 +482,12 @@ impl StackBuilder {
             "with_failures is an abstract-backend knob; the physical backend's \
              failures come from real collisions"
         );
-        let global_n = self
-            .global_n
-            .unwrap_or_else(|| self.graph.num_nodes().max(2));
+        let global_n = self.graph.num_nodes().max(2);
         match self.backend {
             Backend::Abstract => Stack::Abstract(Box::new(AbstractLbNetwork::from_builder(
                 self.graph,
                 global_n,
                 self.cd,
-                self.ledger,
                 self.failure_prob,
                 self.seed,
             ))),
@@ -538,7 +495,6 @@ impl StackBuilder {
                 self.graph,
                 global_n,
                 self.cd,
-                self.ledger,
                 self.energy_model,
                 self.decay,
                 self.seed,
@@ -669,7 +625,6 @@ mod tests {
         assert_eq!(caps.collision_detection, CollisionDetection::None);
         assert_eq!(caps.energy_model, EnergyModel::Uniform);
         assert!(!caps.physical);
-        assert!(caps.ledger);
         assert_eq!(caps.label(), "abstract");
         assert!(stack.as_abstract().is_some());
     }
@@ -723,18 +678,23 @@ mod tests {
     }
 
     #[test]
-    fn ledgerless_stacks_report_zero_lb_counters() {
-        let mut stack = StackBuilder::new(generators::path(3))
-            .without_ledger()
-            .build();
-        let mut frame = stack.new_frame();
-        frame.add_sender(0, crate::Msg::words(&[1]));
-        frame.add_receiver(1);
-        stack.local_broadcast(&mut frame);
-        assert_eq!(frame.delivered().get(1), Some(&crate::Msg::words(&[1])));
-        assert!(!stack.capabilities().ledger);
-        assert_eq!(stack.lb_time(), 0);
-        assert_eq!(stack.max_lb_energy(), 0);
+    fn stacks_always_record_lb_counters() {
+        for mut stack in [
+            StackBuilder::new(generators::path(3)).build(),
+            StackBuilder::new(generators::path(3))
+                .physical(EnergyModel::Uniform)
+                .build(),
+        ] {
+            let mut frame = stack.new_frame();
+            frame.add_sender(0, crate::Msg::words(&[1]));
+            frame.add_receiver(1);
+            stack.local_broadcast(&mut frame);
+            assert_eq!(frame.delivered().get(1), Some(&crate::Msg::words(&[1])));
+            assert_eq!(stack.lb_time(), 1);
+            assert_eq!(stack.lb_energy(0), 1);
+            assert_eq!(stack.lb_energy(1), 1);
+            assert_eq!(stack.lb_energy(2), 0);
+        }
     }
 
     #[test]

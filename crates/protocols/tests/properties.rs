@@ -177,27 +177,22 @@ proptest! {
     }
 
     /// Capability honesty: stacks built without `with_cd()` must report
-    /// `CollisionDetection::None` — on either backend, with or without a
-    /// ledger — and must leave the frame's feedback lane empty after a call.
+    /// `CollisionDetection::None` — on either backend — and must leave the
+    /// frame's feedback lane empty after a call.
     #[test]
     fn no_cd_stacks_report_no_collision_detection(
         g in arb_connected_graph(),
         seed in 0u64..500,
         physical in any::<bool>(),
-        ledger in any::<bool>(),
     ) {
         let mut builder = StackBuilder::new(g.clone()).with_seed(seed);
         if physical {
             builder = builder.physical(EnergyModel::Uniform);
         }
-        if !ledger {
-            builder = builder.without_ledger();
-        }
         let mut stack = builder.build();
         let caps = stack.capabilities();
         prop_assert_eq!(caps.collision_detection, CollisionDetection::None);
         prop_assert_eq!(caps.physical, physical);
-        prop_assert_eq!(caps.ledger, ledger);
         let mut frame = stack.new_frame();
         frame.add_sender(0, Msg::words(&[1]));
         for v in 1..g.num_nodes().min(4) {

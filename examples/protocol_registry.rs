@@ -90,7 +90,17 @@ fn main() {
     let report = cd_protocol
         .run(&mut with_cd, &ProtocolInput::from_seed(7))
         .expect("CD stack passes the gate");
-    println!("with CD:         {}", report.to_json());
+    println!(
+        "with CD:         {} labelled {} vertices in {} LB calls, max energy {} LB units / {} slots",
+        report.protocol,
+        report.outcome(),
+        report.lb_calls(),
+        report.energy.max_lb_energy(),
+        report
+            .energy
+            .max_physical_energy()
+            .expect("a physical stack counts slots"),
+    );
 
     // Unknown specs fail with the known-protocol list — the same message
     // `experiments -- scenarios --protocol <spec>` exits with.

@@ -156,6 +156,12 @@ fn cd_decay_local_broadcast_is_seed_deterministic_across_runs() {
     }
 }
 
+/// The default sweep's JSON as committed: what
+/// `SCENARIO_JSON=<path> experiments -- scenarios --no-result-cache` writes.
+/// A change that means to alter records regenerates this file with that
+/// command and says so.
+const GOLDEN_DEFAULT_SWEEP: &str = include_str!("golden/default_sweep.json");
+
 #[test]
 fn parallel_scenario_runner_is_thread_count_invariant_on_the_default_sweep() {
     // The determinism-conformance contract of the worker pool: every
@@ -163,13 +169,28 @@ fn parallel_scenario_runner_is_thread_count_invariant_on_the_default_sweep() {
     // JSON. Results are collected by work-item index (never completion
     // order), so this must hold exactly; on failure the assertion names the
     // first diverging record rather than dumping two multi-hundred-line
-    // JSON blobs.
+    // JSON blobs. The serial JSON must also match the committed golden
+    // sweep byte for byte, so a change to any record fails here too.
     use radio_bench::scenarios::{
         default_scenarios, records_to_json, run_scenarios_with_stores, RunnerConfig,
     };
     let scenarios = default_scenarios();
     let reference = run_scenarios_with_stores(&scenarios, &RunnerConfig::serial(), None, None);
     let reference_json = records_to_json(&reference);
+    if reference_json != GOLDEN_DEFAULT_SWEEP {
+        let mut want = GOLDEN_DEFAULT_SWEEP.lines();
+        let mut got = reference_json.lines();
+        let mut line = 1;
+        loop {
+            match (want.next(), got.next()) {
+                (Some(w), Some(g)) if w == g => line += 1,
+                (w, g) => panic!(
+                    "default sweep diverges from tests/golden/default_sweep.json at line \
+                     {line}:\n  golden: {w:?}\n  serial: {g:?}"
+                ),
+            }
+        }
+    }
     for threads in [2usize, 8] {
         let parallel =
             run_scenarios_with_stores(&scenarios, &RunnerConfig::with_threads(threads), None, None);
@@ -202,7 +223,8 @@ fn parallel_scenario_runner_is_thread_count_invariant_on_the_default_sweep() {
 fn registry_dispatched_protocols_are_seed_deterministic_across_runs() {
     // The Protocol surface on top of the stacks: resolving a spec and
     // running it twice with the same seed must reproduce the full report —
-    // payload, outcome, and every energy counter — on both the abstract and
+    // payload and every energy counter, compared through its `Debug`
+    // rendering — on both the abstract and
     // the physical-CD backend (the latter exercising the CD wavefront's
     // verdict handling end to end).
     use radio_energy::bfs::protocol::registry;
@@ -231,15 +253,7 @@ fn registry_dispatched_protocols_are_seed_deterministic_across_runs() {
             let report = protocol
                 .run(&mut net, &ProtocolInput::from_seed(seed))
                 .expect("capabilities satisfied");
-            format!(
-                "{} outcome {} json {} energy {:?}",
-                report.protocol,
-                report.outcome(),
-                report.to_json(),
-                (0..g.num_nodes())
-                    .map(|v| report.energy.lb_energy(v))
-                    .collect::<Vec<_>>()
-            )
+            format!("{report:?}")
         };
         for seed in SEEDS {
             for physical in [false, true] {
