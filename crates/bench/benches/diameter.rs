@@ -12,7 +12,6 @@ fn config() -> RecursiveBfsConfig {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 70,
-        ..Default::default()
     }
 }
 

@@ -75,7 +75,7 @@ use energy_bfs::hardness::{
     disjointness_communication_bits, disjointness_energy_threshold, distinguishing_success_rate,
     edge_probing_protocol, round_robin_protocol, GoodSlotAccounting,
 };
-use energy_bfs::metrics::{format_table, EnergySummary};
+use energy_bfs::metrics::format_table;
 use energy_bfs::zseq::{ruler, ZSequence};
 use energy_bfs::{build_hierarchy, recursive_bfs_with_hierarchy, RecursiveBfsConfig};
 use radio_bench::{rng, scaling_config, standard_families};
@@ -759,31 +759,30 @@ fn e6_bfs_energy_scaling() {
         let mut base_net = StackBuilder::new(g.clone()).build();
         let active = vec![true; n];
         let _ = trivial_bfs(&mut base_net, &[0], &active, depth);
-        let base = EnergySummary::of(&base_net);
+        let base_energy = base_net.max_lb_energy();
 
         // Recursive BFS with β tuned to D (the paper's prescription).
         let config = scaling_config(depth, 6);
         let mut rec_net = StackBuilder::new(g.clone()).build();
         let hierarchy = build_hierarchy(&mut rec_net, &config);
-        let setup = EnergySummary::of(&rec_net);
+        let setup = rec_net.energy_view();
         let outcome =
             recursive_bfs_with_hierarchy(&mut rec_net, &hierarchy, &[0], depth, &config, &[]);
-        let total = EnergySummary::of(&rec_net);
-        let query = total.since(&setup);
+        let query = rec_net.energy_view().diff(&setup);
         let truth = bfs_distances(&g, 0);
         let correct = g
             .nodes()
             .filter(|&v| outcome.dist[v] == Some(truth[v] as u64))
             .count();
-        let ratio = query.max_lb_energy as f64 / base.max_lb_energy as f64;
+        let ratio = query.max_lb_energy() as f64 / base_energy as f64;
         ratios.push((depth, ratio));
 
         rows.push(vec![
             depth.to_string(),
             config.inv_beta.to_string(),
-            base.max_lb_energy.to_string(),
-            setup.max_lb_energy.to_string(),
-            query.max_lb_energy.to_string(),
+            base_energy.to_string(),
+            setup.max_lb_energy().to_string(),
+            query.max_lb_energy().to_string(),
             format!("{ratio:.2}"),
             format!("{correct}/{n}"),
         ]);
@@ -841,7 +840,6 @@ fn e7_claims_1_and_2() {
             max_depth: 1,
             trivial_cutoff: 16,
             seed: 7,
-            ..Default::default()
         };
         let mut net = StackBuilder::new(g.clone()).build();
         let hierarchy = build_hierarchy(&mut net, &config);
@@ -886,7 +884,6 @@ fn e8_estimate_evolution() {
         max_depth: 1,
         trivial_cutoff: 16,
         seed: 8,
-        ..Default::default()
     };
     let mut net = StackBuilder::new(g.clone()).build();
     let hierarchy = build_hierarchy(&mut net, &config);
@@ -1065,7 +1062,6 @@ fn e12_two_approx_diameter() {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 12,
-        ..Default::default()
     };
     let mut rows = Vec::new();
     for (name, g) in standard_families(12) {
@@ -1078,10 +1074,10 @@ fn e12_two_approx_diameter() {
             g.num_nodes().to_string(),
             diam.to_string(),
             format!("{} ({})", est.estimate, if ok { "ok" } else { "VIOLATED" }),
-            est.energy.max_lb_energy.to_string(),
+            est.energy.max_lb_energy().to_string(),
             est.energy
-                .since(&est.setup_energy)
-                .max_lb_energy
+                .diff(&est.setup_energy)
+                .max_lb_energy()
                 .to_string(),
         ]);
     }
@@ -1112,7 +1108,6 @@ fn e13_three_halves_diameter() {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 13,
-        ..Default::default()
     };
     let mut rows = Vec::new();
     for (name, g) in standard_families(13) {
@@ -1128,7 +1123,7 @@ fn e13_three_halves_diameter() {
             format!("{} ({})", est.estimate, if ok { "ok" } else { "VIOLATED" }),
             est.bfs_count.to_string(),
             format!("{:.0}", (n as f64).sqrt()),
-            est.energy.max_lb_energy.to_string(),
+            est.energy.max_lb_energy().to_string(),
         ]);
     }
     println!(

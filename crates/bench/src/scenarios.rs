@@ -369,7 +369,7 @@ impl StackSpec {
                 }
             }
             StackSpec::PhysicalTuned { cd, model } => {
-                // The same `(n, Δ)` derivation as PhysicalLbNetwork's
+                // The same `(n, Δ)` derivation as the physical channel's
                 // ratio-blind default, routed through the weight-ratio-aware
                 // constructor instead.
                 let params = radio_sim::DecayParams::for_energy_model(

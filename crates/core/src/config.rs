@@ -2,32 +2,38 @@
 //!
 //! The paper sets `β = 2^{−√(log D₀ · log log n)}` and recursion depth
 //! `L = √(log D₀ / log log n)`, and leaves the constants `w = Θ(log n)` and
-//! the clustering constants unspecified. The configuration makes all of
-//! them explicit (and testable); [`RecursiveBfsConfig::auto`] reproduces the
-//! paper's asymptotic choices for a given `(n, D₀)`.
+//! the clustering constants unspecified. The configuration makes the
+//! parameters explicit and fixes the constants below;
+//! [`RecursiveBfsConfig::auto`] reproduces the paper's asymptotic choices
+//! for a given `(n, D₀)`.
 
 use radio_protocols::ClusteringConfig;
 use serde::{Deserialize, Serialize};
+
+/// Multiplier `c_w` in `w = c_w · ln n`; the paper needs a "sufficiently
+/// large multiple of log n".
+const W_FACTOR: f64 = 2.0;
+
+/// Constant multiplying `C·ln n` in the cast index-set length `ℓ`.
+///
+/// Smaller than `ClusteringConfig::new`'s 4.0: the recursive BFS only uses
+/// casts to move distance estimates, and the w-slack of Invariant 4.1
+/// absorbs the rare missed delivery, so it can run with the leaner (faster,
+/// lower-energy) index sets. The standalone cast API keeps the stronger
+/// constant because it promises Lemma 3.1 delivery on its own.
+const ELL_FACTOR: f64 = 2.0;
 
 /// Tunable parameters of [`crate::recursive_bfs::recursive_bfs`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RecursiveBfsConfig {
     /// `1/β` (an integer, as the paper requires).
     pub inv_beta: u64,
-    /// Multiplier `c_w` in `w = c_w · ln n`; the paper needs a
-    /// "sufficiently large multiple of log n".
-    pub w_factor: f64,
     /// Maximum recursion depth `L`; depth `L` reverts to the trivial BFS.
     pub max_depth: usize,
     /// Depth bound below which the recursion bottoms out early into the
     /// trivial BFS regardless of remaining levels (a practical cut-off; the
     /// paper's analysis only requires bottoming out at `L`).
     pub trivial_cutoff: u64,
-    /// Constant multiplying `log_{1/β} n` in the clustering contention
-    /// bound `C` (see [`ClusteringConfig`]).
-    pub contention_factor: f64,
-    /// Constant multiplying `C·ln n` in the cast index-set length `ℓ`.
-    pub ell_factor: f64,
     /// RNG seed for all randomized components (clustering shifts, tags,
     /// tie-breaking).
     pub seed: u64,
@@ -37,17 +43,8 @@ impl Default for RecursiveBfsConfig {
     fn default() -> Self {
         RecursiveBfsConfig {
             inv_beta: 8,
-            w_factor: 2.0,
             max_depth: 1,
             trivial_cutoff: 16,
-            contention_factor: 1.0,
-            // Smaller than `ClusteringConfig::new`'s 4.0: the recursive BFS
-            // only uses casts to move distance estimates, and the w-slack of
-            // Invariant 4.1 absorbs the rare missed delivery, so it can run
-            // with the leaner (faster, lower-energy) index sets. The
-            // standalone cast API keeps the stronger constant because it
-            // promises Lemma 3.1 delivery on its own.
-            ell_factor: 2.0,
             seed: 0,
         }
     }
@@ -93,7 +90,6 @@ impl RecursiveBfsConfig {
             max_depth: 1,
             trivial_cutoff: inv_beta,
             seed,
-            ..Default::default()
         }
     }
 
@@ -104,34 +100,20 @@ impl RecursiveBfsConfig {
 
     /// `w = c_w · ln n` (at least 2).
     pub fn w(&self, global_n: usize) -> f64 {
-        (self.w_factor * (global_n.max(2) as f64).ln()).max(2.0)
+        (W_FACTOR * (global_n.max(2) as f64).ln()).max(2.0)
     }
 
     /// The clustering configuration induced by these parameters.
     pub fn clustering(&self) -> ClusteringConfig {
         ClusteringConfig {
             beta: self.beta(),
-            contention_factor: self.contention_factor,
-            ell_factor: self.ell_factor,
+            ell_factor: ELL_FACTOR,
         }
     }
 
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style `1/β` override (panics unless ≥ 2).
-    pub fn with_inv_beta(mut self, inv_beta: u64) -> Self {
-        assert!(inv_beta >= 2);
-        self.inv_beta = inv_beta;
-        self
-    }
-
-    /// Builder-style recursion-depth override.
-    pub fn with_max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = depth;
         self
     }
 }
@@ -181,19 +163,45 @@ mod tests {
     }
 
     #[test]
-    fn builders_apply() {
-        let c = RecursiveBfsConfig::default()
-            .with_seed(9)
-            .with_inv_beta(32)
-            .with_max_depth(3);
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.inv_beta, 32);
-        assert_eq!(c.max_depth, 3);
+    fn w_is_twice_ln_n_and_at_least_two() {
+        let c = RecursiveBfsConfig::default();
+        assert_eq!(c.w(0), 2.0);
+        assert_eq!(c.w(2), 2.0);
+        assert!((c.w(1000) - 2.0 * 1000f64.ln()).abs() < 1e-12);
+        assert!(c.w(1 << 20) > c.w(1000));
     }
 
     #[test]
-    #[should_panic]
-    fn inv_beta_must_be_at_least_two() {
-        let _ = RecursiveBfsConfig::default().with_inv_beta(1);
+    fn clustering_carries_beta_and_the_lean_ell_factor() {
+        let c = RecursiveBfsConfig::for_depth(255, 0.5, 3);
+        let clustering = c.clustering();
+        assert_eq!(clustering.inverse_beta(), c.inv_beta);
+        assert_eq!(clustering.beta, c.beta());
+        // Leaner index sets than the standalone cast API's default.
+        let standalone = ClusteringConfig::new(c.inv_beta);
+        assert_eq!(clustering.ell_factor, 2.0);
+        assert!(clustering.ell_factor < standalone.ell_factor);
+        assert!(clustering.ell(1000) < standalone.ell(1000));
+    }
+
+    #[test]
+    fn auto_clamps_degenerate_inputs() {
+        // n is clamped to 4 and D₀ to 2, which gives the smallest legal
+        // parameters: 1/β = 2 and one level of recursion.
+        let c = RecursiveBfsConfig::auto(0, 0);
+        assert_eq!(c, RecursiveBfsConfig::auto(4, 2));
+        assert_eq!((c.inv_beta, c.max_depth), (2, 1));
+        let defaults = RecursiveBfsConfig::default();
+        assert_eq!(c.trivial_cutoff, defaults.trivial_cutoff);
+        assert_eq!(c.seed, defaults.seed);
+    }
+
+    #[test]
+    fn with_seed_overrides_only_the_seed() {
+        let base = RecursiveBfsConfig::auto(1000, 1 << 10);
+        let mut c = base.with_seed(9);
+        assert_eq!(c.seed, 9);
+        c.seed = base.seed;
+        assert_eq!(c, base);
     }
 }

@@ -18,13 +18,12 @@
 use radio_graph::Dist;
 use radio_protocols::aggregate::{find_max, find_min};
 use radio_protocols::leader::designated_leader;
-use radio_protocols::{Msg, RadioStack};
+use radio_protocols::{EnergyView, Msg, RadioStack};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::RecursiveBfsConfig;
-use crate::metrics::EnergySummary;
 use crate::recursive_bfs::{build_hierarchy, recursive_bfs_full};
 
 /// The output of a diameter-approximation run.
@@ -36,11 +35,12 @@ pub struct DiameterEstimate {
     pub leader: usize,
     /// Number of BFS computations performed.
     pub bfs_count: u64,
-    /// Energy/time summary of the run (setup + queries).
-    pub energy: EnergySummary,
-    /// Energy/time spent building the cluster hierarchy (amortizable across
-    /// queries), included in `energy`.
-    pub setup_energy: EnergySummary,
+    /// Energy/time counters after the run (setup + queries).
+    pub energy: EnergyView,
+    /// Energy/time counters once the cluster hierarchy is built (its cost
+    /// is amortizable across queries); `energy.diff(&setup_energy)` is the
+    /// queries' share.
+    pub setup_energy: EnergyView,
 }
 
 fn labels_to_dists(dist: &[Option<u64>]) -> Vec<Dist> {
@@ -57,7 +57,7 @@ pub fn two_approx_diameter(
 ) -> DiameterEstimate {
     let leader = designated_leader(net).leader;
     let hierarchy = build_hierarchy(net, config);
-    let setup_energy = EnergySummary::of(net);
+    let setup_energy = net.energy_view();
 
     let labels = recursive_bfs_full(net, &hierarchy, &[leader], config).dist;
     let label_dists = labels_to_dists(&labels);
@@ -73,7 +73,7 @@ pub fn two_approx_diameter(
         estimate,
         leader,
         bfs_count: 1,
-        energy: EnergySummary::of(net),
+        energy: net.energy_view(),
         setup_energy,
     }
 }
@@ -89,7 +89,7 @@ pub fn three_halves_approx_diameter(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let leader = designated_leader(net).leader;
     let hierarchy = build_hierarchy(net, config);
-    let setup_energy = EnergySummary::of(net);
+    let setup_energy = net.energy_view();
     let mut bfs_count = 0u64;
 
     // BFS from the leader: gives the aggregation tree and one eccentricity.
@@ -180,7 +180,7 @@ pub fn three_halves_approx_diameter(
         estimate: best,
         leader,
         bfs_count,
-        energy: EnergySummary::of(net),
+        energy: net.energy_view(),
         setup_energy,
     }
 }
@@ -237,7 +237,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 8,
             seed: 1,
-            ..Default::default()
         }
     }
 
@@ -281,17 +280,48 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 16,
             seed: 2,
-            ..Default::default()
         };
         let est = two_approx_diameter(&mut net, &cfg);
         assert!(est.estimate >= (n as u64 - 1) / 2);
         assert!(est.estimate < n as u64);
         // Setup (hierarchy construction) happened and is included in the
         // total, so the query delta is strictly smaller than the total.
-        assert!(est.setup_energy.max_lb_energy > 0);
-        assert!(est.setup_energy.max_lb_energy <= est.energy.max_lb_energy);
-        let query = est.energy.since(&est.setup_energy);
-        assert!(query.lb_time > 0);
+        assert!(est.setup_energy.max_lb_energy() > 0);
+        assert!(est.setup_energy.max_lb_energy() <= est.energy.max_lb_energy());
+        let query = est.energy.diff(&est.setup_energy);
+        assert!(query.lb_time() > 0);
+    }
+
+    #[test]
+    fn estimate_snapshots_are_prefixes_of_the_stacks_own_view() {
+        // `energy` is the stack's final view and `setup_energy` an earlier
+        // one, so every counter of the setup is bounded node by node, and
+        // a physical stack's slot counters travel with both.
+        for mut net in [
+            StackBuilder::new(generators::path(24)).build(),
+            StackBuilder::new(generators::path(24))
+                .physical(radio_protocols::EnergyModel::Uniform)
+                .with_seed(4)
+                .build(),
+        ] {
+            let est = two_approx_diameter(&mut net, &config());
+            assert_eq!(est.energy, net.energy_view());
+            let physical = net.capabilities().physical;
+            assert_eq!(est.energy.has_physical(), physical);
+            assert_eq!(est.setup_energy.has_physical(), physical);
+            for v in 0..net.num_nodes() {
+                assert!(est.setup_energy.lb_energy(v) <= est.energy.lb_energy(v));
+            }
+            let query = est.energy.diff(&est.setup_energy);
+            assert_eq!(
+                query.lb_time() + est.setup_energy.lb_time(),
+                est.energy.lb_time()
+            );
+            if physical {
+                assert!(query.physical_slots().unwrap() > 0);
+                assert!(est.setup_energy.physical_slots() <= est.energy.physical_slots());
+            }
+        }
     }
 
     #[test]

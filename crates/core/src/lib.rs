@@ -19,8 +19,9 @@
 //!   Section 5 (Theorems 5.1 and 5.2): hard-instance generators, the
 //!   good-slot / `X_bad` counting, and the set-disjointness communication
 //!   ledger.
-//! * [`metrics`] — energy summaries and the per-stage statistics behind
-//!   Claims 1 and 2 and Figure 3.
+//! * [`metrics`] — the per-stage statistics behind Claims 1 and 2 and
+//!   Figure 3, and the table formatter the experiments print with. Energy
+//!   is read off [`radio_protocols::EnergyView`] snapshots and their diffs.
 //! * [`protocol`](mod@protocol) — the BFS drivers wrapped as first-class
 //!   [`radio_protocols::Protocol`]s and the full [`registry`] resolving
 //!   specs like `trivial_bfs`, `decay_bfs`, `recursive:b=8`, or
@@ -40,7 +41,7 @@ pub mod recursive_bfs;
 pub mod zseq;
 
 pub use config::RecursiveBfsConfig;
-pub use metrics::{EnergySummary, RecursionStats};
+pub use metrics::RecursionStats;
 pub use protocol::{registry, DecayBfsProtocol, RecursiveBfsProtocol, TrivialBfsProtocol};
 pub use recursive_bfs::{build_hierarchy, recursive_bfs, recursive_bfs_with_hierarchy, BfsOutcome};
 pub use zseq::ZSequence;

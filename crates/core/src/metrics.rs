@@ -1,91 +1,18 @@
-//! Energy summaries and per-stage statistics.
+//! Per-stage statistics and table formatting.
 //!
-//! The experiments need three kinds of numbers:
+//! Energy and time come straight from the stack: a
+//! [`radio_protocols::EnergyView`] snapshot, and `later.diff(&earlier)` for
+//! one phase of a run. Beyond those, the experiments need:
 //!
-//! * **Energy/time summaries** of a network after running an algorithm, in
-//!   Local-Broadcast units (and physical slots when the physical backend is
-//!   used) — [`EnergySummary`].
 //! * **Claim 1 / Claim 2 statistics**: how many stages each vertex joined
 //!   the wavefront set `X_i`, and how many Special Updates each cluster
 //!   participated in — [`RecursionStats`].
 //! * **Figure 3 traces**: the evolution of `[L_i(C), U_i(C)]` for chosen
 //!   clusters — also in [`RecursionStats`].
 
-use radio_protocols::{EnergyView, RadioStack};
 use serde::{Deserialize, Serialize};
 
 use crate::estimates::EstimateTracePoint;
-
-/// A serializable digest of a stack's energy/time counters.
-///
-/// Built from the unified [`EnergyView`] snapshot, so a single `of` call
-/// covers every backend: the physical fields are populated exactly when the
-/// stack's capabilities include slot-level counters (there is no separate
-/// `of_physical` path anymore).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct EnergySummary {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Maximum per-node energy in Local-Broadcast units.
-    pub max_lb_energy: u64,
-    /// Mean per-node energy in Local-Broadcast units.
-    pub mean_lb_energy: f64,
-    /// Total Local-Broadcast calls (time in LB units).
-    pub lb_time: u64,
-    /// Maximum per-node physical energy (model-weighted slots), when the
-    /// stack is physically capable.
-    pub max_physical_energy: Option<u64>,
-    /// Elapsed physical slots, when the stack is physically capable.
-    pub physical_slots: Option<u64>,
-}
-
-impl EnergySummary {
-    /// Summarizes any [`RadioStack`] — LB units always, slot-level counters
-    /// whenever the stack has them.
-    pub fn of(net: &dyn RadioStack) -> Self {
-        Self::of_view(&net.energy_view())
-    }
-
-    /// Digests a [`radio_protocols::ProtocolReport`]: the summary of
-    /// exactly that run's energy (the report carries the view *diff*), so
-    /// registry-dispatched workloads drop into every table the free
-    /// functions used to feed.
-    pub fn of_report(report: &radio_protocols::ProtocolReport) -> Self {
-        Self::of_view(&report.energy)
-    }
-
-    /// Digests an already-taken [`EnergyView`] snapshot (e.g. a
-    /// [`EnergyView::diff`] of two phases).
-    pub fn of_view(view: &EnergyView) -> Self {
-        EnergySummary {
-            nodes: view.nodes(),
-            max_lb_energy: view.max_lb_energy(),
-            mean_lb_energy: view.mean_lb_energy(),
-            lb_time: view.lb_time(),
-            max_physical_energy: view.max_physical_energy(),
-            physical_slots: view.physical_slots(),
-        }
-    }
-
-    /// The difference `self − before`, for measuring one phase of a longer
-    /// run (e.g. query energy after setup energy).
-    pub fn since(&self, before: &EnergySummary) -> EnergySummary {
-        EnergySummary {
-            nodes: self.nodes,
-            max_lb_energy: self.max_lb_energy.saturating_sub(before.max_lb_energy),
-            mean_lb_energy: (self.mean_lb_energy - before.mean_lb_energy).max(0.0),
-            lb_time: self.lb_time.saturating_sub(before.lb_time),
-            max_physical_energy: match (self.max_physical_energy, before.max_physical_energy) {
-                (Some(a), Some(b)) => Some(a.saturating_sub(b)),
-                (a, _) => a,
-            },
-            physical_slots: match (self.physical_slots, before.physical_slots) {
-                (Some(a), Some(b)) => Some(a.saturating_sub(b)),
-                (a, _) => a,
-            },
-        }
-    }
-}
 
 /// Statistics gathered while running the recursive BFS, backing Claims 1–2
 /// and Figure 3.
@@ -169,47 +96,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_graph::generators;
-    use radio_protocols::{local_broadcast_once, Msg, StackBuilder};
-
-    #[test]
-    fn summary_of_abstract_network() {
-        let g = generators::path(4);
-        let mut net = StackBuilder::new(g).build();
-        local_broadcast_once(&mut net, &[(0, Msg::words(&[1]))], &[1, 2]);
-        let s = EnergySummary::of(&net);
-        assert_eq!(s.nodes, 4);
-        assert_eq!(s.max_lb_energy, 1);
-        assert_eq!(s.lb_time, 1);
-        assert!((s.mean_lb_energy - 0.75).abs() < 1e-12);
-        assert!(s.max_physical_energy.is_none());
-    }
-
-    #[test]
-    fn since_subtracts_counters() {
-        let a = EnergySummary {
-            nodes: 10,
-            max_lb_energy: 5,
-            mean_lb_energy: 2.0,
-            lb_time: 7,
-            max_physical_energy: Some(100),
-            physical_slots: Some(50),
-        };
-        let b = EnergySummary {
-            nodes: 10,
-            max_lb_energy: 2,
-            mean_lb_energy: 0.5,
-            lb_time: 3,
-            max_physical_energy: Some(40),
-            physical_slots: Some(20),
-        };
-        let d = a.since(&b);
-        assert_eq!(d.max_lb_energy, 3);
-        assert_eq!(d.lb_time, 4);
-        assert_eq!(d.max_physical_energy, Some(60));
-        assert_eq!(d.physical_slots, Some(30));
-        assert!((d.mean_lb_energy - 1.5).abs() < 1e-12);
-    }
 
     #[test]
     fn recursion_stats_maxima() {
@@ -223,6 +109,22 @@ mod tests {
         assert_eq!(stats.max_wavefront_memberships(), 3);
         assert_eq!(stats.max_special_memberships(), 4);
         assert_eq!(stats.total_recursive_calls(), 7);
+    }
+
+    #[test]
+    fn empty_stats_have_zero_maxima() {
+        let stats = RecursionStats::default();
+        assert_eq!(stats.max_wavefront_memberships(), 0);
+        assert_eq!(stats.max_special_memberships(), 0);
+        assert_eq!(stats.total_recursive_calls(), 0);
+    }
+
+    #[test]
+    fn table_pads_every_cell_to_its_column_width() {
+        let out = format_table(&["a", "bb"], &[vec!["ccc".into(), "d".into()]]);
+        // Columns are 3 and 2 wide, joined by two spaces; the rule spans
+        // both columns and the gap.
+        assert_eq!(out, "a    bb\n-------\nccc  d \n");
     }
 
     #[test]

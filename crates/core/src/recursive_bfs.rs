@@ -227,7 +227,7 @@ fn recurse(
             estimates[c] = Some(DistanceEstimate::initialize(cluster_dist0[c], beta, w));
         }
     }
-    record_traces(stats, &estimates, 0, UpdateKind::Initialize, trace_top);
+    record_traces(stats, &estimates, 0, trace_top, |_| UpdateKind::Initialize);
 
     // ---- Step 2: deactivate vertices whose cluster is beyond the horizon.
     for (v, is_active) in active.iter_mut().enumerate() {
@@ -359,7 +359,13 @@ fn recurse(
             };
             next_estimates[c] = Some(updated);
         }
-        record_traces_split(stats, &next_estimates, &upsilon, i + 1, trace_top);
+        record_traces(stats, &next_estimates, i + 1, trace_top, |c| {
+            if upsilon.contains(c) {
+                UpdateKind::Special
+            } else {
+                UpdateKind::Automatic
+            }
+        });
         estimates = next_estimates;
     }
 
@@ -472,12 +478,14 @@ fn charge_result_downcast(
     let _ = down_cast(net, state, &messages, frame);
 }
 
+/// Appends stage `stage`'s estimate of every traced cluster, labelled with
+/// the update `kind` that produced it (top level only).
 fn record_traces(
     stats: &mut RecursionStats,
     estimates: &[Option<DistanceEstimate>],
     stage: u64,
-    kind: UpdateKind,
     trace_top: bool,
+    kind: impl Fn(usize) -> UpdateKind,
 ) {
     if !trace_top {
         return;
@@ -486,35 +494,7 @@ fn record_traces(
         if let Some(e) = estimates.get(*c).copied().flatten() {
             points.push(EstimateTracePoint {
                 stage,
-                kind,
-                lower: e.lower,
-                upper: e.upper,
-                true_distance: None,
-            });
-        }
-    }
-}
-
-fn record_traces_split(
-    stats: &mut RecursionStats,
-    estimates: &[Option<DistanceEstimate>],
-    upsilon: &NodeSet,
-    stage: u64,
-    trace_top: bool,
-) {
-    if !trace_top {
-        return;
-    }
-    for (c, points) in stats.estimate_traces.iter_mut() {
-        if let Some(e) = estimates.get(*c).copied().flatten() {
-            let kind = if upsilon.contains(*c) {
-                UpdateKind::Special
-            } else {
-                UpdateKind::Automatic
-            };
-            points.push(EstimateTracePoint {
-                stage,
-                kind,
+                kind: kind(*c),
                 lower: e.lower,
                 upper: e.upper,
                 true_distance: None,
@@ -579,7 +559,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 4,
             seed: 3,
-            ..Default::default()
         };
         let outcome = recursive_bfs(&mut net, 5, 30, &config);
         verify_against_reference(&g, &outcome, 5, 30);
@@ -594,7 +573,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 4,
             seed: 1,
-            ..Default::default()
         };
         let outcome = recursive_bfs(&mut net, 0, 40, &config);
         for v in 0..=40usize {
@@ -614,7 +592,6 @@ mod tests {
             max_depth: 2,
             trivial_cutoff: 4,
             seed: 7,
-            ..Default::default()
         };
         let outcome = recursive_bfs(&mut net, 0, 199, &config);
         verify_against_reference(&g, &outcome, 0, 199);
@@ -631,7 +608,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 4,
             seed: 5,
-            ..Default::default()
         };
         let hierarchy = build_hierarchy(&mut net, &config);
         let outcome =
@@ -661,7 +637,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 4,
             seed: 11,
-            ..Default::default()
         };
         let outcome = recursive_bfs(&mut net, 0, 69, &config);
         assert_eq!(outcome.dist[49], Some(49));
@@ -678,7 +653,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 4,
             seed: 13,
-            ..Default::default()
         };
         let hierarchy = build_hierarchy(&mut net, &config);
         let outcome = recursive_bfs_full(&mut net, &hierarchy, &[0], &config);
@@ -705,20 +679,19 @@ mod tests {
                 max_depth: 1,
                 trivial_cutoff: inv_beta,
                 seed: 17,
-                ..Default::default()
             };
             let mut net = StackBuilder::new(g.clone()).build();
             let hierarchy = build_hierarchy(&mut net, &config);
-            let setup = crate::metrics::EnergySummary::of(&net);
+            let setup = net.energy_view();
             let outcome =
                 recursive_bfs_with_hierarchy(&mut net, &hierarchy, &[0], depth, &config, &[]);
             verify_against_reference(&g, &outcome, 0, depth);
-            let query = crate::metrics::EnergySummary::of(&net).since(&setup);
+            let query = net.energy_view().diff(&setup);
 
             let mut baseline_net = StackBuilder::new(g.clone()).build();
             let active = vec![true; n];
             let _ = trivial_bfs(&mut baseline_net, &[0], &active, depth);
-            (query.max_lb_energy, baseline_net.max_lb_energy())
+            (query.max_lb_energy(), baseline_net.max_lb_energy())
         };
 
         // β⁻¹ scales like √D, as the paper prescribes (up to constants).
@@ -748,7 +721,6 @@ mod tests {
                 max_depth: 1,
                 trivial_cutoff: 8,
                 seed: 19,
-                ..Default::default()
             };
             let outcome = recursive_bfs(&mut net, 0, (n - 1) as u64, &config);
             verify_against_reference(&g, &outcome, 0, (n - 1) as u64);
@@ -782,7 +754,6 @@ mod tests {
             max_depth: 1,
             trivial_cutoff: 8,
             seed: 23,
-            ..Default::default()
         };
         let hierarchy = build_hierarchy(&mut net, &config);
         if hierarchy.is_empty() {

@@ -168,7 +168,6 @@ proptest! {
             max_depth: 1,
             trivial_cutoff: 4,
             seed,
-            ..Default::default()
         };
         let mut net = StackBuilder::new(g.clone()).build();
         let outcome = recursive_bfs(&mut net, source, depth.max(1), &config);

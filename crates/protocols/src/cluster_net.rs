@@ -82,12 +82,6 @@ impl<'a> VirtualClusterNet<'a> {
         self.state
     }
 
-    /// The virtual ledger (energy/time of the *clusters*, in virtual LB
-    /// units). The parent's ledger keeps charging the real devices.
-    pub fn ledger(&self) -> &LbLedger {
-        &self.ledger
-    }
-
     /// The parent's capability descriptor. Note the contrast with
     /// [`RadioStack::capabilities`] *on this net*, which always reports the
     /// plain no-CD abstraction: the virtual layer cannot propagate channel
@@ -346,6 +340,39 @@ mod tests {
         assert!(spent.max_lb_energy() >= 1);
         // The virtual layer itself still reports the plain abstraction.
         assert!(!virt.capabilities().collision_detection.is_receiver());
+    }
+
+    #[test]
+    fn virtual_views_count_virtual_calls_in_lb_units_only() {
+        // On a physical parent the virtual layer still reports plain LB
+        // units — its calls have no slot structure of their own — while
+        // the parent's view keeps the slot counters.
+        let g = generators::grid(6, 6);
+        let mut net = StackBuilder::new(g.clone())
+            .physical(radio_sim::EnergyModel::Uniform)
+            .with_seed(3)
+            .build();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let state = cluster_distributed(&mut net, &ClusteringConfig::new(3), &mut rng);
+        let quotient = state.quotient_graph(&g);
+        if quotient.num_edges() == 0 {
+            return;
+        }
+        let (a, b) = quotient.edges().next().unwrap();
+        let mut virt = VirtualClusterNet::new(&mut net, &state);
+        assert!(virt.parent_capabilities().physical);
+        assert!(!virt.capabilities().physical);
+        for round in 0..3 {
+            let _ = local_broadcast_once(&mut virt, &[(a, Msg::words(&[round]))], &[b]);
+        }
+        let view = virt.energy_view();
+        assert!(!view.has_physical());
+        assert_eq!(view.nodes(), state.num_clusters());
+        assert_eq!(view.lb_time(), 3);
+        assert_eq!((view.lb_energy(a), view.lb_energy(b)), (3, 3));
+        assert_eq!(view.total_lb_energy(), 6);
+        assert!(virt.parent_energy_view().has_physical());
+        assert!(virt.parent_energy_view().lb_time() > 3);
     }
 
     #[test]

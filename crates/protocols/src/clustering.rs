@@ -29,10 +29,6 @@ use crate::stack::RadioStack;
 pub struct ClusteringConfig {
     /// The MPX rate β (the paper requires `1/β` to be an integer).
     pub beta: f64,
-    /// Multiplier on `log(1/β)⁻¹ log n` for the contention bound `C`
-    /// (Lemma 2.1 gives `C = O(log_{1/β} n)`); 1.0 reproduces the paper's
-    /// choice up to its own unspecified constant.
-    pub contention_factor: f64,
     /// Multiplier on `C·log n` for the index-set length `ℓ` of Section 3.
     pub ell_factor: f64,
 }
@@ -43,7 +39,6 @@ impl ClusteringConfig {
         assert!(inv_beta >= 2, "1/β must be at least 2");
         ClusteringConfig {
             beta: 1.0 / inv_beta as f64,
-            contention_factor: 1.0,
             // The paper leaves the Θ(C log n) constant open; 4.0 keeps the
             // probability that some vertex lacks a private index in S_Cl
             // (property (2) of Section 3, which the casts rely on)
@@ -58,13 +53,14 @@ impl ClusteringConfig {
         (1.0 / self.beta).round() as u64
     }
 
-    /// The contention bound `C = Θ(log_{1/β} n)`: with high probability at
-    /// most this many clusters intersect any closed neighbourhood
-    /// (Lemma 2.1 with `ℓ = 1`).
+    /// The contention bound `C = ⌈log_{1/β} n⌉` (at least 2): with high
+    /// probability at most this many clusters intersect any closed
+    /// neighbourhood (Lemma 2.1 with `ℓ = 1` gives `C = O(log_{1/β} n)`;
+    /// the constant is 1).
     pub fn contention_bound(&self, global_n: usize) -> usize {
         let n = global_n.max(2) as f64;
         let base = (1.0 / self.beta).max(2.0);
-        ((self.contention_factor * n.ln() / base.ln()).ceil() as usize).max(2)
+        ((n.ln() / base.ln()).ceil() as usize).max(2)
     }
 
     /// The index-set length `ℓ = Θ(C log n)` used by the casts.
@@ -379,6 +375,46 @@ mod tests {
         assert!(cfg.contention_bound(1000) >= 2);
         assert!(cfg.ell(1000) >= cfg.contention_bound(1000));
         assert!(cfg.rounds(1000) >= 8);
+    }
+
+    #[test]
+    fn contention_bound_is_the_ceiling_of_log_base_inverse_beta() {
+        // ⌈log_{1/β} 1000⌉ for 1/β = 2, 4, 8, 32.
+        let bounds: Vec<usize> = [2, 4, 8, 32]
+            .iter()
+            .map(|&b| ClusteringConfig::new(b).contention_bound(1000))
+            .collect();
+        assert_eq!(bounds, [10, 5, 4, 2]);
+    }
+
+    #[test]
+    fn contention_bound_never_drops_below_two() {
+        let cfg = ClusteringConfig::new(64);
+        assert_eq!(cfg.contention_bound(10), 2);
+        assert_eq!(cfg.contention_bound(0), 2);
+    }
+
+    #[test]
+    fn ell_and_rounds_follow_their_formulas() {
+        let cfg = ClusteringConfig::new(8);
+        let ln_n = 1000f64.ln();
+        // ℓ = ⌈ell_factor · C · ln n⌉ with C = 4, and ⌈4 ln(n)/β⌉ rounds.
+        assert_eq!(cfg.ell(1000), (4.0 * 4.0 * ln_n).ceil() as usize);
+        assert_eq!(cfg.ell(1000), 111);
+        assert_eq!(cfg.rounds(1000), (4.0 * ln_n * 8.0).ceil() as u64);
+        assert_eq!(cfg.rounds(1000), 222);
+        // ⌈2 · 2 · ln 2⌉ = 3 is lifted to the floor of 4.
+        let lean = ClusteringConfig {
+            ell_factor: 2.0,
+            ..cfg
+        };
+        assert_eq!(lean.ell(2), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "1/β must be at least 2")]
+    fn new_rejects_inverse_beta_below_two() {
+        let _ = ClusteringConfig::new(1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The Local-Broadcast frame and the two concrete [`RadioStack`] backends.
+//! The Local-Broadcast frame.
 //!
 //! **Local-Broadcast** (paper, Section 2.2): given disjoint sets `S`
 //! (senders, each holding a message) and `R` (receivers), every `v ∈ R`
@@ -7,7 +7,7 @@
 //!
 //! Calls operate on a reusable [`LbFrame`] (a dense [`RoundFrame`] over
 //! the network's nodes): the
-//! caller fills senders and receivers, the backend writes deliveries into
+//! caller fills senders and receivers, the stack writes deliveries into
 //! `frame.delivered()` — and, on collision-detection-capable stacks,
 //! per-receiver verdicts into `frame.feedback()`. Because the frame's sets
 //! iterate in ascending node order *by construction*, seeded runs are
@@ -15,24 +15,14 @@
 //! thousands of calls a protocol makes costs zero allocations after the
 //! first.
 //!
-//! Both backends are constructed exclusively through
-//! [`StackBuilder`](crate::StackBuilder); see [`crate::stack`] for the
-//! trait surface and the capability matrix.
+//! The concrete [`Stack`](crate::Stack) that resolves the calls is built
+//! through [`StackBuilder`](crate::StackBuilder); see [`crate::stack`] for
+//! the trait surface and the capability matrix.
 
-use std::sync::Arc;
+use radio_sim::{NodeSlots, RoundFrame};
 
-use radio_graph::Graph;
-use radio_sim::{
-    decay_local_broadcast, decay_local_broadcast_cd, CollisionDetection, DecayParams, DecayScratch,
-    EnergyModel, LbFeedback, NodeSlots, RadioNetwork, RoundFrame,
-};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-use crate::ledger::LbLedger;
 use crate::message::Msg;
-use crate::stack::{Capabilities, EnergyView, RadioStack};
+use crate::stack::RadioStack;
 
 /// The round frame all Local-Broadcast calls operate on: senders with their
 /// [`Msg`] payloads, receivers, the delivered output, and (on CD stacks)
@@ -61,319 +51,26 @@ pub fn local_broadcast_once(
     out
 }
 
-/// The accounting back-end used by the paper's analysis: each call costs one
-/// unit of time, each participant one unit of energy, and delivery follows
-/// the Local-Broadcast specification exactly (optionally with an injected
-/// failure probability `f` per receiver). With collision detection enabled,
-/// the frame's feedback lane reports per-receiver verdicts: `Silence` for
-/// receivers with no sending neighbour, `Noise` for receivers whose
-/// delivery failed despite sending neighbours.
-#[derive(Clone, Debug)]
-pub struct AbstractLbNetwork {
-    graph: Arc<Graph>,
-    global_n: usize,
-    cd: CollisionDetection,
-    ledger: LbLedger,
-    failure_prob: f64,
-    rng: ChaCha8Rng,
-    /// Per-receiver scratch: the sending neighbours found in the single CSR
-    /// pass, so the uniform pick indexes the buffer instead of re-scanning.
-    pick_buf: Vec<usize>,
-}
-
-impl AbstractLbNetwork {
-    pub(crate) fn from_builder(
-        graph: Arc<Graph>,
-        global_n: usize,
-        cd: CollisionDetection,
-        failure_prob: f64,
-        seed: u64,
-    ) -> Self {
-        let n = graph.num_nodes();
-        AbstractLbNetwork {
-            graph,
-            global_n,
-            cd,
-            ledger: LbLedger::new(n),
-            failure_prob,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            pick_buf: Vec::new(),
-        }
-    }
-
-    /// The underlying topology.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The per-node Local-Broadcast ledger.
-    pub fn ledger(&self) -> &LbLedger {
-        &self.ledger
-    }
-}
-
-impl RadioStack for AbstractLbNetwork {
-    fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn global_n(&self) -> usize {
-        self.global_n
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            collision_detection: self.cd,
-            energy_model: EnergyModel::Uniform,
-            physical: false,
-        }
-    }
-
-    fn local_broadcast(&mut self, frame: &mut LbFrame) {
-        frame.clear_delivered();
-        let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
-        self.ledger
-            .record_call(senders.keys().iter(), receivers.iter());
-        let cd = self.cd == CollisionDetection::Receiver;
-        // Receivers are visited in ascending node order — the frame's
-        // iteration order by construction — so the RNG stream maps to
-        // receivers deterministically on every run.
-        for r in receivers.iter() {
-            if senders.contains(r) {
-                // Sender/receiver sets are required to be disjoint; a vertex
-                // listed in both acts as a sender only.
-                continue;
-            }
-            // Collect sending neighbours in one pass over the CSR adjacency
-            // against the sender occupancy bitset; the uniform pick then
-            // indexes the buffer instead of re-scanning the adjacency.
-            self.pick_buf.clear();
-            for &u in self.graph.neighbors(r) {
-                if senders.contains(u) {
-                    self.pick_buf.push(u);
-                }
-            }
-            let count = self.pick_buf.len();
-            if count == 0 {
-                if cd {
-                    feedback.insert(r, LbFeedback::Silence);
-                }
-                continue;
-            }
-            if self.failure_prob > 0.0 && self.rng.gen_bool(self.failure_prob) {
-                if cd {
-                    feedback.insert(r, LbFeedback::Noise);
-                }
-                continue;
-            }
-            // The specification only promises *some* neighbour's message; we
-            // pick uniformly to avoid accidental reliance on a tie-break.
-            let pick = self.rng.gen_range(0..count);
-            let u = self.pick_buf[pick];
-            delivered.insert(r, senders.get(u).expect("occupied sender").clone());
-            if cd {
-                feedback.insert(r, LbFeedback::Delivered);
-            }
-        }
-    }
-
-    fn lb_energy(&self, v: usize) -> u64 {
-        self.ledger.participations(v)
-    }
-
-    fn lb_time(&self) -> u64 {
-        self.ledger.calls()
-    }
-
-    fn energy_view(&self) -> EnergyView {
-        let n = self.num_nodes();
-        EnergyView::lb_only(
-            (0..n).map(|v| self.lb_energy(v)).collect(),
-            (0..n).map(|v| self.ledger.sends(v)).collect(),
-            self.lb_time(),
-        )
-    }
-
-    fn topology(&self) -> Option<&Graph> {
-        Some(&self.graph)
-    }
-}
-
-/// The physical back-end: every Local-Broadcast call expands into Decay
-/// slots (Lemma 2.4) on the `radio-sim` channel, so collisions and per-slot
-/// energy are fully modelled. With collision detection enabled, calls run
-/// the CD-aware Decay variant
-/// ([`decay_local_broadcast_cd`]), which uses Silence
-/// feedback to retire hopeless receivers after one iteration and idle
-/// senders after their neighbourhoods resolve — fewer slots and lower
-/// per-node energy on sparse instances, with the per-receiver verdicts
-/// surfaced through the frame's feedback lane.
-#[derive(Clone, Debug)]
-pub struct PhysicalLbNetwork {
-    net: RadioNetwork<Msg>,
-    global_n: usize,
-    cd: CollisionDetection,
-    model: EnergyModel,
-    decay: DecayParams,
-    ledger: LbLedger,
-    scratch: DecayScratch<Msg>,
-    rng: ChaCha8Rng,
-}
-
-impl PhysicalLbNetwork {
-    pub(crate) fn from_builder(
-        graph: Arc<Graph>,
-        global_n: usize,
-        cd: CollisionDetection,
-        model: EnergyModel,
-        decay: Option<DecayParams>,
-        seed: u64,
-    ) -> Self {
-        let n = graph.num_nodes();
-        let decay =
-            decay.unwrap_or_else(|| DecayParams::for_network(n.max(2), graph.max_degree().max(1)));
-        PhysicalLbNetwork {
-            net: RadioNetwork::new(graph).with_collision_detection(cd),
-            global_n,
-            cd,
-            model,
-            decay,
-            ledger: LbLedger::new(n),
-            scratch: DecayScratch::new(n),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
-    }
-
-    /// The Decay parameters in force.
-    pub fn decay_params(&self) -> DecayParams {
-        self.decay
-    }
-
-    /// The underlying physical simulator (per-slot energy, elapsed slots).
-    pub fn radio(&self) -> &RadioNetwork<Msg> {
-        &self.net
-    }
-
-    /// Per-node *physical* energy in raw slots (listening or transmitting),
-    /// as opposed to the LB-unit energy of [`RadioStack::lb_energy`]. For
-    /// model-weighted costs use [`RadioStack::energy_view`].
-    pub fn physical_energy(&self, v: usize) -> u64 {
-        self.net.energy(v)
-    }
-
-    /// Maximum per-node physical energy in raw slots.
-    pub fn max_physical_energy(&self) -> u64 {
-        self.net.max_energy()
-    }
-
-    /// Total elapsed physical slots.
-    pub fn physical_slots(&self) -> u64 {
-        self.net.slots()
-    }
-
-    /// The per-node Local-Broadcast ledger.
-    pub fn ledger(&self) -> &LbLedger {
-        &self.ledger
-    }
-}
-
-impl RadioStack for PhysicalLbNetwork {
-    fn num_nodes(&self) -> usize {
-        self.net.num_nodes()
-    }
-
-    fn global_n(&self) -> usize {
-        self.global_n
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            collision_detection: self.cd,
-            energy_model: self.model,
-            physical: true,
-        }
-    }
-
-    fn local_broadcast(&mut self, frame: &mut LbFrame) {
-        self.ledger
-            .record_call(frame.senders().keys().iter(), frame.receivers().iter());
-        match self.cd {
-            CollisionDetection::None => {
-                decay_local_broadcast(
-                    &mut self.net,
-                    frame,
-                    &mut self.scratch,
-                    self.decay,
-                    &mut self.rng,
-                );
-            }
-            CollisionDetection::Receiver => {
-                decay_local_broadcast_cd(
-                    &mut self.net,
-                    frame,
-                    &mut self.scratch,
-                    self.decay,
-                    &mut self.rng,
-                );
-            }
-        }
-    }
-
-    fn lb_energy(&self, v: usize) -> u64 {
-        self.ledger.participations(v)
-    }
-
-    fn lb_time(&self) -> u64 {
-        self.ledger.calls()
-    }
-
-    fn energy_view(&self) -> EnergyView {
-        let n = self.num_nodes();
-        let meter = self.net.meter();
-        EnergyView::lb_only(
-            (0..n).map(|v| self.lb_energy(v)).collect(),
-            (0..n).map(|v| self.ledger.sends(v)).collect(),
-            self.lb_time(),
-        )
-        .with_physical(
-            meter.listen_counts().to_vec(),
-            meter.transmit_counts().to_vec(),
-            meter.slots(),
-            self.model,
-        )
-    }
-
-    fn topology(&self) -> Option<&Graph> {
-        Some(self.net.graph())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::StackBuilder;
-    use radio_graph::generators;
+    use crate::stack::{Stack, StackBuilder};
+    use radio_graph::{generators, Graph};
+    use radio_sim::{EnergyModel, LbFeedback};
 
     fn msg(x: u64) -> Msg {
         Msg::words(&[x])
     }
 
-    fn abstract_stack(g: Graph) -> AbstractLbNetwork {
-        match StackBuilder::new(g).build() {
-            crate::Stack::Abstract(a) => *a,
-            _ => unreachable!(),
-        }
+    fn abstract_stack(g: Graph) -> Stack {
+        StackBuilder::new(g).build()
     }
 
-    fn physical_stack(g: Graph, seed: u64) -> PhysicalLbNetwork {
-        match StackBuilder::new(g)
+    fn physical_stack(g: Graph, seed: u64) -> Stack {
+        StackBuilder::new(g)
             .physical(EnergyModel::Uniform)
             .with_seed(seed)
             .build()
-        {
-            crate::Stack::Physical(p) => *p,
-            _ => unreachable!(),
-        }
     }
 
     #[test]
@@ -469,13 +166,64 @@ mod tests {
     #[test]
     fn no_cd_stacks_leave_the_feedback_lane_empty() {
         let g = generators::path(4);
-        let mut net = abstract_stack(g);
+        for mut net in [abstract_stack(g.clone()), physical_stack(g, 2)] {
+            let mut frame = net.new_frame();
+            frame.add_sender(0, msg(7));
+            frame.add_receiver(1);
+            frame.add_receiver(3);
+            net.local_broadcast(&mut frame);
+            assert!(frame.feedback().is_empty());
+        }
+    }
+
+    #[test]
+    fn physical_cd_records_a_verdict_for_every_receiver() {
+        // Path 0-1-2-3, sender 0, receivers {1, 3}: receiver 3 provably
+        // has no sending neighbour; receiver 1's verdict matches whether a
+        // message reached it.
+        let g = generators::path(4);
+        let mut net = StackBuilder::new(g)
+            .physical(EnergyModel::Uniform)
+            .with_cd()
+            .with_seed(6)
+            .build();
         let mut frame = net.new_frame();
-        frame.add_sender(0, msg(7));
-        frame.add_receiver(1);
-        frame.add_receiver(3);
-        net.local_broadcast(&mut frame);
-        assert!(frame.feedback().is_empty());
+        for round in 0..10 {
+            frame.clear();
+            frame.add_sender(0, msg(round));
+            frame.add_receiver(1);
+            frame.add_receiver(3);
+            net.local_broadcast(&mut frame);
+            assert_eq!(frame.feedback().get(3), Some(&LbFeedback::Silence));
+            let verdict = if frame.delivered().contains(1) {
+                LbFeedback::Delivered
+            } else {
+                LbFeedback::Noise
+            };
+            assert_eq!(frame.feedback().get(1), Some(&verdict));
+            assert!(!frame.feedback().contains(0), "senders get no verdict");
+        }
+    }
+
+    #[test]
+    fn abstract_pick_is_uniform_over_sending_neighbours() {
+        // Star centre 0 hears one of its four sending leaves per call; the
+        // specification leaves the choice open, and the stack picks
+        // uniformly so no protocol can lean on a tie-break.
+        let mut net = StackBuilder::new(generators::star(5)).with_seed(13).build();
+        let senders: Vec<(usize, Msg)> = (1..5).map(|v| (v, msg(v as u64))).collect();
+        let mut heard = [0u32; 5];
+        for _ in 0..800 {
+            let out = local_broadcast_once(&mut net, &senders, &[0]);
+            heard[out.get(0).expect("delivered").word(0) as usize] += 1;
+        }
+        assert_eq!(heard[0], 0);
+        for (leaf, &count) in heard.iter().enumerate().skip(1) {
+            assert!(
+                (140..260).contains(&count),
+                "leaf {leaf} heard {count} times"
+            );
+        }
     }
 
     #[test]
@@ -489,8 +237,9 @@ mod tests {
         assert_eq!(net.lb_energy(0), 1);
         // Physical energy is the Lemma 2.4 expansion: strictly more than one
         // slot for listeners without a sending neighbour.
-        assert!(net.physical_energy(2) > 1);
-        assert!(net.physical_slots() as usize >= net.decay_params().total_slots());
+        let radio = net.radio().expect("physical stack");
+        assert!(radio.energy(2) > 1);
+        assert!(radio.slots() as usize >= net.decay_params().unwrap().total_slots());
     }
 
     #[test]
@@ -569,6 +318,52 @@ mod tests {
         }
         for v in 0..16 {
             assert_eq!(a.lb_energy(v), b.lb_energy(v));
+        }
+    }
+
+    #[test]
+    fn a_cloned_stack_replays_the_original() {
+        // A clone carries the ledger, the RNG position and the channel
+        // state, so the same calls on both deliver the same messages and
+        // leave the same counters — on a lossy abstract stack and on a
+        // physical CD stack alike.
+        let g = generators::grid(4, 4);
+        let calls = |round: u64| -> (Vec<(usize, Msg)>, Vec<usize>) {
+            let senders = (0..16)
+                .filter(|v| (v + round as usize).is_multiple_of(3))
+                .map(|v| (v, msg(round)))
+                .collect();
+            let receivers = (0..16)
+                .filter(|v| !(v + round as usize).is_multiple_of(3))
+                .collect();
+            (senders, receivers)
+        };
+        for mut original in [
+            StackBuilder::new(g.clone())
+                .with_failures(0.3)
+                .with_seed(4)
+                .build(),
+            StackBuilder::new(g.clone())
+                .physical(EnergyModel::Uniform)
+                .with_cd()
+                .with_seed(4)
+                .build(),
+        ] {
+            for round in 0..3 {
+                let (senders, receivers) = calls(round);
+                local_broadcast_once(&mut original, &senders, &receivers);
+            }
+            let mut clone = original.clone();
+            for round in 3..8 {
+                let (senders, receivers) = calls(round);
+                let want = local_broadcast_once(&mut original, &senders, &receivers);
+                let got = local_broadcast_once(&mut clone, &senders, &receivers);
+                let pairs = |out: &NodeSlots<Msg>| -> Vec<(usize, Msg)> {
+                    out.iter().map(|(v, m)| (v, m.clone())).collect()
+                };
+                assert_eq!(pairs(&got), pairs(&want), "round {round}");
+            }
+            assert_eq!(clone.energy_view(), original.energy_view());
         }
     }
 }

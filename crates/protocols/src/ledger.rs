@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LbLedger {
     participations: Vec<u64>,
-    sent: Vec<u64>,
     calls: u64,
 }
 
@@ -20,31 +19,32 @@ impl LbLedger {
     pub fn new(n: usize) -> Self {
         LbLedger {
             participations: vec![0; n],
-            sent: vec![0; n],
             calls: 0,
         }
     }
 
-    /// Number of nodes tracked.
-    pub fn num_nodes(&self) -> usize {
-        self.participations.len()
-    }
-
-    /// Records one Local-Broadcast call with the given participants.
-    /// Senders are also counted in `senders_sent`.
+    /// Records one Local-Broadcast call: one unit of time overall and one
+    /// unit of energy for every participant, sending or listening alike.
+    ///
+    /// ```
+    /// use radio_protocols::LbLedger;
+    ///
+    /// let mut ledger = LbLedger::new(3);
+    /// ledger.record_call([0], [1, 2]);
+    /// ledger.record_call([1], [0]);
+    /// assert_eq!(ledger.calls(), 2);
+    /// assert_eq!(ledger.participation_counts(), &[2, 2, 1]);
+    /// ```
     pub fn record_call<I, J>(&mut self, senders: I, receivers: J)
     where
         I: IntoIterator<Item = usize>,
         J: IntoIterator<Item = usize>,
     {
         self.calls += 1;
-        for s in senders {
-            self.participations[s] += 1;
-            self.sent[s] += 1;
-        }
-        for r in receivers {
-            self.participations[r] += 1;
-        }
+        senders
+            .into_iter()
+            .chain(receivers)
+            .for_each(|v| self.participations[v] += 1);
     }
 
     /// Number of calls a node has participated in (its energy in LB units).
@@ -52,34 +52,14 @@ impl LbLedger {
         self.participations[v]
     }
 
-    /// Number of calls in which the node was a sender.
-    pub fn sends(&self, v: usize) -> u64 {
-        self.sent[v]
+    /// Every node's participation count, indexed by node.
+    pub fn participation_counts(&self) -> &[u64] {
+        &self.participations
     }
 
     /// Total calls recorded (time in LB units).
     pub fn calls(&self) -> u64 {
         self.calls
-    }
-
-    /// Maximum per-node participation count — the algorithm's energy in LB
-    /// units.
-    pub fn max_participations(&self) -> u64 {
-        self.participations.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Sum of participations across nodes.
-    pub fn total_participations(&self) -> u64 {
-        self.participations.iter().sum()
-    }
-
-    /// Mean participations per node.
-    pub fn mean_participations(&self) -> f64 {
-        if self.participations.is_empty() {
-            0.0
-        } else {
-            self.total_participations() as f64 / self.participations.len() as f64
-        }
     }
 }
 
@@ -96,19 +76,41 @@ mod tests {
         assert_eq!(l.participations(0), 2);
         assert_eq!(l.participations(1), 1);
         assert_eq!(l.participations(2), 2);
-        assert_eq!(l.sends(0), 1);
-        assert_eq!(l.sends(2), 1);
-        assert_eq!(l.sends(3), 0);
-        assert_eq!(l.max_participations(), 2);
-        assert_eq!(l.total_participations(), 6);
-        assert!((l.mean_participations() - 1.5).abs() < 1e-12);
+        assert_eq!(l.participation_counts(), &[2, 1, 2, 1]);
     }
 
     #[test]
     fn empty_ledger() {
         let l = LbLedger::new(0);
-        assert_eq!(l.max_participations(), 0);
-        assert_eq!(l.mean_participations(), 0.0);
+        assert!(l.participation_counts().is_empty());
         assert_eq!(l.calls(), 0);
+    }
+
+    #[test]
+    fn a_call_without_participants_costs_time_only() {
+        let mut l = LbLedger::new(3);
+        l.record_call(std::iter::empty(), std::iter::empty());
+        l.record_call(0..0, 0..0);
+        assert_eq!(l.calls(), 2);
+        assert_eq!(l.participation_counts(), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn senders_and_listeners_pay_alike() {
+        // Section 4.3's model: a call costs one unit whether a device
+        // transmits or listens, so swapping the roles leaves every count
+        // unchanged.
+        let mut a = LbLedger::new(5);
+        let mut b = LbLedger::new(5);
+        a.record_call(0..2, 2..5);
+        b.record_call(2..5, 0..2);
+        assert_eq!(a.participation_counts(), b.participation_counts());
+        assert_eq!(a.participation_counts(), &[1; 5]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn participants_outside_the_universe_are_rejected() {
+        LbLedger::new(2).record_call([2usize], []);
     }
 }

@@ -4,21 +4,23 @@
 //! Local-Broadcast**: "calling Local-Broadcast takes one unit of time, and
 //! every participating vertex expends one unit of energy" (Section 4.3).
 //! This crate provides that abstraction as the capability-typed
-//! [`RadioStack`] trait (see [`stack`]) with two interchangeable back-ends,
-//! built exclusively through [`StackBuilder`]:
+//! [`RadioStack`] trait (see [`stack`]) and one concrete [`Stack`], built
+//! through [`StackBuilder`]. Every stack charges one unit of time per call
+//! and one unit of energy per participation — the exact accounting of
+//! Theorem 4.1 — whichever channel resolves the call:
 //!
-//! * [`AbstractLbNetwork`] — one unit of time/energy per participation, the
-//!   exact accounting of Theorem 4.1; optionally injects delivery failures.
-//! * [`PhysicalLbNetwork`] — every call expands into real Decay slots on the
-//!   `radio-sim` channel (Lemma 2.4), so per-slot energy and collisions are
-//!   fully modelled; with collision detection enabled it runs the CD-aware
-//!   Decay variant and surfaces per-receiver verdicts through the frame's
-//!   feedback lane.
+//! * the abstract channel follows the Local-Broadcast specification
+//!   exactly and optionally injects delivery failures;
+//! * the physical channel expands every call into real Decay slots on the
+//!   `radio-sim` simulator (Lemma 2.4), so per-slot energy and collisions
+//!   are fully modelled; with collision detection enabled it runs the
+//!   CD-aware Decay variant and surfaces per-receiver verdicts through the
+//!   frame's feedback lane.
 //!
 //! Each stack advertises a [`Capabilities`] descriptor (collision
-//! detection, energy model, physical counters, ledger) and snapshots all of
-//! its counters into one [`EnergyView`] — the unified surface that replaced
-//! reading `LbLedger` and `EnergyMeter` separately.
+//! detection, energy model, physical counters) and snapshots all of its
+//! counters into one [`EnergyView`]: participations per node, calls, and
+//! on physical stacks the slot-level counters.
 //!
 //! On top of the abstraction it implements the machinery of Sections 2.2–3:
 //!
@@ -57,7 +59,7 @@ pub mod stack;
 
 pub use cluster_net::VirtualClusterNet;
 pub use clustering::{cluster_distributed, ClusterState, ClusteringConfig};
-pub use lb::{local_broadcast_once, AbstractLbNetwork, LbFrame, PhysicalLbNetwork};
+pub use lb::{local_broadcast_once, LbFrame};
 pub use ledger::LbLedger;
 pub use message::Msg;
 pub use protocol::{

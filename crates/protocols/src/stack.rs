@@ -1,26 +1,25 @@
-//! The capability-typed `RadioStack` API: one trait surface for backends,
-//! energy accounting, and collision detection.
+//! The capability-typed `RadioStack` API: one trait surface for
+//! Local-Broadcast, energy accounting, and collision detection, and the one
+//! concrete stack that implements it.
 //!
-//! Historically this crate exposed an `LbNetwork` trait whose two backends
-//! hid everything but deliveries: channel feedback never crossed the trait
-//! boundary (so no protocol could exploit receiver-side collision
-//! detection, even though the simulator resolves Silence/Noise), and energy
-//! accounting was split across three ad-hoc surfaces (`LbLedger`,
-//! `EnergyMeter`, and `EnergySummary::of`/`of_physical` in `energy-bfs`).
-//! [`RadioStack`] supersedes it with three additions:
+//! [`RadioStack`] is what every protocol, BFS driver and experiment is
+//! written against. Beyond Local-Broadcast itself it offers:
 //!
 //! * a [`Capabilities`] descriptor — what the stack can do (collision
 //!   detection: none or receiver-side; energy model: `listen = transmit` or
 //!   weighted; whether slot-level physical counters exist) — so generic
-//!   code can branch on capabilities instead of downcasting to concrete
-//!   backends;
-//! * a unified [`EnergyView`] snapshot/diff API that subsumes the ledger
-//!   and the meter: one call captures LB-unit *and* (when capable)
-//!   slot-level counters, and `view.diff(&earlier)` measures any phase of a
-//!   longer run under any energy model;
+//!   code can branch on capabilities instead of downcasting;
+//! * one [`EnergyView`] snapshot/diff API: one call captures the LB-unit
+//!   counters (participations per node, calls overall) and, on physical
+//!   stacks, the slot-level counters, and `view.diff(&earlier)` measures
+//!   any phase of a longer run under any energy model;
 //! * per-call channel feedback surfaced through the frame's feedback lane
 //!   (`LbFrame::feedback`), so protocols running on a CD-capable stack can
 //!   branch on [`radio_sim::LbFeedback`] verdicts.
+//!
+//! [`Stack`] is the one concrete implementation: an abstract or a physical
+//! channel under one ledger. [`crate::VirtualClusterNet`] layers a virtual
+//! stack over any parent.
 //!
 //! [`StackBuilder`] is the one way examples, tests, and the scenario runner
 //! construct stacks:
@@ -30,7 +29,7 @@
 //! use radio_sim::EnergyModel;
 //!
 //! let g = radio_graph::generators::grid(4, 4);
-//! // The paper's accounting backend:
+//! // The paper's LB-unit accounting:
 //! let mut abstract_stack = StackBuilder::new(g.clone()).build();
 //! // A slot-accurate physical stack with receiver-side CD and a radio
 //! // whose transmissions cost 3x a listen:
@@ -48,11 +47,18 @@
 use std::sync::Arc;
 
 use radio_graph::Graph;
-use radio_sim::{CollisionDetection, DecayParams, EnergyModel};
+use radio_sim::{
+    decay_local_broadcast, decay_local_broadcast_cd, CollisionDetection, DecayParams, DecayScratch,
+    EnergyModel, LbFeedback, RadioNetwork,
+};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-use crate::lb::{AbstractLbNetwork, LbFrame, PhysicalLbNetwork};
+use crate::lb::LbFrame;
+use crate::ledger::LbLedger;
+use crate::message::Msg;
 
-/// What a [`RadioStack`] is capable of — the coordinates of the backend ×
+/// What a [`RadioStack`] is capable of — the coordinates of the channel ×
 /// collision-detection × energy-model matrix (see ARCHITECTURE.md for the
 /// full table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +71,7 @@ pub struct Capabilities {
     /// slot-level structure to weight).
     pub energy_model: EnergyModel,
     /// Whether slot-level counters exist ([`EnergyView::physical_energy`]
-    /// returns `Some`): true exactly for Decay-expanding physical backends.
+    /// returns `Some`): true exactly for Decay-expanding physical stacks.
     pub physical: bool,
 }
 
@@ -87,6 +93,21 @@ impl Capabilities {
     /// collision detection and physical counters are required only when set
     /// in `required`; the energy model is descriptive, never a requirement
     /// (any model satisfies any other).
+    ///
+    /// ```
+    /// use radio_protocols::{Capabilities, CollisionDetection, RadioStack, StackBuilder};
+    ///
+    /// let needs_cd = Capabilities {
+    ///     collision_detection: CollisionDetection::Receiver,
+    ///     ..Capabilities::baseline()
+    /// };
+    /// let g = radio_graph::generators::path(3);
+    /// let plain = StackBuilder::new(g.clone()).build();
+    /// let cd = StackBuilder::new(g).with_cd().build();
+    /// assert!(!plain.capabilities().satisfies(&needs_cd));
+    /// assert!(cd.capabilities().satisfies(&needs_cd));
+    /// assert!(cd.capabilities().satisfies(&Capabilities::baseline()));
+    /// ```
     pub fn satisfies(&self, required: &Capabilities) -> bool {
         (!required.collision_detection.is_receiver() || self.collision_detection.is_receiver())
             && (!required.physical || self.physical)
@@ -126,17 +147,16 @@ impl Capabilities {
     }
 }
 
-/// An owned snapshot of a stack's energy/time counters, in LB units plus —
-/// on physically-capable stacks — slot-level counters.
+/// An owned snapshot of a stack's energy/time counters: per-node
+/// Local-Broadcast participations and the call count, plus — on
+/// physically-capable stacks — slot-level counters.
 ///
-/// Snapshots are cheap (two or four `Vec<u64>` copies), order totally by
-/// time, and subtract: `later.diff(&earlier)` isolates one phase of a run.
-/// This is the single surface that replaces reading `LbLedger` and
-/// `EnergyMeter` separately.
+/// Snapshots are cheap (one or three `Vec<u64>` copies), order totally by
+/// time, and subtract: `later.diff(&earlier)` isolates one phase of a run,
+/// node by node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EnergyView {
     lb_participations: Vec<u64>,
-    lb_sends: Vec<u64>,
     lb_calls: u64,
     physical: Option<PhysicalCounters>,
     energy_model: EnergyModel,
@@ -153,11 +173,9 @@ struct PhysicalCounters {
 impl EnergyView {
     /// A view holding only LB-unit counters (what the default
     /// [`RadioStack::energy_view`] produces).
-    pub fn lb_only(participations: Vec<u64>, sends: Vec<u64>, calls: u64) -> Self {
-        assert_eq!(participations.len(), sends.len());
+    pub fn lb_only(participations: Vec<u64>, calls: u64) -> Self {
         EnergyView {
             lb_participations: participations,
-            lb_sends: sends,
             lb_calls: calls,
             physical: None,
             energy_model: EnergyModel::Uniform,
@@ -196,11 +214,6 @@ impl EnergyView {
     /// Energy of node `v` in LB units (calls participated in).
     pub fn lb_energy(&self, v: usize) -> u64 {
         self.lb_participations[v]
-    }
-
-    /// Calls in which node `v` was a sender.
-    pub fn lb_sends(&self, v: usize) -> u64 {
-        self.lb_sends[v]
     }
 
     /// Time in LB units (total calls).
@@ -282,9 +295,28 @@ impl EnergyView {
     }
 
     /// The counter-wise difference `self − before`, for measuring one phase
-    /// of a longer run (e.g. query energy after setup energy). Counters are
-    /// monotone, so ordinary subtraction applies; panics if the views cover
-    /// different node universes.
+    /// of a longer run (e.g. query energy after setup energy). Nodes are
+    /// subtracted one by one, so the phase's [`EnergyView::max_lb_energy`]
+    /// is the largest per-node difference, not a difference of maxima.
+    /// Counters are monotone, so ordinary subtraction applies; panics if the
+    /// views cover different node universes.
+    ///
+    /// ```
+    /// use radio_protocols::{local_broadcast_once, Msg, RadioStack, StackBuilder};
+    ///
+    /// // Path 0-1-2-3: a setup call busies node 1, a query call spares it.
+    /// let mut stack = StackBuilder::new(radio_graph::generators::path(4)).build();
+    /// local_broadcast_once(&mut stack, &[(0, Msg::words(&[1]))], &[1]);
+    /// local_broadcast_once(&mut stack, &[(2, Msg::words(&[2]))], &[1]);
+    /// let setup = stack.energy_view();
+    /// local_broadcast_once(&mut stack, &[(2, Msg::words(&[3]))], &[3]);
+    /// let query = stack.energy_view().diff(&setup);
+    /// assert_eq!(query.lb_time(), 1);
+    /// assert_eq!(query.lb_energy(1), 0);
+    /// // The largest per-node difference, not 2 − 2 of the run maxima.
+    /// assert_eq!(query.max_lb_energy(), 1);
+    /// assert_eq!(stack.max_lb_energy(), setup.max_lb_energy());
+    /// ```
     pub fn diff(&self, before: &EnergyView) -> EnergyView {
         assert_eq!(self.nodes(), before.nodes(), "view universe mismatch");
         let sub = |a: &[u64], b: &[u64]| -> Vec<u64> {
@@ -292,7 +324,6 @@ impl EnergyView {
         };
         EnergyView {
             lb_participations: sub(&self.lb_participations, &before.lb_participations),
-            lb_sends: sub(&self.lb_sends, &before.lb_sends),
             lb_calls: self.lb_calls.saturating_sub(before.lb_calls),
             physical: match (&self.physical, &before.physical) {
                 (Some(a), Some(b)) => Some(PhysicalCounters {
@@ -318,8 +349,9 @@ impl EnergyView {
 /// The trait is deliberately object-safe: the recursive BFS builds virtual
 /// networks on top of virtual networks to an arbitrary, runtime-chosen
 /// depth, so composition happens through `&mut dyn RadioStack` rather than
-/// through generics. Concrete stacks are built with [`StackBuilder`];
-/// [`crate::VirtualClusterNet`] layers a virtual stack over any parent.
+/// through generics. The concrete [`Stack`] is built with
+/// [`StackBuilder`]; [`crate::VirtualClusterNet`] layers a virtual stack
+/// over any parent.
 pub trait RadioStack {
     /// Number of nodes in this (possibly virtual) network.
     fn num_nodes(&self) -> usize;
@@ -357,13 +389,12 @@ pub trait RadioStack {
     }
 
     /// An owned snapshot of all energy/time counters. The default
-    /// implementation captures LB units only; physically-capable backends
-    /// override it to include slot-level counters, so one call sees
-    /// everything regardless of backend.
+    /// implementation captures LB units only; [`Stack`] overrides it to
+    /// include slot-level counters when its channel is physical, so one
+    /// call sees everything.
     fn energy_view(&self) -> EnergyView {
         EnergyView::lb_only(
             (0..self.num_nodes()).map(|v| self.lb_energy(v)).collect(),
-            vec![0; self.num_nodes()],
             self.lb_time(),
         )
     }
@@ -386,25 +417,18 @@ pub trait RadioStack {
     }
 }
 
-/// Which backend a [`StackBuilder`] produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Backend {
-    Abstract,
-    Physical,
-}
-
-/// The one way to construct a concrete [`RadioStack`].
+/// The one way to construct a [`Stack`].
 ///
-/// Defaults: abstract backend (the paper's LB-unit accounting: one unit of
-/// time per call, one unit of energy per participation — the exact
+/// Defaults: the abstract channel (the paper's LB-unit accounting: one unit
+/// of time per call, one unit of energy per participation — the exact
 /// accounting of Theorem 4.1), no collision detection, uniform energy
 /// model, seed 0. Every stack keeps a per-node ledger of its
 /// Local-Broadcast calls, and its globally known `n` is `|V|`.
 #[derive(Clone, Debug)]
 pub struct StackBuilder {
     graph: Arc<Graph>,
-    backend: Backend,
-    energy_model: EnergyModel,
+    /// `Some(model)` selects the physical channel under that model.
+    physical: Option<EnergyModel>,
     cd: CollisionDetection,
     seed: u64,
     failure_prob: f64,
@@ -421,8 +445,7 @@ impl StackBuilder {
     pub fn new(graph: impl Into<Arc<Graph>>) -> Self {
         StackBuilder {
             graph: graph.into(),
-            backend: Backend::Abstract,
-            energy_model: EnergyModel::Uniform,
+            physical: None,
             cd: CollisionDetection::None,
             seed: 0,
             failure_prob: 0.0,
@@ -430,18 +453,17 @@ impl StackBuilder {
         }
     }
 
-    /// Selects the physical backend under the given energy model: every
+    /// Selects the physical channel under the given energy model: every
     /// call expands into Decay slots (Lemma 2.4) on the slot-accurate
     /// simulator, so collisions and per-slot energy are fully modelled.
     pub fn physical(mut self, model: EnergyModel) -> Self {
-        self.backend = Backend::Physical;
-        self.energy_model = model;
+        self.physical = Some(model);
         self
     }
 
-    /// Enables receiver-side collision detection. On the physical backend
+    /// Enables receiver-side collision detection. On the physical channel
     /// Local-Broadcast switches to the CD-aware Decay variant
-    /// ([`radio_sim::decay_local_broadcast_cd`]); on both backends the
+    /// ([`radio_sim::decay_local_broadcast_cd`]); on both channels the
     /// frame's feedback lane carries per-receiver verdicts after each call.
     pub fn with_cd(mut self) -> Self {
         self.cd = CollisionDetection::Receiver;
@@ -449,22 +471,22 @@ impl StackBuilder {
     }
 
     /// Seeds the stack's RNG (tie-breaking and failure draws on the
-    /// abstract backend; Decay slot draws on the physical one).
+    /// abstract channel; Decay slot draws on the physical one).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
     /// Sets the per-receiver delivery failure probability `f` injected by
-    /// the abstract backend (the physical backend's failures arise from real
-    /// collisions instead; it ignores this).
+    /// the abstract channel (the physical channel's failures arise from
+    /// real collisions instead).
     pub fn with_failures(mut self, failure_prob: f64) -> Self {
         assert!((0.0..1.0).contains(&failure_prob));
         self.failure_prob = failure_prob;
         self
     }
 
-    /// Overrides the physical backend's Decay parameters (defaults to
+    /// Overrides the physical channel's Decay parameters (defaults to
     /// `Δ` = max degree, `f = n^{-3}`).
     pub fn with_decay_params(mut self, decay: DecayParams) -> Self {
         self.decay = Some(decay);
@@ -473,127 +495,244 @@ impl StackBuilder {
 
     /// Builds the stack.
     ///
-    /// Panics if injected failures were requested on the physical backend
+    /// Panics if injected failures were requested on the physical channel
     /// (its losses arise from real collisions; silently dropping the
     /// configured probability would mislabel a reliable run as lossy).
     pub fn build(self) -> Stack {
-        assert!(
-            self.failure_prob == 0.0 || self.backend == Backend::Abstract,
-            "with_failures is an abstract-backend knob; the physical backend's \
-             failures come from real collisions"
-        );
-        let global_n = self.graph.num_nodes().max(2);
-        match self.backend {
-            Backend::Abstract => Stack::Abstract(Box::new(AbstractLbNetwork::from_builder(
-                self.graph,
-                global_n,
-                self.cd,
-                self.failure_prob,
-                self.seed,
-            ))),
-            Backend::Physical => Stack::Physical(Box::new(PhysicalLbNetwork::from_builder(
-                self.graph,
-                global_n,
-                self.cd,
-                self.energy_model,
-                self.decay,
-                self.seed,
-            ))),
+        let n = self.graph.num_nodes();
+        let channel = match self.physical {
+            None => Channel::Abstract {
+                failure_prob: self.failure_prob,
+                pick_buf: Vec::new(),
+            },
+            Some(model) => {
+                assert!(
+                    self.failure_prob == 0.0,
+                    "with_failures is an abstract-channel knob; the physical channel's \
+                     failures come from real collisions"
+                );
+                let decay = self.decay.unwrap_or_else(|| {
+                    DecayParams::for_network(n.max(2), self.graph.max_degree().max(1))
+                });
+                Channel::Physical(Box::new(PhysicalChannel {
+                    net: RadioNetwork::new(Arc::clone(&self.graph))
+                        .with_collision_detection(self.cd),
+                    model,
+                    decay,
+                    scratch: DecayScratch::new(n),
+                }))
+            }
+        };
+        Stack {
+            graph: self.graph,
+            global_n: n.max(2),
+            cd: self.cd,
+            ledger: LbLedger::new(n),
+            rng: ChaCha8Rng::seed_from_u64(self.seed),
+            channel,
         }
     }
 }
 
-/// A concrete stack produced by [`StackBuilder::build`]. Use it as a
-/// `&mut dyn RadioStack`, or reach the backend-specific accessors through
-/// [`Stack::as_abstract`]/[`Stack::as_physical`].
+/// The one concrete [`RadioStack`], produced by [`StackBuilder::build`].
+///
+/// Every stack charges its [`LbLedger`] one unit per participation and
+/// one unit of time per call, whatever resolves the call underneath:
+///
+/// * the **abstract** channel follows the Local-Broadcast specification
+///   exactly — every receiver with a sending neighbour hears one of them,
+///   picked uniformly — optionally losing each delivery with an injected
+///   probability `f`. With collision detection, a receiver with no sending
+///   neighbour reads `Silence` and a lost delivery reads `Noise`;
+/// * the **physical** channel expands every call into Decay slots
+///   (Lemma 2.4) on the `radio-sim` simulator, so collisions and per-slot
+///   energy are fully modelled. With collision detection it runs the
+///   CD-aware Decay variant ([`radio_sim::decay_local_broadcast_cd`]),
+///   which retires hopeless receivers after one iteration and idle senders
+///   once their neighbourhoods resolve.
 #[derive(Clone, Debug)]
-pub enum Stack {
-    /// The LB-unit accounting backend (boxed, as is the physical variant,
-    /// so the enum stays a thin pointer-sized handle).
-    Abstract(Box<AbstractLbNetwork>),
-    /// The Decay-expanding slot-level backend (boxed: it owns the slot
-    /// simulator and the decay scratch, far larger than the abstract one).
-    Physical(Box<PhysicalLbNetwork>),
+pub struct Stack {
+    graph: Arc<Graph>,
+    global_n: usize,
+    cd: CollisionDetection,
+    ledger: LbLedger,
+    /// Failure coins and sender picks on the abstract channel; Decay slot
+    /// draws on the physical one.
+    rng: ChaCha8Rng,
+    channel: Channel,
+}
+
+/// What resolves a [`Stack`]'s Local-Broadcast calls.
+#[derive(Clone, Debug)]
+enum Channel {
+    Abstract {
+        failure_prob: f64,
+        /// Per-receiver scratch: the sending neighbours found in the single
+        /// CSR pass, so the uniform pick indexes the buffer instead of
+        /// re-scanning.
+        pick_buf: Vec<usize>,
+    },
+    /// Boxed: the slot simulator and the Decay scratch dwarf the rest of
+    /// the stack.
+    Physical(Box<PhysicalChannel>),
+}
+
+#[derive(Clone, Debug)]
+struct PhysicalChannel {
+    net: RadioNetwork<Msg>,
+    model: EnergyModel,
+    decay: DecayParams,
+    scratch: DecayScratch<Msg>,
 }
 
 impl Stack {
-    /// The abstract backend, if that is what was built.
-    pub fn as_abstract(&self) -> Option<&AbstractLbNetwork> {
-        match self {
-            Stack::Abstract(a) => Some(a),
-            Stack::Physical(_) => None,
-        }
-    }
-
-    /// The physical backend, if that is what was built.
-    pub fn as_physical(&self) -> Option<&PhysicalLbNetwork> {
-        match self {
-            Stack::Abstract(_) => None,
-            Stack::Physical(p) => Some(p),
-        }
-    }
-
     /// The underlying topology.
     pub fn graph(&self) -> &Graph {
-        match self {
-            Stack::Abstract(a) => a.graph(),
-            Stack::Physical(p) => p.radio().graph(),
+        &self.graph
+    }
+
+    /// The slot simulator (per-slot energy, elapsed slots) of a physical
+    /// stack; `None` on the abstract channel.
+    ///
+    /// ```
+    /// use radio_protocols::{local_broadcast_once, EnergyModel, Msg, StackBuilder};
+    ///
+    /// let g = radio_graph::generators::path(3);
+    /// assert!(StackBuilder::new(g.clone()).build().radio().is_none());
+    /// let mut stack = StackBuilder::new(g).physical(EnergyModel::Uniform).build();
+    /// local_broadcast_once(&mut stack, &[(0, Msg::words(&[7]))], &[1, 2]);
+    /// // One Local-Broadcast call expands into a full Decay run (Lemma 2.4).
+    /// let radio = stack.radio().expect("physical stack");
+    /// let decay = stack.decay_params().expect("physical stack");
+    /// assert!(radio.slots() as usize >= decay.total_slots());
+    /// ```
+    pub fn radio(&self) -> Option<&RadioNetwork<Msg>> {
+        match &self.channel {
+            Channel::Abstract { .. } => None,
+            Channel::Physical(p) => Some(&p.net),
+        }
+    }
+
+    /// The Decay parameters in force on a physical stack; `None` on the
+    /// abstract channel.
+    pub fn decay_params(&self) -> Option<DecayParams> {
+        match &self.channel {
+            Channel::Abstract { .. } => None,
+            Channel::Physical(p) => Some(p.decay),
         }
     }
 }
 
 impl RadioStack for Stack {
     fn num_nodes(&self) -> usize {
-        match self {
-            Stack::Abstract(a) => a.num_nodes(),
-            Stack::Physical(p) => p.num_nodes(),
-        }
+        self.graph.num_nodes()
     }
 
     fn global_n(&self) -> usize {
-        match self {
-            Stack::Abstract(a) => a.global_n(),
-            Stack::Physical(p) => p.global_n(),
-        }
+        self.global_n
     }
 
     fn capabilities(&self) -> Capabilities {
-        match self {
-            Stack::Abstract(a) => a.capabilities(),
-            Stack::Physical(p) => p.capabilities(),
+        let (energy_model, physical) = match &self.channel {
+            Channel::Abstract { .. } => (EnergyModel::Uniform, false),
+            Channel::Physical(p) => (p.model, true),
+        };
+        Capabilities {
+            collision_detection: self.cd,
+            energy_model,
+            physical,
         }
     }
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
-        match self {
-            Stack::Abstract(a) => a.local_broadcast(frame),
-            Stack::Physical(p) => p.local_broadcast(frame),
+        self.ledger
+            .record_call(frame.senders().keys().iter(), frame.receivers().iter());
+        let cd = self.cd == CollisionDetection::Receiver;
+        match &mut self.channel {
+            Channel::Abstract {
+                failure_prob,
+                pick_buf,
+            } => {
+                frame.clear_delivered();
+                let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
+                // Receivers are visited in ascending node order — the
+                // frame's iteration order by construction — so the RNG
+                // stream maps to receivers deterministically on every run.
+                for r in receivers.iter() {
+                    if senders.contains(r) {
+                        // Sender/receiver sets are required to be disjoint; a
+                        // vertex listed in both acts as a sender only.
+                        continue;
+                    }
+                    // Collect sending neighbours in one pass over the CSR
+                    // adjacency against the sender occupancy bitset.
+                    pick_buf.clear();
+                    pick_buf.extend(
+                        self.graph
+                            .neighbors(r)
+                            .iter()
+                            .copied()
+                            .filter(|&u| senders.contains(u)),
+                    );
+                    if pick_buf.is_empty() {
+                        if cd {
+                            feedback.insert(r, LbFeedback::Silence);
+                        }
+                        continue;
+                    }
+                    if *failure_prob > 0.0 && self.rng.gen_bool(*failure_prob) {
+                        if cd {
+                            feedback.insert(r, LbFeedback::Noise);
+                        }
+                        continue;
+                    }
+                    // The specification only promises *some* neighbour's
+                    // message; we pick uniformly to avoid accidental
+                    // reliance on a tie-break.
+                    let u = pick_buf[self.rng.gen_range(0..pick_buf.len())];
+                    delivered.insert(r, senders.get(u).expect("occupied sender").clone());
+                    if cd {
+                        feedback.insert(r, LbFeedback::Delivered);
+                    }
+                }
+            }
+            Channel::Physical(p) => {
+                let expand = if cd {
+                    decay_local_broadcast_cd
+                } else {
+                    decay_local_broadcast
+                };
+                expand(&mut p.net, frame, &mut p.scratch, p.decay, &mut self.rng);
+            }
         }
     }
 
     fn lb_energy(&self, v: usize) -> u64 {
-        match self {
-            Stack::Abstract(a) => a.lb_energy(v),
-            Stack::Physical(p) => p.lb_energy(v),
-        }
+        self.ledger.participations(v)
     }
 
     fn lb_time(&self) -> u64 {
-        match self {
-            Stack::Abstract(a) => a.lb_time(),
-            Stack::Physical(p) => p.lb_time(),
-        }
+        self.ledger.calls()
     }
 
     fn energy_view(&self) -> EnergyView {
-        match self {
-            Stack::Abstract(a) => a.energy_view(),
-            Stack::Physical(p) => p.energy_view(),
+        let view = EnergyView::lb_only(self.ledger.participation_counts().to_vec(), self.lb_time());
+        match &self.channel {
+            Channel::Abstract { .. } => view,
+            Channel::Physical(p) => {
+                let meter = p.net.meter();
+                view.with_physical(
+                    meter.listen_counts().to_vec(),
+                    meter.transmit_counts().to_vec(),
+                    meter.slots(),
+                    p.model,
+                )
+            }
         }
     }
 
     fn topology(&self) -> Option<&Graph> {
-        Some(self.graph())
+        Some(&self.graph)
     }
 }
 
@@ -606,12 +745,10 @@ mod tests {
     fn stacks_and_views_are_send_and_sync_sound() {
         // The scenario runner moves whole stacks (and the frames/views they
         // produce) onto pool workers; this pins the auto-traits so a future
-        // `Rc`/`RefCell` in a backend fails here instead of in the pool.
+        // `Rc`/`RefCell` in a channel fails here instead of in the pool.
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<Stack>();
-        assert_send::<AbstractLbNetwork>();
-        assert_send::<PhysicalLbNetwork>();
         assert_send::<LbFrame>();
         assert_send::<EnergyView>();
         assert_sync::<Capabilities>();
@@ -626,7 +763,7 @@ mod tests {
         assert_eq!(caps.energy_model, EnergyModel::Uniform);
         assert!(!caps.physical);
         assert_eq!(caps.label(), "abstract");
-        assert!(stack.as_abstract().is_some());
+        assert!(stack.radio().is_none() && stack.decay_params().is_none());
     }
 
     #[test]
@@ -714,9 +851,18 @@ mod tests {
         assert_eq!(phase.lb_time(), 1);
         assert_eq!(phase.lb_energy(0), 0);
         assert_eq!(phase.lb_energy(1), 1);
-        assert_eq!(phase.lb_sends(1), 1);
         assert_eq!(phase.lb_energy(2), 1);
         assert_eq!(phase.max_lb_energy(), 1);
+        // A phase that spares the run's busiest node: its maximum is the
+        // largest per-node difference (1), not the difference of the run
+        // maxima (2 − 2).
+        let before = stack.energy_view();
+        frame.clear();
+        frame.add_sender(2, crate::Msg::words(&[3]));
+        frame.add_receiver(3);
+        stack.local_broadcast(&mut frame);
+        assert_eq!(stack.max_lb_energy(), before.max_lb_energy());
+        assert_eq!(stack.energy_view().diff(&before).max_lb_energy(), 1);
     }
 
     #[test]
@@ -739,5 +885,283 @@ mod tests {
         });
         // Node 0 only transmits, so tripling the transmit weight triples it.
         assert_eq!(weighted, 3 * uniform);
+    }
+
+    /// The four corners of the channel × collision-detection matrix over
+    /// `g`, in label order `abstract`, `abstract_cd`, `physical`,
+    /// `physical_cd`.
+    fn matrix(g: &Graph) -> [Stack; 4] {
+        let builder = || StackBuilder::new(g.clone());
+        [
+            builder().build(),
+            builder().with_cd().build(),
+            builder().physical(EnergyModel::Uniform).build(),
+            builder().physical(EnergyModel::Uniform).with_cd().build(),
+        ]
+    }
+
+    #[test]
+    fn requirements_are_field_wise_lower_bounds() {
+        let needs_cd = Capabilities {
+            collision_detection: CollisionDetection::Receiver,
+            ..Capabilities::baseline()
+        };
+        let needs_physical = Capabilities {
+            physical: true,
+            ..Capabilities::baseline()
+        };
+        let needs_both = Capabilities {
+            collision_detection: CollisionDetection::Receiver,
+            physical: true,
+            ..Capabilities::baseline()
+        };
+        let satisfied: Vec<(bool, bool, bool)> = matrix(&generators::path(3))
+            .iter()
+            .map(|s| {
+                let caps = s.capabilities();
+                (
+                    caps.satisfies(&needs_cd),
+                    caps.satisfies(&needs_physical),
+                    caps.satisfies(&needs_both),
+                )
+            })
+            .collect();
+        assert_eq!(
+            satisfied,
+            [
+                (false, false, false),
+                (true, false, false),
+                (false, true, false),
+                (true, true, true),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_energy_model_is_never_a_requirement() {
+        let weighted = Capabilities {
+            energy_model: EnergyModel::Weighted {
+                listen: 1,
+                transmit: 4,
+            },
+            ..Capabilities::baseline()
+        };
+        let uniform_stack = StackBuilder::new(generators::path(3)).build();
+        assert!(uniform_stack.capabilities().satisfies(&weighted));
+        assert!(weighted.satisfies(&Capabilities::baseline()));
+    }
+
+    #[test]
+    fn requirement_label_names_the_builder_call_for_each_capability() {
+        assert_eq!(
+            Capabilities::baseline().requirement_label(),
+            "no particular capabilities"
+        );
+        let caps = |cd: bool, physical: bool| Capabilities {
+            collision_detection: if cd {
+                CollisionDetection::Receiver
+            } else {
+                CollisionDetection::None
+            },
+            physical,
+            ..Capabilities::baseline()
+        };
+        let cd = caps(true, false).requirement_label();
+        assert!(
+            cd.contains("with_cd()") && !cd.contains("physical("),
+            "{cd}"
+        );
+        let physical = caps(false, true).requirement_label();
+        assert!(
+            physical.contains("physical(...)") && !physical.contains("with_cd()"),
+            "{physical}"
+        );
+        let both = caps(true, true).requirement_label();
+        assert_eq!(both, format!("{cd} plus {physical}"));
+    }
+
+    #[test]
+    fn lb_only_view_reports_lb_units_and_no_slot_counters() {
+        let view = EnergyView::lb_only(vec![3, 0, 5, 4], 6);
+        assert_eq!(view.nodes(), 4);
+        assert_eq!(view.lb_time(), 6);
+        assert_eq!(view.lb_energy(2), 5);
+        assert_eq!(view.max_lb_energy(), 5);
+        assert_eq!(view.total_lb_energy(), 12);
+        assert!((view.mean_lb_energy() - 3.0).abs() < 1e-12);
+        assert_eq!(view.energy_model(), EnergyModel::Uniform);
+        assert!(!view.has_physical());
+        assert_eq!(view.physical_energy(0), None);
+        assert_eq!(view.max_physical_energy(), None);
+        assert_eq!(view.total_physical_energy(), None);
+        assert_eq!(view.physical_slots(), None);
+        assert_eq!(view.listen_slots(0), None);
+        assert_eq!(view.transmit_slots(0), None);
+    }
+
+    #[test]
+    fn empty_view_is_all_zero() {
+        let view = EnergyView::lb_only(Vec::new(), 0);
+        assert_eq!(view.nodes(), 0);
+        assert_eq!(view.max_lb_energy(), 0);
+        assert_eq!(view.total_lb_energy(), 0);
+        assert_eq!(view.mean_lb_energy(), 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn with_physical_rejects_a_different_node_count() {
+        let _ = EnergyView::lb_only(vec![0; 3], 0).with_physical(
+            vec![0; 2],
+            vec![0; 3],
+            0,
+            EnergyModel::Uniform,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "view universe mismatch")]
+    fn diff_rejects_views_of_different_universes() {
+        let _ = EnergyView::lb_only(vec![0; 3], 0).diff(&EnergyView::lb_only(vec![0; 4], 0));
+    }
+
+    #[test]
+    fn diff_subtracts_slot_counters_node_by_node() {
+        let physical = |lb: Vec<u64>, calls, listen, transmit, slots| {
+            EnergyView::lb_only(lb, calls).with_physical(
+                listen,
+                transmit,
+                slots,
+                EnergyModel::Uniform,
+            )
+        };
+        let before = physical(vec![4, 1], 4, vec![10, 0], vec![0, 2], 20);
+        let after = physical(vec![5, 3], 6, vec![11, 6], vec![0, 2], 32);
+        let phase = after.diff(&before);
+        assert_eq!(phase.lb_time(), 2);
+        assert_eq!((phase.lb_energy(0), phase.lb_energy(1)), (1, 2));
+        assert_eq!(phase.listen_slots(1), Some(6));
+        assert_eq!(phase.transmit_slots(1), Some(0));
+        assert_eq!(phase.physical_slots(), Some(12));
+        // Node 0 is the run's busiest device, but node 1 spent the most
+        // in this phase.
+        assert_eq!(after.max_physical_energy(), Some(11));
+        assert_eq!(phase.max_physical_energy(), Some(6));
+    }
+
+    #[test]
+    fn a_view_minus_itself_is_zero_on_every_channel() {
+        for mut stack in matrix(&generators::grid(3, 3)) {
+            let mut frame = stack.new_frame();
+            frame.add_sender(4, crate::Msg::words(&[1]));
+            for r in [1, 3, 5, 7] {
+                frame.add_receiver(r);
+            }
+            stack.local_broadcast(&mut frame);
+            let view = stack.energy_view();
+            let zero = view.diff(&view);
+            assert_eq!(zero.lb_time(), 0);
+            assert_eq!(zero.total_lb_energy(), 0);
+            assert_eq!(zero.has_physical(), view.has_physical());
+            if view.has_physical() {
+                assert_eq!(zero.physical_slots(), Some(0));
+                assert_eq!(zero.total_physical_energy(), Some(0));
+            }
+        }
+    }
+
+    #[test]
+    fn global_n_is_the_node_count_but_at_least_two() {
+        let single = StackBuilder::new(Graph::from_edges(1, &[])).build();
+        assert_eq!(single.num_nodes(), 1);
+        assert_eq!(single.global_n(), 2);
+        let path = StackBuilder::new(generators::path(5)).build();
+        assert_eq!(path.global_n(), 5);
+    }
+
+    #[test]
+    fn topology_is_the_shared_graph_the_stack_was_built_over() {
+        let g = Arc::new(generators::grid(3, 4));
+        for stack in [
+            StackBuilder::new(Arc::clone(&g)).build(),
+            StackBuilder::new(Arc::clone(&g))
+                .physical(EnergyModel::Uniform)
+                .build(),
+        ] {
+            let topology = stack.topology().expect("concrete stacks expose a graph");
+            // Built from an `Arc`, the stack shares the CSR instead of
+            // copying it.
+            assert!(std::ptr::eq(topology, &*g));
+            assert!(std::ptr::eq(stack.graph(), &*g));
+            assert_eq!(stack.num_nodes(), 12);
+        }
+    }
+
+    #[test]
+    fn decay_params_default_to_the_networks_size_and_max_degree() {
+        let g = generators::star(6);
+        let stack = StackBuilder::new(g).physical(EnergyModel::Uniform).build();
+        assert_eq!(stack.decay_params(), Some(DecayParams::for_network(6, 5)));
+    }
+
+    #[test]
+    fn with_decay_params_overrides_the_default() {
+        let custom = DecayParams {
+            max_degree: 8,
+            failure_prob: 0.01,
+        };
+        let stack = StackBuilder::new(generators::path(4))
+            .physical(EnergyModel::Uniform)
+            .with_decay_params(custom)
+            .build();
+        assert_eq!(stack.decay_params(), Some(custom));
+        // The abstract channel has no Decay expansion to override.
+        let abstract_stack = StackBuilder::new(generators::path(4))
+            .with_decay_params(custom)
+            .build();
+        assert_eq!(abstract_stack.decay_params(), None);
+    }
+
+    #[test]
+    #[should_panic]
+    fn with_failures_rejects_certain_loss() {
+        let _ = StackBuilder::new(generators::path(2)).with_failures(1.0);
+    }
+
+    #[test]
+    fn an_empty_call_costs_time_but_no_energy() {
+        for mut stack in matrix(&generators::path(3)) {
+            let mut frame = stack.new_frame();
+            stack.local_broadcast(&mut frame);
+            assert_eq!(stack.lb_time(), 1);
+            assert_eq!(stack.max_lb_energy(), 0);
+            assert!(frame.delivered().is_empty());
+        }
+    }
+
+    #[test]
+    fn one_builder_builds_stacks_that_replay_each_other() {
+        // A builder carries the seed, so every stack it builds draws the
+        // same picks and failure coins.
+        let builder = StackBuilder::new(generators::star(7))
+            .with_failures(0.2)
+            .with_seed(21);
+        let run = |mut stack: Stack| -> Vec<Option<u64>> {
+            let mut frame = stack.new_frame();
+            (0..40)
+                .map(|_| {
+                    frame.clear();
+                    for s in 1..7 {
+                        frame.add_sender(s, crate::Msg::words(&[s as u64]));
+                    }
+                    frame.add_receiver(0);
+                    stack.local_broadcast(&mut frame);
+                    frame.delivered().get(0).map(|m| m.word(0))
+                })
+                .collect()
+        };
+        let first = run(builder.clone().build());
+        assert_eq!(run(builder.clone().build()), first);
+        assert_ne!(run(builder.with_seed(22).build()), first);
     }
 }

@@ -15,7 +15,6 @@ use rand_chacha::ChaCha8Rng;
 
 use radio_graph::{generators, Graph};
 use radio_protocols::cast::{down_cast, up_cast};
-use radio_protocols::Stack;
 use radio_protocols::{
     cluster_distributed, local_broadcast_once, ClusteringConfig, CollisionDetection, EnergyModel,
     Msg, NodeSet, NodeSlots, RadioStack, StackBuilder,
@@ -44,7 +43,7 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
 /// Local-Broadcast call — the representation the seed repository used —
 /// kept here purely as an executable specification for the frame engine.
 /// Iterates receivers in sorted order and draws the uniform sender pick
-/// from the same RNG discipline as `AbstractLbNetwork`, so a reliable
+/// from the same RNG discipline as the abstract `Stack`, so a reliable
 /// frame-based call must reproduce it exactly.
 fn reference_local_broadcast(
     g: &Graph,
@@ -252,12 +251,12 @@ proptest! {
             );
         }
         prop_assert_eq!(total.has_physical(), physical);
-        if let Stack::Physical(p) = &stack {
+        if let Some(radio) = stack.radio() {
             for v in 0..n {
-                prop_assert_eq!(total.physical_energy(v), Some(p.physical_energy(v)));
+                prop_assert_eq!(total.physical_energy(v), Some(radio.energy(v)));
             }
-            prop_assert_eq!(total.physical_slots(), Some(p.physical_slots()));
-            prop_assert_eq!(total.max_physical_energy(), Some(p.max_physical_energy()));
+            prop_assert_eq!(total.physical_slots(), Some(radio.slots()));
+            prop_assert_eq!(total.max_physical_energy(), Some(radio.max_energy()));
         }
     }
 

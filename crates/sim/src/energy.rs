@@ -33,6 +33,14 @@ pub enum EnergyModel {
 
 impl EnergyModel {
     /// The cost of `listen_slots` listens plus `transmit_slots` transmits.
+    ///
+    /// ```
+    /// use radio_sim::EnergyModel;
+    ///
+    /// assert_eq!(EnergyModel::Uniform.cost(4, 2), 6);
+    /// let amplifier_heavy = EnergyModel::Weighted { listen: 1, transmit: 3 };
+    /// assert_eq!(amplifier_heavy.cost(4, 2), 10);
+    /// ```
     pub fn cost(&self, listen_slots: u64, transmit_slots: u64) -> u64 {
         match self {
             EnergyModel::Uniform => listen_slots + transmit_slots,
@@ -122,11 +130,6 @@ impl EnergyMeter {
     /// Per-device transmitting slots (indexed by device id).
     pub fn transmit_counts(&self) -> &[u64] {
         &self.transmit
-    }
-
-    /// Energy of device `v` under the given [`EnergyModel`].
-    pub fn energy_under(&self, v: usize, model: EnergyModel) -> u64 {
-        model.cost(self.listen[v], self.transmit[v])
     }
 
     /// Maximum per-device energy — the paper's energy cost of the algorithm.
@@ -258,5 +261,24 @@ mod tests {
         assert_eq!(m.max_energy(), 0);
         assert_eq!(m.total_energy(), 0);
         assert_eq!(m.mean_energy(), 0.0);
+    }
+
+    #[test]
+    fn the_default_model_is_the_papers_uniform_one() {
+        assert_eq!(EnergyModel::default(), EnergyModel::Uniform);
+        // Unit weights reproduce it exactly.
+        let unit = EnergyModel::Weighted {
+            listen: 1,
+            transmit: 1,
+        };
+        for (l, t) in [(0, 0), (3, 0), (0, 5), (7, 2)] {
+            assert_eq!(unit.cost(l, t), EnergyModel::Uniform.cost(l, t));
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn absorb_rejects_meters_of_different_sizes() {
+        EnergyMeter::new(2).absorb(&EnergyMeter::new(3));
     }
 }

@@ -43,7 +43,6 @@ fn main() {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 5,
-        ..Default::default()
     };
 
     let mut rows = Vec::new();
@@ -68,7 +67,7 @@ fn main() {
                     "VIOLATED"
                 }
             ),
-            est2.energy.max_lb_energy.to_string(),
+            est2.energy.max_lb_energy().to_string(),
             format!(
                 "{} ({})",
                 est32.estimate,
@@ -78,7 +77,7 @@ fn main() {
                     "VIOLATED"
                 }
             ),
-            est32.energy.max_lb_energy.to_string(),
+            est32.energy.max_lb_energy().to_string(),
             est32.bfs_count.to_string(),
         ]);
     }

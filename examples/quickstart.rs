@@ -11,12 +11,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use radio_energy::bfs::metrics::{format_table, EnergySummary};
+use radio_energy::bfs::metrics::format_table;
 use radio_energy::bfs::protocol::registry;
 use radio_energy::bfs::{build_hierarchy, recursive_bfs_with_hierarchy, RecursiveBfsConfig};
 use radio_energy::graph::bfs::bfs_distances;
 use radio_energy::graph::generators;
-use radio_energy::protocols::{ProtocolInput, StackBuilder};
+use radio_energy::protocols::{EnergyView, ProtocolInput, RadioStack, StackBuilder};
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(2020);
@@ -46,11 +46,10 @@ fn main() {
 
     let mut net = StackBuilder::new(graph.clone()).build();
     let hierarchy = build_hierarchy(&mut net, &config);
-    let setup = EnergySummary::of(&net);
+    let setup = net.energy_view();
     let outcome =
         recursive_bfs_with_hierarchy(&mut net, &hierarchy, &[source], depth, &config, &[]);
-    let total = EnergySummary::of(&net);
-    let query = total.since(&setup);
+    let query = net.energy_view().diff(&setup);
 
     // Verify the labelling against the centralized reference.
     let mut correct = 0usize;
@@ -78,27 +77,19 @@ fn main() {
                 .with_depth(depth),
         )
         .expect("abstract stacks satisfy every requirement");
-    let baseline = EnergySummary::of_report(&report);
 
+    let row = |name: &str, energy: &EnergyView| {
+        vec![
+            name.to_string(),
+            energy.max_lb_energy().to_string(),
+            format!("{:.1}", energy.mean_lb_energy()),
+            energy.lb_time().to_string(),
+        ]
+    };
     let rows = vec![
-        vec![
-            "recursive BFS (setup: clustering hierarchy)".to_string(),
-            setup.max_lb_energy.to_string(),
-            format!("{:.1}", setup.mean_lb_energy),
-            setup.lb_time.to_string(),
-        ],
-        vec![
-            "recursive BFS (one query)".to_string(),
-            query.max_lb_energy.to_string(),
-            format!("{:.1}", query.mean_lb_energy),
-            query.lb_time.to_string(),
-        ],
-        vec![
-            "trivial BFS baseline".to_string(),
-            baseline.max_lb_energy.to_string(),
-            format!("{:.1}", baseline.mean_lb_energy),
-            baseline.lb_time.to_string(),
-        ],
+        row("recursive BFS (setup: clustering hierarchy)", &setup),
+        row("recursive BFS (one query)", &query),
+        row("trivial BFS baseline", &report.energy),
     ];
     println!();
     println!(

@@ -32,7 +32,7 @@ pub mod prelude {
     pub use energy_bfs::diameter::{three_halves_approx_diameter, two_approx_diameter};
     pub use energy_bfs::protocol::registry;
     pub use energy_bfs::{
-        build_hierarchy, recursive_bfs, recursive_bfs_with_hierarchy, BfsOutcome, EnergySummary,
+        build_hierarchy, recursive_bfs, recursive_bfs_with_hierarchy, BfsOutcome,
         RecursiveBfsConfig,
     };
     pub use radio_graph::{generators, Graph, GraphBuilder};

@@ -92,7 +92,6 @@ fn recursive_bfs_is_seed_deterministic_across_runs() {
             max_depth: 1,
             trivial_cutoff: 4,
             seed,
-            ..Default::default()
         };
         let outcome = recursive_bfs(&mut net, 0, 16, &config);
         let energies: Vec<u64> = (0..g.num_nodes()).map(|v| net.lb_energy(v)).collect();

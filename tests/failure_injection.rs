@@ -137,7 +137,6 @@ fn recursive_bfs_with_polynomial_failure_rate_is_still_exact() {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 77,
-        ..Default::default()
     };
     let mut net = StackBuilder::new(g.clone())
         .with_failures(f)
@@ -163,7 +162,6 @@ fn recursive_bfs_under_heavy_loss_never_lies() {
         max_depth: 1,
         trivial_cutoff: 4,
         seed: 3,
-        ..Default::default()
     };
     let mut net = StackBuilder::new(g.clone())
         .with_failures(0.05)

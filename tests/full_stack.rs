@@ -25,7 +25,6 @@ fn recursive_bfs_on_the_physical_simulator_matches_reference() {
         max_depth: 1,
         trivial_cutoff: 4,
         seed: 31,
-        ..Default::default()
     };
     let mut net = StackBuilder::new(g.clone())
         .physical(EnergyModel::Uniform)
@@ -61,7 +60,6 @@ fn lb_unit_accounting_is_backend_independent() {
         max_depth: 1,
         trivial_cutoff: 4,
         seed: 7,
-        ..Default::default()
     };
 
     let mut abstract_net = StackBuilder::new(g.clone()).build();
@@ -115,7 +113,6 @@ fn baseline_and_recursive_bfs_agree_on_labels() {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 3,
-        ..Default::default()
     };
     let mut recursive_net = StackBuilder::new(g.clone()).build();
     let hierarchy = build_hierarchy(&mut recursive_net, &config);
@@ -234,7 +231,6 @@ fn physical_run_with_small_world_topology() {
         max_depth: 1,
         trivial_cutoff: 4,
         seed: 21,
-        ..Default::default()
     };
     let mut net = StackBuilder::new(g.clone())
         .physical(EnergyModel::Uniform)

@@ -82,7 +82,6 @@ fn diameter_guarantees_on_random_graphs() {
         max_depth: 1,
         trivial_cutoff: 8,
         seed: 13,
-        ..Default::default()
     };
     for trial in 0..3u64 {
         let g = generators::connected_gnp(70, 0.07, 300, &mut rng).expect("connected sample");
@@ -206,10 +205,7 @@ fn weighted_energy_model_matches_raw_counter_recomputation() {
         // Per-node: the view's weighted energy equals the definition,
         // recomputed from the raw (model-independent) slot counters — both
         // as exposed by the view and as read off the simulator's meter.
-        let meter = match &net {
-            radio_energy::protocols::Stack::Physical(p) => p.radio().meter(),
-            radio_energy::protocols::Stack::Abstract(_) => unreachable!("physical build"),
-        };
+        let meter = net.radio().expect("physical build").meter();
         let mut total = 0u64;
         let mut some_node_transmitted = false;
         for v in 0..n {
