@@ -96,7 +96,9 @@ fn main() {
     // experiment ids first, so that e.g. `-- scenarios --threads 4` does
     // not read the flag as an unknown id and fall back to running
     // everything. Flags and ids compare case-insensitively, but flag
-    // *values* are taken verbatim — `--dataset-dir` is a filesystem path.
+    // *values* are taken verbatim — `--dataset-dir` is a filesystem path —
+    // in both the `--flag value` and the `--flag=value` form (`flag_value`);
+    // `--protocol` lowercases its spec itself.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
     let mut runner = radio_bench::scenarios::RunnerConfig::default();
@@ -114,53 +116,24 @@ fn main() {
         let lower = arg.to_lowercase();
         if lower == "--quiet" {
             runner.quiet = true;
-        } else if lower == "--threads" {
-            let v = it.next().unwrap_or_else(|| die("--threads needs a value"));
+        } else if let Some(v) = flag_value(&arg, "--threads", "a value", &mut it) {
             runner.threads = parse_threads(&v);
-        } else if let Some(v) = lower.strip_prefix("--threads=") {
-            runner.threads = parse_threads(v);
-        } else if lower == "--protocol" {
-            let v = it.next().unwrap_or_else(|| die("--protocol needs a spec"));
+        } else if let Some(v) = flag_value(&arg, "--protocol", "a spec", &mut it) {
             protocol_filter = Some(v.to_lowercase());
-        } else if let Some(v) = lower.strip_prefix("--protocol=") {
-            protocol_filter = Some(v.to_string());
-        } else if lower == "--dataset-dir" {
-            dataset_dir = it
-                .next()
-                .unwrap_or_else(|| die("--dataset-dir needs a path"));
-        } else if let Some(v) = arg.strip_prefix("--dataset-dir=") {
-            dataset_dir = v.to_string();
+        } else if let Some(v) = flag_value(&arg, "--dataset-dir", "a path", &mut it) {
+            dataset_dir = v;
         } else if lower == "--no-dataset-cache" {
             use_dataset_cache = false;
-        } else if lower == "--result-dir" {
-            result_dir = it
-                .next()
-                .unwrap_or_else(|| die("--result-dir needs a path"));
-        } else if let Some(v) = arg.strip_prefix("--result-dir=") {
-            result_dir = v.to_string();
+        } else if let Some(v) = flag_value(&arg, "--result-dir", "a path", &mut it) {
+            result_dir = v;
         } else if lower == "--no-result-cache" {
             use_result_cache = false;
-        } else if lower == "--listen" {
-            listen = Some(
-                it.next()
-                    .unwrap_or_else(|| die("--listen needs an address")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--listen=") {
-            listen = Some(v.to_string());
-        } else if lower == "--accept-threads" {
-            let v = it
-                .next()
-                .unwrap_or_else(|| die("--accept-threads needs a value"));
+        } else if let Some(v) = flag_value(&arg, "--listen", "an address", &mut it) {
+            listen = Some(v);
+        } else if let Some(v) = flag_value(&arg, "--accept-threads", "a value", &mut it) {
             accept_threads = Some(parse_count(&v, "--accept-threads").max(1));
-        } else if let Some(v) = lower.strip_prefix("--accept-threads=") {
-            accept_threads = Some(parse_count(v, "--accept-threads").max(1));
-        } else if lower == "--hot-set-cap" {
-            let v = it
-                .next()
-                .unwrap_or_else(|| die("--hot-set-cap needs a value"));
+        } else if let Some(v) = flag_value(&arg, "--hot-set-cap", "a value", &mut it) {
             hot_set_cap = Some(parse_count(&v, "--hot-set-cap"));
-        } else if let Some(v) = lower.strip_prefix("--hot-set-cap=") {
-            hot_set_cap = Some(parse_count(v, "--hot-set-cap"));
         } else if lower == "--xl" {
             xl = true;
         } else if lower.starts_with("--") {
@@ -292,6 +265,32 @@ const USAGE: &str = "usage: experiments [all | e1..e14 | scenarios | serve] \
 fn die(msg: &str) -> ! {
     eprintln!("experiments: {msg}");
     std::process::exit(2)
+}
+
+/// The value `arg` gives the value flag `name` (lowercase, e.g.
+/// `--dataset-dir`), or `None` if `arg` is another argument. `--name=value`
+/// splits at the first `=`; a bare `--name` takes the next argument and
+/// exits with "`name` needs `what`" if there is none. Only the name is
+/// lowercased before it is compared; the value comes back verbatim.
+fn flag_value(
+    arg: &str,
+    name: &str,
+    what: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<String> {
+    let (flag, value) = match arg.split_once('=') {
+        Some((flag, value)) => (flag, Some(value)),
+        None => (arg, None),
+    };
+    if flag.to_lowercase() != name {
+        return None;
+    }
+    Some(match value {
+        Some(v) => v.to_string(),
+        None => rest
+            .next()
+            .unwrap_or_else(|| die(&format!("{name} needs {what}"))),
+    })
 }
 
 fn parse_threads(v: &str) -> usize {
@@ -1210,7 +1209,33 @@ fn e14_polling_tradeoff() {
 
 #[cfg(test)]
 mod tests {
-    use super::e6_reading;
+    use super::{e6_reading, flag_value};
+
+    #[test]
+    fn flag_names_match_in_any_case_and_values_stay_verbatim() {
+        let mut rest = std::iter::empty();
+        assert_eq!(
+            flag_value(
+                "--Dataset-Dir=Data/Sets",
+                "--dataset-dir",
+                "a path",
+                &mut rest
+            ),
+            Some("Data/Sets".to_string())
+        );
+        // A bare flag takes the next argument, verbatim too.
+        let mut rest = ["Results/Run=1".to_string()].into_iter();
+        assert_eq!(
+            flag_value("--RESULT-DIR", "--result-dir", "a path", &mut rest),
+            Some("Results/Run=1".to_string())
+        );
+        // Any other argument is left alone and consumes nothing.
+        let mut rest = ["e1".to_string()].into_iter();
+        for other in ["--result-dirs=x", "--quiet", "e6", "--dataset-dir=x"] {
+            assert_eq!(flag_value(other, "--result-dir", "a path", &mut rest), None);
+        }
+        assert_eq!(rest.next().as_deref(), Some("e1"));
+    }
 
     #[test]
     fn e6_reading_follows_the_table() {

@@ -133,11 +133,6 @@ impl ClusterState {
         (self.members_by_layer[c].len() as u32).saturating_sub(1)
     }
 
-    /// Whether index `j` belongs to `S_Cl` of cluster `c`.
-    pub fn in_s_set(&self, c: usize, j: usize) -> bool {
-        self.s_sets[c].binary_search(&j).is_ok()
-    }
-
     /// Cluster sizes.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         (0..self.num_clusters())

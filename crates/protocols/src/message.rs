@@ -13,7 +13,6 @@
 //! (2 words), clustering join messages (3 words) — now clone without
 //! touching the allocator.
 
-use radio_sim::Payload;
 use serde::{Deserialize, Serialize};
 
 /// A Local-Broadcast payload: a short vector of words, stored inline up to
@@ -148,12 +147,6 @@ impl std::hash::Hash for Msg {
 
 impl Serialize for Msg {}
 impl<'de> Deserialize<'de> for Msg {}
-
-impl Payload for Msg {
-    fn bit_size(&self) -> usize {
-        Msg::bit_size(self)
-    }
-}
 
 impl From<Vec<u64>> for Msg {
     fn from(v: Vec<u64>) -> Self {

@@ -25,12 +25,11 @@
 //! construction — so the RNG stream maps to devices deterministically
 //! without any per-call sort.
 
-use radio_graph::NodeId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::frame::{NodeSet, RoundFrame, SlotFrame};
-use crate::model::{CollisionDetection, Feedback, LbFeedback, Payload};
+use crate::model::{CollisionDetection, Feedback, LbFeedback};
 use crate::network::RadioNetwork;
 
 /// Parameters of one Local-Broadcast execution.
@@ -171,7 +170,7 @@ pub fn sample_decay_slot<R: Rng + ?Sized>(levels: usize, rng: &mut R) -> usize {
 /// idle and spend no energy. Deliveries are written into
 /// `frame.delivered()` (cleared on entry, first message heard wins);
 /// returns the number of channel slots the call occupied.
-pub fn decay_local_broadcast<M: Payload, R: Rng + ?Sized>(
+pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
     net: &mut RadioNetwork<M>,
     frame: &mut RoundFrame<M>,
     scratch: &mut DecayScratch<M>,
@@ -257,7 +256,7 @@ pub fn decay_local_broadcast<M: Payload, R: Rng + ?Sized>(
 /// [`LbFeedback::Delivered`], [`LbFeedback::Silence`] (no sending
 /// neighbour), or [`LbFeedback::Noise`] (activity heard but nothing decoded
 /// by the end of the call). Returns the number of channel slots used.
-pub fn decay_local_broadcast_cd<M: Payload + Default, R: Rng + ?Sized>(
+pub fn decay_local_broadcast_cd<M: Clone + Default, R: Rng + ?Sized>(
     net: &mut RadioNetwork<M>,
     frame: &mut RoundFrame<M>,
     scratch: &mut DecayScratch<M>,
@@ -389,40 +388,39 @@ pub fn decay_local_broadcast_cd<M: Payload + Default, R: Rng + ?Sized>(
     slots_used
 }
 
-/// Convenience for tests and one-off calls: runs [`decay_local_broadcast`]
-/// with freshly allocated frame and scratch, returning the delivery arena
-/// and the slots used. Hot paths should hold their own frame/scratch and
-/// call [`decay_local_broadcast`] directly.
-pub fn decay_local_broadcast_once<M: Payload, R: Rng + ?Sized>(
-    net: &mut RadioNetwork<M>,
-    senders: &[(NodeId, M)],
-    receivers: &[NodeId],
-    params: DecayParams,
-    rng: &mut R,
-) -> (crate::frame::NodeSlots<M>, u64) {
-    let mut frame = RoundFrame::new(net.num_nodes());
-    let mut scratch = DecayScratch::new(net.num_nodes());
-    for (v, m) in senders {
-        frame.add_sender(*v, m.clone());
-    }
-    for &v in receivers {
-        frame.add_receiver(v);
-    }
-    let slots = decay_local_broadcast(net, &mut frame, &mut scratch, params, rng);
-    let mut out = crate::frame::NodeSlots::new(net.num_nodes());
-    frame.swap_delivered(&mut out);
-    (out, slots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::NodeSlots;
     use radio_graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// Runs one [`decay_local_broadcast`] on a fresh frame and scratch and
+    /// returns the deliveries and the slots used.
+    fn broadcast_once(
+        net: &mut RadioNetwork<u64>,
+        senders: &[(usize, u64)],
+        receivers: &[usize],
+        params: DecayParams,
+        rng: &mut ChaCha8Rng,
+    ) -> (NodeSlots<u64>, u64) {
+        let mut frame = RoundFrame::new(net.num_nodes());
+        let mut scratch = DecayScratch::new(net.num_nodes());
+        for &(v, m) in senders {
+            frame.add_sender(v, m);
+        }
+        for &v in receivers {
+            frame.add_receiver(v);
+        }
+        let slots = decay_local_broadcast(net, &mut frame, &mut scratch, params, rng);
+        let mut out = NodeSlots::new(net.num_nodes());
+        frame.swap_delivered(&mut out);
+        (out, slots)
     }
 
     #[test]
@@ -449,7 +447,7 @@ mod tests {
         let mut r = rng(2);
         let mut net: RadioNetwork<u64> = RadioNetwork::new(g);
         let params = DecayParams::for_network(2, 1);
-        let (out, _) = decay_local_broadcast_once(&mut net, &[(0, 99u64)], &[1], params, &mut r);
+        let (out, _) = broadcast_once(&mut net, &[(0, 99u64)], &[1], params, &mut r);
         assert_eq!(out.get(1), Some(&99));
     }
 
@@ -464,7 +462,7 @@ mod tests {
             max_degree: 2,
             failure_prob: 1e-6,
         };
-        let (out, _) = decay_local_broadcast_once(&mut net, &[(0, 7u64)], &[1, 3], params, &mut r);
+        let (out, _) = broadcast_once(&mut net, &[(0, 7u64)], &[1, 3], params, &mut r);
         assert_eq!(out.get(1), Some(&7));
         assert_eq!(out.get(3), None);
         assert_eq!(net.energy(3), params.total_slots() as u64);
@@ -513,7 +511,7 @@ mod tests {
             max_degree: 4,
             failure_prob: 1e-4,
         };
-        let (_, slots) = decay_local_broadcast_once(&mut net, &[(0, 1u64)], &[1], params, &mut r);
+        let (_, slots) = broadcast_once(&mut net, &[(0, 1u64)], &[1], params, &mut r);
         assert_eq!(slots, params.total_slots() as u64);
         assert_eq!(net.slots(), params.total_slots() as u64);
     }
@@ -539,7 +537,7 @@ mod tests {
         let mut r = rng(6);
         let mut net: RadioNetwork<u64> = RadioNetwork::new(g);
         let params = DecayParams::for_network(4, 1);
-        let (out, _) = decay_local_broadcast_once(&mut net, &[(0, 5u64)], &[3], params, &mut r);
+        let (out, _) = broadcast_once(&mut net, &[(0, 5u64)], &[3], params, &mut r);
         assert!(out.is_empty());
     }
 
@@ -601,8 +599,7 @@ mod tests {
         };
         let mut r1 = rng(3);
         let mut plain: RadioNetwork<u64> = RadioNetwork::new(g.clone());
-        let (_, plain_slots) =
-            decay_local_broadcast_once(&mut plain, &[(0, 7u64)], &[1, 3], params, &mut r1);
+        let (_, plain_slots) = broadcast_once(&mut plain, &[(0, 7u64)], &[1, 3], params, &mut r1);
         let mut r2 = rng(3);
         let mut cd = cd_net(g);
         let mut frame: RoundFrame<u64> = RoundFrame::new(4);

@@ -9,18 +9,19 @@
 //! (e.g. the steady-state polling scenario from the paper's introduction)
 //! and by tests that validate the channel semantics end-to-end.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use radio_graph::NodeId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::model::{Action, Feedback, Payload};
+use crate::frame::{NodeSlots, SlotFrame};
+use crate::model::{Action, Feedback};
 use crate::network::RadioNetwork;
 
 /// A device participating in a slot-by-slot protocol.
-pub trait Device<M: Payload> {
+pub trait Device<M: Clone> {
     /// Decides the action for slot `slot`, given the feedback observed in
     /// the previous slot (`None` in slot 0 or if the device idled or
     /// transmitted).
@@ -33,33 +34,44 @@ pub trait Device<M: Payload> {
 /// Runs a set of devices for at most `max_slots` slots or until all halt.
 /// Returns the number of slots executed.
 ///
+/// Each slot fills one reused [`SlotFrame`] from the devices' actions and
+/// runs it through [`RadioNetwork::step_frame`]; the frame's feedback lane
+/// is swapped out before the frame is refilled, so each device reads its
+/// own entry of the previous slot's feedback without a copy.
+///
 /// Devices are polled in ascending node order each slot — `BTreeMap`
 /// iteration order — so that a [`Device`] implementation drawing from a
 /// seeded RNG shared across devices behaves identically on every run.
 /// (With a `HashMap` the per-process-randomized iteration order would
 /// permute the RNG stream across devices, the same determinism bug class
 /// the Local-Broadcast layer fixed by iterating receivers in node order.)
-pub fn run_devices<M: Payload, D: Device<M>>(
+pub fn run_devices<M: Clone, D: Device<M>>(
     net: &mut RadioNetwork<M>,
     devices: &mut BTreeMap<NodeId, D>,
     max_slots: u64,
 ) -> u64 {
-    let mut last_feedback: HashMap<NodeId, Feedback<M>> = HashMap::new();
+    let n = net.num_nodes();
+    let mut frame = SlotFrame::new(n);
+    let mut last_feedback = NodeSlots::new(n);
     for slot in 0..max_slots {
         if devices.values().all(|d| d.halted()) {
             return slot;
         }
-        let mut actions: HashMap<NodeId, Action<M>> = HashMap::new();
+        std::mem::swap(&mut last_feedback, &mut frame.feedback);
+        frame.clear();
         for (&v, dev) in devices.iter_mut() {
             if dev.halted() {
                 continue;
             }
-            let action = dev.act(slot, last_feedback.get(&v));
-            if action.costs_energy() {
-                actions.insert(v, action);
+            match dev.act(slot, last_feedback.get(v)) {
+                Action::Idle => {}
+                Action::Listen => {
+                    frame.listen.insert(v);
+                }
+                Action::Transmit(m) => frame.transmit.insert(v, m),
             }
         }
-        last_feedback = net.step(&actions);
+        net.step_frame(&mut frame);
     }
     max_slots
 }
@@ -301,6 +313,66 @@ mod tests {
         );
     }
 
+    /// A device that plays a fixed action script and records the feedback
+    /// it is handed each slot.
+    struct Scripted {
+        script: Vec<Action<u64>>,
+        seen: Vec<Option<Feedback<u64>>>,
+    }
+
+    impl Device<u64> for Scripted {
+        fn act(&mut self, slot: u64, prev: Option<&Feedback<u64>>) -> Action<u64> {
+            self.seen.push(prev.cloned());
+            self.script[slot as usize].clone()
+        }
+
+        fn halted(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn run_devices_hands_each_device_the_previous_slots_feedback() {
+        // A collision-detection star: the hub hears silence, then one leaf,
+        // then both. Every verdict must reach the device one slot late, and
+        // a device that transmitted or idled must be handed nothing.
+        use crate::model::CollisionDetection;
+        use Action::{Idle, Listen, Transmit};
+        use Feedback::{Noise, Received, Silence};
+        let g = generators::star(3); // hub 0, leaves 1 and 2
+        let scripts = [
+            vec![Listen, Listen, Listen, Idle, Idle],
+            vec![Idle, Transmit(11), Transmit(12), Listen, Idle],
+            vec![Listen, Idle, Transmit(22), Idle, Idle],
+        ];
+        let mut devices: BTreeMap<NodeId, Scripted> = scripts
+            .into_iter()
+            .enumerate()
+            .map(|(v, script)| {
+                let seen = Vec::new();
+                (v, Scripted { script, seen })
+            })
+            .collect();
+        let mut net: RadioNetwork<u64> =
+            RadioNetwork::new(g).with_collision_detection(CollisionDetection::Receiver);
+        assert_eq!(run_devices(&mut net, &mut devices, 5), 5);
+        assert_eq!(
+            devices[&0].seen,
+            vec![None, Some(Silence), Some(Received(11)), Some(Noise), None]
+        );
+        assert_eq!(
+            devices[&1].seen,
+            vec![None, None, None, None, Some(Silence)]
+        );
+        assert_eq!(
+            devices[&2].seen,
+            vec![None, Some(Silence), None, None, None]
+        );
+        assert_eq!(net.meter().listen_counts(), &[3, 1, 1]);
+        assert_eq!(net.meter().transmit_counts(), &[0, 2, 1]);
+        assert_eq!(net.slots(), 5);
+    }
+
     /// A device that draws from an RNG *shared* across all devices (via a
     /// per-run clone of the same seed): only the ascending polling order of
     /// `run_devices` makes its behaviour reproducible.
@@ -331,7 +403,7 @@ mod tests {
 
     #[test]
     fn run_devices_is_deterministic_across_repeated_runs() {
-        // Same seeds, two runs: byte-identical energy reports, transmission
+        // Same seeds, two runs: identical energy meters, transmission
         // counts, and reception logs — even though every device draws from
         // one shared RNG, whose stream order is fixed by the ascending
         // iteration of run_devices.
@@ -357,7 +429,7 @@ mod tests {
                 .values()
                 .map(|d| (d.transmissions, d.heard.clone()))
                 .collect();
-            (format!("{:?}", net.report()), slots, log)
+            (net.meter().clone(), slots, log)
         };
         assert_eq!(run(), run(), "repeated seeded runs diverged");
     }

@@ -60,7 +60,7 @@ impl EnergyModel {
 }
 
 /// Tracks per-device energy and global time.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnergyMeter {
     listen: Vec<u64>,
     transmit: Vec<u64>,
@@ -97,11 +97,6 @@ impl EnergyMeter {
         self.slots += 1;
     }
 
-    /// Advances global time by `k` slots.
-    pub fn tick_by(&mut self, k: u64) {
-        self.slots += k;
-    }
-
     /// Total elapsed slots (the algorithm's time complexity so far).
     pub fn slots(&self) -> u64 {
         self.slots
@@ -110,16 +105,6 @@ impl EnergyMeter {
     /// Energy of device `v`: slots spent listening or transmitting.
     pub fn energy(&self, v: usize) -> u64 {
         self.listen[v] + self.transmit[v]
-    }
-
-    /// Listening slots of device `v`.
-    pub fn listen_count(&self, v: usize) -> u64 {
-        self.listen[v]
-    }
-
-    /// Transmitting slots of device `v`.
-    pub fn transmit_count(&self, v: usize) -> u64 {
-        self.transmit[v]
     }
 
     /// Per-device listening slots (indexed by device id).
@@ -155,49 +140,6 @@ impl EnergyMeter {
             self.total_energy() as f64 / self.num_devices() as f64
         }
     }
-
-    /// Merges another meter's counters into this one (device-wise addition;
-    /// time is added too). Panics if the sizes differ.
-    pub fn absorb(&mut self, other: &EnergyMeter) {
-        assert_eq!(self.num_devices(), other.num_devices());
-        for v in 0..self.num_devices() {
-            self.listen[v] += other.listen[v];
-            self.transmit[v] += other.transmit[v];
-        }
-        self.slots += other.slots;
-    }
-
-    /// Produces an immutable summary.
-    pub fn report(&self) -> EnergyReport {
-        EnergyReport {
-            devices: self.num_devices(),
-            slots: self.slots,
-            max_energy: self.max_energy(),
-            total_energy: self.total_energy(),
-            mean_energy: self.mean_energy(),
-            max_listen: self.listen.iter().copied().max().unwrap_or(0),
-            max_transmit: self.transmit.iter().copied().max().unwrap_or(0),
-        }
-    }
-}
-
-/// Immutable summary of an [`EnergyMeter`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EnergyReport {
-    /// Number of devices.
-    pub devices: usize,
-    /// Elapsed slots (time complexity).
-    pub slots: u64,
-    /// Maximum per-device energy (the paper's energy complexity).
-    pub max_energy: u64,
-    /// Aggregate energy over all devices.
-    pub total_energy: u64,
-    /// Mean per-device energy.
-    pub mean_energy: f64,
-    /// Maximum per-device listening slots.
-    pub max_listen: u64,
-    /// Maximum per-device transmitting slots.
-    pub max_transmit: u64,
 }
 
 #[cfg(test)]
@@ -211,48 +153,16 @@ mod tests {
         m.charge_listen(0);
         m.charge_transmit(1);
         m.tick();
-        m.tick_by(4);
+        m.tick();
         assert_eq!(m.energy(0), 2);
         assert_eq!(m.energy(1), 1);
         assert_eq!(m.energy(2), 0);
-        assert_eq!(m.listen_count(0), 2);
-        assert_eq!(m.transmit_count(1), 1);
+        assert_eq!(m.listen_counts(), &[2, 0, 0]);
+        assert_eq!(m.transmit_counts(), &[0, 1, 0]);
         assert_eq!(m.max_energy(), 2);
         assert_eq!(m.total_energy(), 3);
-        assert_eq!(m.slots(), 5);
+        assert_eq!(m.slots(), 2);
         assert!((m.mean_energy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_adds_counters() {
-        let mut a = EnergyMeter::new(2);
-        a.charge_listen(0);
-        a.tick();
-        let mut b = EnergyMeter::new(2);
-        b.charge_transmit(0);
-        b.charge_listen(1);
-        b.tick_by(3);
-        a.absorb(&b);
-        assert_eq!(a.energy(0), 2);
-        assert_eq!(a.energy(1), 1);
-        assert_eq!(a.slots(), 4);
-    }
-
-    #[test]
-    fn report_summarizes() {
-        let mut m = EnergyMeter::new(4);
-        for _ in 0..5 {
-            m.charge_listen(2);
-        }
-        m.charge_transmit(3);
-        m.tick_by(7);
-        let r = m.report();
-        assert_eq!(r.devices, 4);
-        assert_eq!(r.slots, 7);
-        assert_eq!(r.max_energy, 5);
-        assert_eq!(r.total_energy, 6);
-        assert_eq!(r.max_listen, 5);
-        assert_eq!(r.max_transmit, 1);
     }
 
     #[test]
@@ -274,11 +184,5 @@ mod tests {
         for (l, t) in [(0, 0), (3, 0), (0, 5), (7, 2)] {
             assert_eq!(unit.cost(l, t), EnergyModel::Uniform.cost(l, t));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn absorb_rejects_meters_of_different_sizes() {
-        EnergyMeter::new(2).absorb(&EnergyMeter::new(3));
     }
 }

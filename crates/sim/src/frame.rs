@@ -20,8 +20,9 @@
 //!   words and slots the previous round occupied, so a sparse round on a
 //!   large universe stays cheap wherever its ids sit).
 //! * [`SlotFrame<M>`] — one physical channel slot: transmitters, listeners,
-//!   and per-listener feedback, used by the columnar
-//!   [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame).
+//!   and per-listener feedback — the only input of
+//!   [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame),
+//!   the simulator's one way to run a slot.
 
 use crate::model::{Feedback, LbFeedback};
 
@@ -597,12 +598,6 @@ impl<M> RoundFrame<M> {
     pub fn swap_delivered(&mut self, other: &mut NodeSlots<M>) {
         assert_eq!(other.universe(), self.delivered.universe());
         std::mem::swap(&mut self.delivered, other);
-    }
-
-    /// Replaces the delivery arena wholesale (same universe required).
-    pub fn replace_delivered(&mut self, delivered: NodeSlots<M>) {
-        assert_eq!(delivered.universe(), self.receivers.universe());
-        self.delivered = delivered;
     }
 }
 

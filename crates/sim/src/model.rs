@@ -1,63 +1,13 @@
-//! Core types of the `RN[b]` model: per-slot actions, channel feedback,
-//! message payloads, and the collision-detection switch.
+//! Core types of the radio-network model: per-slot actions, channel
+//! feedback, and the collision-detection switch.
+//!
+//! A message is any `M: Clone`, and the simulator puts no bound on its
+//! size: it models `RN[∞]`, in which the paper's lower bounds hold. The
+//! algorithms' `O(log n)`-bit payloads run in it unchanged; how many bits
+//! a payload takes is the protocol's concern (`radio-protocols` measures
+//! its messages with `Msg::bit_size`).
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-
-/// A message payload that knows its encoded size in bits, so the simulator
-/// can enforce the `RN[b]` per-message bit budget.
-///
-/// All of the paper's algorithms work in `RN[O(log n)]`; the payloads they
-/// send (IDs, cluster identifiers, layer numbers, distance labels, a few
-/// flags) are all `O(log n)` bits, which the tests verify through this
-/// trait. The lower bounds hold even in `RN[∞]`, which the simulator models
-/// with an unlimited budget.
-pub trait Payload: Clone {
-    /// Size of this payload in bits when transmitted over the channel.
-    fn bit_size(&self) -> usize;
-}
-
-impl Payload for Bytes {
-    fn bit_size(&self) -> usize {
-        8 * self.len()
-    }
-}
-
-impl Payload for Vec<u8> {
-    fn bit_size(&self) -> usize {
-        8 * self.len()
-    }
-}
-
-impl Payload for u64 {
-    fn bit_size(&self) -> usize {
-        64
-    }
-}
-
-impl Payload for (u64, u64) {
-    fn bit_size(&self) -> usize {
-        128
-    }
-}
-
-impl Payload for () {
-    fn bit_size(&self) -> usize {
-        0
-    }
-}
-
-impl Payload for String {
-    fn bit_size(&self) -> usize {
-        8 * self.len()
-    }
-}
-
-impl<T: Payload> Payload for Option<T> {
-    fn bit_size(&self) -> usize {
-        1 + self.as_ref().map_or(0, Payload::bit_size)
-    }
-}
 
 /// What a device does in one slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,18 +18,6 @@ pub enum Action<M> {
     Listen,
     /// Transmit `M`; costs one unit of energy.
     Transmit(M),
-}
-
-impl<M> Action<M> {
-    /// Whether this action costs energy (listen or transmit).
-    pub fn costs_energy(&self) -> bool {
-        !matches!(self, Action::Idle)
-    }
-
-    /// Whether this is a transmission.
-    pub fn is_transmit(&self) -> bool {
-        matches!(self, Action::Transmit(_))
-    }
 }
 
 /// What a listening device hears in one slot.
@@ -95,21 +33,6 @@ pub enum Feedback<M> {
     Silence,
     /// Collision detection only: two or more neighbours transmitted.
     Noise,
-}
-
-impl<M> Feedback<M> {
-    /// The received message, if any.
-    pub fn message(self) -> Option<M> {
-        match self {
-            Feedback::Received(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Whether a message was received.
-    pub fn is_received(&self) -> bool {
-        matches!(self, Feedback::Received(_))
-    }
 }
 
 /// Per-call channel verdict for one receiver of a Local-Broadcast, as
@@ -159,75 +82,5 @@ impl CollisionDetection {
     /// Whether receiver-side collision detection is available.
     pub fn is_receiver(&self) -> bool {
         matches!(self, CollisionDetection::Receiver)
-    }
-}
-
-/// Per-message bit budget: the `b` of `RN[b]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MessageBudget {
-    /// Messages may be at most this many bits (`RN[b]`).
-    Bits(usize),
-    /// No limit (`RN[∞]`, used by the lower-bound experiments).
-    Unlimited,
-}
-
-impl MessageBudget {
-    /// Whether a message of `bits` bits fits in the budget.
-    pub fn allows(&self, bits: usize) -> bool {
-        match self {
-            MessageBudget::Bits(b) => bits <= *b,
-            MessageBudget::Unlimited => true,
-        }
-    }
-
-    /// The conventional `RN[O(log n)]` budget used by the paper's
-    /// algorithms: `c · ⌈log₂ n⌉` bits.
-    pub fn logarithmic(n: usize, c: usize) -> Self {
-        let log = (n.max(2) as f64).log2().ceil() as usize;
-        MessageBudget::Bits(c * log.max(1))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn action_energy_classification() {
-        assert!(!Action::<u64>::Idle.costs_energy());
-        assert!(Action::<u64>::Listen.costs_energy());
-        assert!(Action::Transmit(7u64).costs_energy());
-        assert!(Action::Transmit(7u64).is_transmit());
-        assert!(!Action::<u64>::Listen.is_transmit());
-    }
-
-    #[test]
-    fn feedback_message_extraction() {
-        assert_eq!(Feedback::Received(3u64).message(), Some(3));
-        assert_eq!(Feedback::<u64>::Nothing.message(), None);
-        assert!(Feedback::Received(1u64).is_received());
-        assert!(!Feedback::<u64>::Noise.is_received());
-    }
-
-    #[test]
-    fn message_budget_checks() {
-        let b = MessageBudget::Bits(64);
-        assert!(b.allows(64));
-        assert!(!b.allows(65));
-        assert!(MessageBudget::Unlimited.allows(usize::MAX));
-        let lb = MessageBudget::logarithmic(1024, 4);
-        assert_eq!(lb, MessageBudget::Bits(40));
-    }
-
-    #[test]
-    fn payload_sizes() {
-        assert_eq!(0u64.bit_size(), 64);
-        assert_eq!((1u64, 2u64).bit_size(), 128);
-        assert_eq!(().bit_size(), 0);
-        assert_eq!(Some(5u64).bit_size(), 65);
-        assert_eq!(None::<u64>.bit_size(), 1);
-        assert_eq!(Bytes::from_static(b"abc").bit_size(), 24);
-        assert_eq!(vec![0u8; 4].bit_size(), 32);
-        assert_eq!("hi".to_string().bit_size(), 16);
     }
 }

@@ -277,7 +277,7 @@ fn random_graph_at(m: usize, base: usize, n: usize, p: u64, seed: &mut u64) -> G
 
 /// Runs one slot through the given resolution path and serializes
 /// everything observable: per-listener feedback, the received index, the
-/// energy report, and every device's nonzero listen and transmit counts.
+/// elapsed slots, and every device's nonzero listen and transmit counts.
 fn run_path(
     g: &Graph,
     cd: CollisionDetection,
@@ -313,10 +313,10 @@ fn run_path(
             .collect()
     };
     format!(
-        "feedback {:?}\nreceived {:?}\nreport {:?}\nlisten {:?}\ntransmit {:?}",
+        "feedback {:?}\nreceived {:?}\nslots {}\nlisten {:?}\ntransmit {:?}",
         feedback,
         frame.received.iter().collect::<Vec<_>>(),
-        net.report(),
+        net.slots(),
         nonzero(net.meter().listen_counts()),
         nonzero(net.meter().transmit_counts()),
     )

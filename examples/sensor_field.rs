@@ -86,7 +86,7 @@ fn main() {
             format!("{informed}/{}", graph.num_nodes()),
             latency.to_string(),
             net.max_energy().to_string(),
-            format!("{:.2}", net.report().mean_energy),
+            format!("{:.2}", net.meter().mean_energy()),
         ]);
     }
 

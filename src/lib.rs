@@ -8,8 +8,9 @@
 //!
 //! * [`graph`] (`radio-graph`) — graphs, generators, centralized reference
 //!   algorithms, MPX clustering, lower-bound constructions.
-//! * [`sim`] (`radio-sim`) — the slot-accurate `RN[b]` simulator with
-//!   per-device energy metering and the Decay Local-Broadcast.
+//! * [`sim`] (`radio-sim`) — the slot-accurate `RN[∞]` simulator (no bound
+//!   on message size) with per-device energy metering and the Decay
+//!   Local-Broadcast.
 //! * [`protocols`] (`radio-protocols`) — the Local-Broadcast abstraction,
 //!   distributed clustering, casts, virtual cluster networks, aggregation.
 //! * [`bfs`] (`energy-bfs`) — the recursive sub-polynomial-energy BFS, the

@@ -6,7 +6,7 @@
 //! sweep at three levels of the stack: the physical Decay primitive, the
 //! virtual cluster network, and the full recursive BFS. Every run must be
 //! byte-identical to its twin: same deliveries, same distance labels, and
-//! identical energy reports down to the last counter.
+//! identical energy meters down to the last counter.
 
 use radio_energy::bfs::{recursive_bfs, RecursiveBfsConfig};
 use radio_energy::graph::generators;
@@ -49,7 +49,7 @@ fn decay_local_broadcast_is_seed_deterministic_across_runs() {
                 frame.delivered().iter().map(|(v, &m)| (v, m)).collect();
             log.push_str(&format!("round {round}: slots {slots} got {delivered:?}\n"));
         }
-        log.push_str(&format!("{:?}", net.report()));
+        log.push_str(&format!("{:?}", net.meter()));
         log
     };
     for seed in SEEDS {
@@ -113,7 +113,7 @@ fn recursive_bfs_is_seed_deterministic_across_runs() {
 #[test]
 fn cd_decay_local_broadcast_is_seed_deterministic_across_runs() {
     // The CD-aware decay path, byte-identical per seed: deliveries, the
-    // per-receiver feedback verdicts, slots used, and the energy report.
+    // per-receiver feedback verdicts, slots used, and the energy meter.
     use radio_energy::sim::{decay_local_broadcast_cd, CollisionDetection};
     let n = 48;
     let g = generators::grid(6, 8);
@@ -147,7 +147,7 @@ fn cd_decay_local_broadcast_is_seed_deterministic_across_runs() {
                 "round {round}: slots {slots} got {delivered:?} verdicts {verdicts:?}\n"
             ));
         }
-        log.push_str(&format!("{:?}", net.report()));
+        log.push_str(&format!("{:?}", net.meter()));
         log
     };
     for seed in SEEDS {

@@ -1,4 +1,4 @@
-//! Integration tests spanning all crates: the physical `RN[b]` simulator,
+//! Integration tests spanning all crates: the physical `RN[∞]` simulator,
 //! the Local-Broadcast protocol layer, and the recursive BFS, exercised
 //! together the way a deployment would compose them.
 

@@ -211,8 +211,8 @@ fn weighted_energy_model_matches_raw_counter_recomputation() {
         for v in 0..n {
             let listens = view.listen_slots(v).expect("physical view");
             let transmits = view.transmit_slots(v).expect("physical view");
-            assert_eq!(listens, meter.listen_count(v), "cd={cd} node {v}");
-            assert_eq!(transmits, meter.transmit_count(v), "cd={cd} node {v}");
+            assert_eq!(listens, meter.listen_counts()[v], "cd={cd} node {v}");
+            assert_eq!(transmits, meter.transmit_counts()[v], "cd={cd} node {v}");
             let expected = listen_w * listens + transmit_w * transmits;
             assert_eq!(
                 view.physical_energy(v),
