@@ -1,5 +1,6 @@
-//! Experiment runner: regenerates every quantitative claim of the paper
-//! (the E1–E14 index in DESIGN.md / EXPERIMENTS.md).
+//! Experiment runner: regenerates every quantitative claim of the paper,
+//! one experiment per id, E1–E14; each experiment's doc comment below
+//! names the lemma, theorem or figure it checks.
 //!
 //! Usage:
 //!

@@ -1,9 +1,10 @@
 //! Shared helpers for the benchmark harness and the `experiments` binary.
 //!
-//! Every experiment in EXPERIMENTS.md (E1–E14) has a function in the
-//! `experiments` binary; the Criterion benches under `benches/` reuse the
-//! same building blocks to measure wall-clock scaling of the simulator
-//! itself. This library only holds the small amount of code both need.
+//! Every experiment E1–E14 has a function in the `experiments` binary,
+//! whose doc comment names the claim of the paper it reproduces; the
+//! Criterion benches under `benches/` reuse the same building blocks to
+//! measure wall-clock scaling of the simulator itself. This library only
+//! holds the small amount of code both need.
 //!
 //! Workload dispatch goes through the protocol registry ([`registry`],
 //! re-exported from `energy-bfs`): the scenario runner resolves each

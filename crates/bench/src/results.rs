@@ -5,26 +5,28 @@
 //! engine that executes it — and PR 4's conformance harness proves the
 //! output is byte-identical across runs and thread counts. That is exactly
 //! the property that makes a cached [`ScenarioRecord`] trustable, so this
-//! module gives every cell a versioned binary artifact on disk, modeled on
-//! the `radio_graph::dataset` discipline:
+//! module gives every cell a versioned binary artifact on disk, in the
+//! frame it shares with the dataset cache:
 //!
 //! * [`ResultKey`] — the identity of a cell. Its FNV-1a
 //!   [`ResultKey::content_hash`] is baked into the artifact file name and
 //!   header, so a foreign artifact can never be read as the wrong cell. The
 //!   optional active set is part of the hash: a restricted-wavefront run
 //!   can never alias the full-set run of the same cell.
-//! * [`engine_fingerprint`] — a hash of [`ENGINE_VERSION`], stored in every
-//!   artifact header and checked on read. Bump [`ENGINE_VERSION`] whenever
-//!   record *semantics* change (a protocol's schedule, a stack's
+//! * [`engine_stamp`] — the engine fingerprint, a hash of
+//!   [`ENGINE_VERSION`] and the dataset layer's [`LAYOUT_VERSION`], is the
+//!   stamp of every artifact, checked on read. Bump [`ENGINE_VERSION`]
+//!   whenever record *semantics* change (a protocol's schedule, a stack's
 //!   accounting, the record's field meanings): every existing artifact is
 //!   then rejected as foreign-fingerprint and recomputed — stale results
-//!   are never served silently.
-//! * [`write_artifact`] / [`read_artifact`] — the binary record codec with
-//!   a fixed header (magic, format version, key hash, engine fingerprint)
-//!   and a trailing payload checksum. Floats are stored as raw `f64` bits,
-//!   so a cached record round-trips **bit-exactly** — warm-sweep JSON is
+//!   are never served silently. A layout bump does the same.
+//! * [`write_artifact`] / [`read_artifact`] — the record payload codec in
+//!   the shared [`radio_graph::artifact`] frame (magic `RRES`, format
+//!   version, key hash, engine fingerprint, payload length, payload,
+//!   payload checksum). Floats are stored as raw `f64` bits, so a cached
+//!   record round-trips **bit-exactly** — warm-sweep JSON is
 //!   byte-identical to cold, including the `{:.3}`-formatted mean. Writes
-//!   go through [`radio_graph::dataset::write_atomic`] (a uniquely named
+//!   go through [`radio_graph::artifact::write_atomic`] (a uniquely named
 //!   temp file + rename), so a concurrent reader sees either nothing or a
 //!   complete artifact, and concurrent writers of one key never collide.
 //! * [`ResultStore`] — `get`/`put` over a cache directory (the runner uses
@@ -50,13 +52,14 @@
 //! server's `stats`) walks the directory and checks each artifact header.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use radio_graph::dataset::write_atomic;
+use radio_graph::artifact::{
+    self, fnv1a, format_err, write_atomic, ArtifactError, Frame, FNV_OFFSET,
+};
+use radio_graph::dataset::LAYOUT_VERSION;
 
 use crate::scenarios::ScenarioRecord;
 
@@ -75,31 +78,23 @@ pub const FORMAT_VERSION: u32 = 2;
 /// deterministic output.
 pub const ENGINE_VERSION: u32 = 1;
 
-const MAGIC: [u8; 4] = *b"RRES";
-/// magic + format version + key hash + engine fingerprint + payload len.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a over `bytes` — the same platform-stable hash the dataset
-/// substrate uses, independent of `std`'s randomized hashers.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The fingerprint stored in every artifact header: a hash of the result
-/// domain tag and [`ENGINE_VERSION`]. Not part of the file name, so after
-/// an engine bump old artifacts are still *found* — and rejected with a
+/// The engine fingerprint for engine version `engine` over dataset layout
+/// version `layout`: the stamp of every result artifact. Records depend on
+/// the layout too (delivery draws map to vertices in id order), so a bump
+/// of either version refuses every artifact of the old era. Not part of
+/// the file name, so old artifacts are still *found* — and rejected with a
 /// typed foreign-fingerprint error, which heals them as misses.
-pub fn engine_fingerprint() -> u64 {
+pub const fn engine_stamp(engine: u32, layout: u32) -> u64 {
     let h = fnv1a(FNV_OFFSET, b"radio-bench-results");
-    fnv1a(h, &ENGINE_VERSION.to_le_bytes())
+    fnv1a(fnv1a(h, &engine.to_le_bytes()), &layout.to_le_bytes())
 }
+
+const FRAME: Frame = Frame {
+    magic: *b"RRES",
+    version: FORMAT_VERSION,
+    stamp: engine_stamp(ENGINE_VERSION, LAYOUT_VERSION),
+    stamp_name: "engine fingerprint",
+};
 
 /// Identity of one sweep cell: everything its deterministic output depends
 /// on, minus the engine (which lives in the artifact header as the
@@ -154,56 +149,15 @@ impl ResultKey {
         }
     }
 
-    /// The artifact file name, `<scenario>-s<seed>-<hash>.rec`, with the
-    /// scenario name sanitized to filesystem-safe characters; the hash
-    /// keeps names unique even when sanitized names collide.
+    /// The artifact file name, `<scenario>-s<seed>-<hash>.rec`.
     pub fn file_name(&self) -> String {
-        let safe: String = self
-            .scenario
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        format!("{safe}-s{}-{:016x}.rec", self.seed, self.content_hash())
+        artifact::file_name(
+            &self.scenario,
+            &format!("s{}", self.seed),
+            self.content_hash(),
+            "rec",
+        )
     }
-}
-
-/// Why a result artifact could not be read (or written).
-#[derive(Debug)]
-pub enum ResultError {
-    /// The underlying filesystem operation failed.
-    Io(std::io::Error),
-    /// The file exists but is not a valid artifact for the requested key:
-    /// wrong magic or format version, a foreign key hash or engine
-    /// fingerprint, truncation, trailing garbage, a checksum mismatch, or a
-    /// decoded record that contradicts the key.
-    Format(String),
-}
-
-impl fmt::Display for ResultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResultError::Io(e) => write!(f, "result io error: {e}"),
-            ResultError::Format(msg) => write!(f, "malformed result artifact: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ResultError {}
-
-impl From<std::io::Error> for ResultError {
-    fn from(e: std::io::Error) -> Self {
-        ResultError::Io(e)
-    }
-}
-
-fn format_err<T>(msg: impl Into<String>) -> Result<T, ResultError> {
-    Err(ResultError::Format(msg.into()))
 }
 
 fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -264,7 +218,7 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], ResultError> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], ArtifactError> {
         if self.at + len > self.bytes.len() {
             return format_err(format!(
                 "payload ends at byte {} but field needs {} more",
@@ -277,17 +231,17 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u64(&mut self) -> Result<u64, ResultError> {
+    fn u64(&mut self) -> Result<u64, ArtifactError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn string(&mut self) -> Result<String, ResultError> {
+    fn string(&mut self) -> Result<String, ArtifactError> {
         let len = u32::from_le_bytes(self.take(4)?.try_into().expect("4")) as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).or_else(|e| format_err(format!("non-UTF-8 string: {e}")))
     }
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, ResultError> {
+    fn opt_u64(&mut self) -> Result<Option<u64>, ArtifactError> {
         match self.take(1)?[0] {
             0 => Ok(None),
             1 => Ok(Some(self.u64()?)),
@@ -295,7 +249,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn opt_bool(&mut self) -> Result<Option<bool>, ResultError> {
+    fn opt_bool(&mut self) -> Result<Option<bool>, ArtifactError> {
         match self.take(1)?[0] {
             0 => Ok(None),
             1 => Ok(Some(false)),
@@ -305,7 +259,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_record(payload: &[u8]) -> Result<ScenarioRecord, ResultError> {
+fn decode_record(payload: &[u8]) -> Result<ScenarioRecord, ArtifactError> {
     let mut r = Reader {
         bytes: payload,
         at: 0,
@@ -338,20 +292,6 @@ fn decode_record(payload: &[u8]) -> Result<ScenarioRecord, ResultError> {
     Ok(record)
 }
 
-fn encode(key: &ResultKey, record: &ScenarioRecord) -> Vec<u8> {
-    let payload = encode_record(record);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.content_hash().to_le_bytes());
-    out.extend_from_slice(&engine_fingerprint().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let checksum = fnv1a(FNV_OFFSET, &out[HEADER_LEN..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
 /// Writes the artifact for `(key, record)` to `path` atomically: bytes go
 /// to a uniquely named sibling temp file first and are renamed into place,
 /// so a concurrent reader sees either the old artifact or the complete new
@@ -360,82 +300,24 @@ pub fn write_artifact(
     path: &Path,
     key: &ResultKey,
     record: &ScenarioRecord,
-) -> Result<(), ResultError> {
-    Ok(write_atomic(path, &encode(key, record))?)
-}
-
-fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+) -> Result<(), ArtifactError> {
+    let bytes = FRAME.seal(key.content_hash(), &encode_record(record));
+    Ok(write_atomic(path, &bytes)?)
 }
 
 /// Reads and validates the artifact at `path` for `key`.
 ///
-/// Every failure mode is a typed [`ResultError`] rather than a panic:
-/// wrong magic or format version, a key-hash mismatch (an artifact of a
-/// different cell), a **foreign engine fingerprint** (an artifact computed
-/// under different record semantics — the [`ENGINE_VERSION`] staleness
-/// gate), truncation, trailing garbage, a payload checksum mismatch, a
-/// malformed payload, and a decoded record whose own scenario/seed/target
-/// contradict the key (defense against hash collisions and hand-edited
-/// files).
-pub fn read_artifact(path: &Path, key: &ResultKey) -> Result<ScenarioRecord, ResultError> {
+/// Every failure mode is a typed [`ArtifactError`] rather than a panic:
+/// whatever the frame refuses ([`Frame::open`]: a wrong magic or format
+/// version, a **foreign engine fingerprint** — an artifact computed under
+/// different record semantics, the [`ENGINE_VERSION`] staleness gate — a
+/// key-hash mismatch, truncation, trailing garbage, a payload checksum
+/// mismatch), a malformed payload, and a decoded record whose own
+/// scenario/seed/target contradict the key (defense against hash
+/// collisions and hand-edited files).
+pub fn read_artifact(path: &Path, key: &ResultKey) -> Result<ScenarioRecord, ArtifactError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < HEADER_LEN + 8 {
-        return format_err(format!(
-            "{} bytes is shorter than the {}-byte header",
-            bytes.len(),
-            HEADER_LEN + 8
-        ));
-    }
-    if bytes[..4] != MAGIC {
-        return format_err("bad magic (not a result artifact)");
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return format_err(format!(
-            "format version {version} (this build reads {FORMAT_VERSION})"
-        ));
-    }
-    let key_hash = read_u64_at(&bytes, 8);
-    if key_hash != key.content_hash() {
-        return format_err(format!(
-            "key hash {key_hash:016x} does not match requested key {:016x}",
-            key.content_hash()
-        ));
-    }
-    let fingerprint = read_u64_at(&bytes, 16);
-    if fingerprint != engine_fingerprint() {
-        return format_err(format!(
-            "foreign engine fingerprint {fingerprint:016x} (this engine is {:016x}); \
-             the artifact was computed under different record semantics",
-            engine_fingerprint()
-        ));
-    }
-    let payload_len = read_u64_at(&bytes, 24) as usize;
-    let expected = HEADER_LEN
-        .checked_add(payload_len)
-        .and_then(|l| l.checked_add(8))
-        .ok_or_else(|| ResultError::Format("payload size overflows".into()))?;
-    if bytes.len() < expected {
-        return format_err(format!(
-            "truncated: {} bytes, header promises {expected}",
-            bytes.len()
-        ));
-    }
-    if bytes.len() > expected {
-        return format_err(format!(
-            "trailing garbage: {} bytes, header promises {expected}",
-            bytes.len()
-        ));
-    }
-    let checksum = read_u64_at(&bytes, expected - 8);
-    let actual = fnv1a(FNV_OFFSET, &bytes[HEADER_LEN..expected - 8]);
-    if checksum != actual {
-        return format_err(format!(
-            "payload checksum {actual:016x} does not match recorded {checksum:016x}"
-        ));
-    }
-    let record = decode_record(&bytes[HEADER_LEN..expected - 8])?;
+    let record = decode_record(FRAME.open(&bytes, key.content_hash())?)?;
     if record.scenario != key.scenario || record.seed != key.seed || record.target_n != key.target_n
     {
         return format_err(format!(
@@ -585,7 +467,7 @@ impl ResultStore {
     /// Reads `key`'s artifact, if present and valid — no counter movement
     /// and no hot-set involvement; the counting entry point is
     /// [`ResultStore::get`].
-    pub fn load(&self, key: &ResultKey) -> Result<ScenarioRecord, ResultError> {
+    pub fn load(&self, key: &ResultKey) -> Result<ScenarioRecord, ArtifactError> {
         read_artifact(&self.path_for(key), key)
     }
 
@@ -615,7 +497,7 @@ impl ResultStore {
 
     /// Stores `record` as `key`'s artifact, returning its path, and
     /// inserts it into the hot set.
-    pub fn put(&self, key: &ResultKey, record: &ScenarioRecord) -> Result<PathBuf, ResultError> {
+    pub fn put(&self, key: &ResultKey, record: &ScenarioRecord) -> Result<PathBuf, ArtifactError> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.path_for(key);
         write_artifact(&path, key, record)?;
@@ -665,21 +547,10 @@ impl ResultStore {
                 continue;
             }
             let Ok(meta) = entry.metadata() else { continue };
-            let Ok(mut file) = std::fs::File::open(&path) else {
-                continue;
-            };
-            let mut header = [0u8; HEADER_LEN];
-            if file.read_exact(&mut header).is_err() || header[..4] != MAGIC {
-                continue;
+            if FRAME.header_matches(&path) {
+                size.entries += 1;
+                size.bytes += meta.len();
             }
-            if u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) != FORMAT_VERSION {
-                continue;
-            }
-            if read_u64_at(&header, 16) != engine_fingerprint() {
-                continue;
-            }
-            size.entries += 1;
-            size.bytes += meta.len();
         }
         size
     }
@@ -751,6 +622,37 @@ mod tests {
         }
     }
 
+    /// The artifact of `sample_key()` and `sample_record()`, byte for byte:
+    /// a change that re-encodes the stores users already hold fails here.
+    const SAMPLE_ARTIFACT: &str = concat!(
+        "52524553",                               // magic
+        "02000000",                               // format version
+        "c37e51dd4c2d4657",                       // key hash
+        "348d1e43ffd21771",                       // engine fingerprint
+        "9100000000000000",                       // payload length
+        "0a000000677269642d736d616c6c",           // scenario
+        "0400000067726964",                       // family
+        "4000000000000000",                       // n
+        "0300000000000000",                       // seed
+        "0b0000007472697669616c5f626673",         // protocol
+        "080000006162737472616374",               // backend
+        "07000000756e69666f726d",                 // energy model
+        "1100000000000000",                       // lb_calls
+        "0900000000000000",                       // max_lb_energy
+        "555555555555d53f",                       // mean_lb_energy bits
+        "017b0000000000000000",                   // physical energy, slots
+        "40000000000000004000000000000000",       // outcome, target_n
+        "010d00000000000000010e0000000000000001", // estimate, exact, agrees
+        "7db1f0da7927e87d",                       // payload checksum
+    );
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
     #[test]
     fn artifacts_round_trip_bit_exactly() {
         let scratch = ScratchDir::new("roundtrip");
@@ -765,6 +667,21 @@ mod tests {
             record.mean_lb_energy.to_bits(),
             "float bits must survive the codec exactly"
         );
+        // The pinned bytes decode to the sample and re-encode to themselves.
+        let pinned = hex(SAMPLE_ARTIFACT);
+        std::fs::write(&path, &pinned).expect("write pinned bytes");
+        let decoded = read_artifact(&path, &key).expect("pinned bytes decode");
+        assert_eq!(decoded, record);
+        write_artifact(&path, &key, &decoded).expect("re-encode");
+        assert_eq!(std::fs::read(&path).expect("re-read"), pinned);
+    }
+
+    #[test]
+    fn engine_stamp_changes_with_either_version() {
+        let stamp = engine_stamp(ENGINE_VERSION, LAYOUT_VERSION);
+        assert_eq!(FRAME.stamp, stamp);
+        assert_ne!(stamp, engine_stamp(ENGINE_VERSION + 1, LAYOUT_VERSION));
+        assert_ne!(stamp, engine_stamp(ENGINE_VERSION, LAYOUT_VERSION + 1));
     }
 
     #[test]
@@ -813,18 +730,18 @@ mod tests {
         // Garbage bytes: bad magic.
         std::fs::write(&path, b"not an artifact at all").expect("write garbage");
         let err = read_artifact(&path, &key).expect_err("garbage must fail");
-        assert!(matches!(err, ResultError::Format(_)), "{err}");
+        assert!(matches!(err, ArtifactError::Format(_)), "{err}");
 
         // Truncation: a valid artifact cut short.
         write_artifact(&path, &key, &record).expect("write");
         let full = std::fs::read(&path).expect("read back");
         std::fs::write(&path, &full[..full.len() - 5]).expect("truncate");
         let err = read_artifact(&path, &key).expect_err("truncated must fail");
-        assert!(matches!(err, ResultError::Format(_)), "{err}");
+        assert!(matches!(err, ArtifactError::Format(_)), "{err}");
 
         // Payload corruption under an intact header: checksum catches it.
         let mut flipped = full.clone();
-        let mid = HEADER_LEN + 3;
+        let mid = artifact::HEADER_LEN + 3;
         flipped[mid] ^= 0xff;
         std::fs::write(&path, &flipped).expect("flip payload byte");
         let err = read_artifact(&path, &key).expect_err("corrupt payload must fail");

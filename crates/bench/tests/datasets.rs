@@ -7,7 +7,8 @@
 use std::path::PathBuf;
 
 use radio_bench::scenarios::Family;
-use radio_graph::dataset::{read_artifact, write_artifact, DatasetCache, DatasetError};
+use radio_graph::artifact::ArtifactError;
+use radio_graph::dataset::{read_artifact, write_artifact, DatasetCache};
 
 /// A scratch directory under the cargo-managed target tmpdir, unique per
 /// test so parallel test binaries never collide.
@@ -103,7 +104,7 @@ fn corrupt_and_truncated_artifacts_are_rejected() {
     bad[0] ^= 0xff;
     std::fs::write(&path, &bad).unwrap();
     assert!(
-        matches!(read_artifact(&path, &key), Err(DatasetError::Format(_))),
+        matches!(read_artifact(&path, &key), Err(ArtifactError::Format(_))),
         "corrupt magic must be a format error"
     );
 
@@ -121,7 +122,7 @@ fn corrupt_and_truncated_artifacts_are_rejected() {
     for cut in [0usize, 10, 39, good.len() / 2, good.len() - 1] {
         std::fs::write(&path, &good[..cut]).unwrap();
         assert!(
-            matches!(read_artifact(&path, &key), Err(DatasetError::Format(_))),
+            matches!(read_artifact(&path, &key), Err(ArtifactError::Format(_))),
             "truncation at {cut} must be a format error"
         );
     }
@@ -157,7 +158,7 @@ fn foreign_keys_never_decode_another_familys_artifact() {
     assert!(
         matches!(
             read_artifact(&path, &hilbert_key),
-            Err(DatasetError::Format(_))
+            Err(ArtifactError::Format(_))
         ),
         "grid artifact must not decode under the hilbert key"
     );

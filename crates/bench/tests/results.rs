@@ -13,10 +13,11 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use radio_bench::results::{read_artifact, ResultError, ResultStore};
+use radio_bench::results::{read_artifact, ResultStore};
 use radio_bench::scenarios::{
     records_to_json, run_scenarios_with_stores, Family, Protocol, RunnerConfig, Scenario, StackSpec,
 };
+use radio_graph::artifact::ArtifactError;
 
 /// Runs this file's tests one at a time: hold the guard for the whole test.
 /// The lock guards no data, so the guard of a lock poisoned by a test that
@@ -187,7 +188,7 @@ fn corrupt_artifacts_are_rejected_as_typed_errors_and_healed_by_the_runner() {
     for (what, bytes) in cases {
         std::fs::write(&path, &bytes).expect("plant bad artifact");
         let err = read_artifact(&path, &key).expect_err(what);
-        assert!(matches!(err, ResultError::Format(_)), "{what}: {err}");
+        assert!(matches!(err, ArtifactError::Format(_)), "{what}: {err}");
         // ...and at the runner level each one is a miss healed by
         // recomputing: the records come out right and the artifact is
         // restored to the pristine bytes.

@@ -8,7 +8,6 @@
 //! for a given `(n, D₀)`.
 
 use radio_protocols::ClusteringConfig;
-use serde::{Deserialize, Serialize};
 
 /// Multiplier `c_w` in `w = c_w · ln n`; the paper needs a "sufficiently
 /// large multiple of log n".
@@ -24,7 +23,7 @@ const W_FACTOR: f64 = 2.0;
 const ELL_FACTOR: f64 = 2.0;
 
 /// Tunable parameters of [`crate::recursive_bfs::recursive_bfs`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecursiveBfsConfig {
     /// `1/β` (an integer, as the paper requires).
     pub inv_beta: u64,

@@ -11,13 +11,14 @@
 //!   return the maximum BFS label seen. The estimate `D'` satisfies
 //!   `⌊2·diam/3⌋ ≤ D' ≤ diam` w.h.p. and costs `n^{1/2+o(1)}` energy.
 //!
-//! Leader election is the designated-initiator substitution discussed in
-//! DESIGN.md §4; its `Õ(1)` black-box cost is reported separately by the
-//! experiment harness.
+//! Section 5.1 elects the leader with the `Õ(1)`-energy leader election
+//! of the Broadcast paper, cited as a black box. Both algorithms here
+//! substitute a designated initiator, vertex 0 (`INITIATOR`) — the same
+//! assumption the BFS problem makes about its source — and charge nothing
+//! for the election.
 
 use radio_graph::Dist;
 use radio_protocols::aggregate::{find_max, find_min};
-use radio_protocols::leader::designated_leader;
 use radio_protocols::{EnergyView, Msg, RadioStack};
 use rand::Rng;
 use rand::SeedableRng;
@@ -26,13 +27,14 @@ use rand_chacha::ChaCha8Rng;
 use crate::config::RecursiveBfsConfig;
 use crate::recursive_bfs::{build_hierarchy, recursive_bfs_full};
 
+/// The designated initiator standing in for the elected leader.
+const INITIATOR: usize = 0;
+
 /// The output of a diameter-approximation run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiameterEstimate {
     /// The estimate `D'`.
     pub estimate: u64,
-    /// The elected leader / designated initiator.
-    pub leader: usize,
     /// Number of BFS computations performed.
     pub bfs_count: u64,
     /// Energy/time counters after the run (setup + queries).
@@ -55,11 +57,10 @@ pub fn two_approx_diameter(
     net: &mut dyn RadioStack,
     config: &RecursiveBfsConfig,
 ) -> DiameterEstimate {
-    let leader = designated_leader(net).leader;
     let hierarchy = build_hierarchy(net, config);
     let setup_energy = net.energy_view();
 
-    let labels = recursive_bfs_full(net, &hierarchy, &[leader], config).dist;
+    let labels = recursive_bfs_full(net, &hierarchy, &[INITIATOR], config).dist;
     let label_dists = labels_to_dists(&labels);
     let n = net.num_nodes();
     // Find-Maximum over the BFS labels so that every device knows the
@@ -71,7 +72,6 @@ pub fn two_approx_diameter(
 
     DiameterEstimate {
         estimate,
-        leader,
         bfs_count: 1,
         energy: net.energy_view(),
         setup_energy,
@@ -87,27 +87,27 @@ pub fn three_halves_approx_diameter(
 ) -> DiameterEstimate {
     let n = net.num_nodes();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let leader = designated_leader(net).leader;
     let hierarchy = build_hierarchy(net, config);
     let setup_energy = net.energy_view();
     let mut bfs_count = 0u64;
 
-    // BFS from the leader: gives the aggregation tree and one eccentricity.
-    let leader_labels = recursive_bfs_full(net, &hierarchy, &[leader], config).dist;
+    // BFS from the initiator: gives the aggregation tree and one
+    // eccentricity.
+    let initiator_labels = recursive_bfs_full(net, &hierarchy, &[INITIATOR], config).dist;
     bfs_count += 1;
-    let tree = labels_to_dists(&leader_labels);
-    let mut best = max_finite(&leader_labels);
+    let tree = labels_to_dists(&initiator_labels);
+    let mut best = max_finite(&initiator_labels);
 
     // Sample S: each vertex joins independently with probability
     // min(1, log n / √n).
     let p = ((n.max(2) as f64).ln() / (n.max(2) as f64).sqrt()).min(1.0);
     let mut s_set: Vec<usize> = (0..n).filter(|_| rng.gen_bool(p)).collect();
     if s_set.is_empty() {
-        s_set.push(leader);
+        s_set.push(INITIATOR);
     }
 
     // Everyone learns the members of S via |S| Find-Minimum iterations over
-    // the leader's BFS tree (the paper's accounting for this phase).
+    // the initiator's BFS tree (the paper's accounting for this phase).
     let _ = announce_set(net, &tree, &s_set, n);
 
     // dist(·, S) and the max label over the BFS from each s ∈ S.
@@ -131,7 +131,7 @@ pub fn three_halves_approx_diameter(
     let msgs: Vec<Msg> = (0..n).map(|v| Msg::words(&[v as u64])).collect();
     let v_star = find_max(net, &tree, &keys, &msgs, n as u64 + 1)
         .map(|r| r.message.word(0) as usize)
-        .unwrap_or(leader);
+        .unwrap_or(INITIATOR);
 
     // BFS from v*; everyone learns its distance to v*.
     let star_labels = recursive_bfs_full(net, &hierarchy, &[v_star], config).dist;
@@ -178,7 +178,6 @@ pub fn three_halves_approx_diameter(
 
     DiameterEstimate {
         estimate: best,
-        leader,
         bfs_count,
         energy: net.energy_view(),
         setup_energy,

@@ -14,11 +14,9 @@
 //!
 //! The module also records estimate histories for Figure 3 (experiment E8).
 
-use serde::{Deserialize, Serialize};
-
 /// The interval `[L_i(C), U_i(C)]` for one cluster, plus bookkeeping about
 /// how it was last set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DistanceEstimate {
     /// Lower bound `L_i(C)` (may be `f64::INFINITY` for deactivated
     /// clusters).
@@ -102,7 +100,7 @@ impl DistanceEstimate {
 }
 
 /// Which update produced an estimate (for traces / Figure 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateKind {
     /// Step 1 of Recursive-BFS.
     Initialize,
@@ -114,7 +112,7 @@ pub enum UpdateKind {
 
 /// One point in the time evolution of a traced cluster's estimate
 /// (regenerates Figure 3).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EstimateTracePoint {
     /// Stage index `i`.
     pub stage: u64,

@@ -24,13 +24,12 @@
 use std::collections::HashSet;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use radio_graph::lower_bound::DisjointnessGraph;
 use radio_graph::{Graph, NodeId};
 
 /// What every device did in one recorded slot of a protocol trace.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceRound {
     /// Devices that transmitted in this slot.
     pub transmitters: Vec<NodeId>,
@@ -42,7 +41,7 @@ pub struct TraceRound {
 pub type Trace = Vec<TraceRound>;
 
 /// The outcome of applying Theorem 5.1's counting argument to a trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GoodSlotAccounting {
     /// Number of devices.
     pub n: usize,

@@ -10,13 +10,11 @@
 //! * **Figure 3 traces**: the evolution of `[L_i(C), U_i(C)]` for chosen
 //!   clusters — also in [`RecursionStats`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::estimates::EstimateTracePoint;
 
 /// Statistics gathered while running the recursive BFS, backing Claims 1–2
 /// and Figure 3.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RecursionStats {
     /// For every vertex of the top-level network, the number of stages `i`
     /// in which it belonged to the wavefront set `X_i` (Claim 1).

@@ -13,8 +13,6 @@
 //! often any cluster participates in a Special Update (Claim 2), and are
 //! verified exhaustively by the tests and experiment E9.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's constant α.
 pub const ALPHA: u64 = 4;
 
@@ -25,7 +23,7 @@ pub fn ruler(i: u64) -> u64 {
 }
 
 /// The `Z`-sequence for a given truncation value `D*`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ZSequence {
     /// The truncation value `D*` (also `Z[0]`).
     pub d_star: u64,

@@ -100,22 +100,6 @@ impl BfsTree {
             .map(|(v, _)| v)
             .collect()
     }
-
-    /// Reconstructs a shortest path from the source to `v`, inclusive.
-    /// Returns `None` if `v` is unreachable.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[v] == INFINITY {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Computes a BFS tree rooted at `source`.
@@ -159,16 +143,6 @@ pub fn is_valid_bfs_labeling(g: &Graph, source: NodeId, labels: &[Dist]) -> bool
     labels == truth.as_slice()
 }
 
-/// The set of vertices with finite distance (i.e. reachable from the
-/// sources that produced `dist`).
-pub fn reachable_set(dist: &[Dist]) -> Vec<NodeId> {
-    dist.iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != INFINITY)
-        .map(|(v, _)| v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +165,6 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], INFINITY);
         assert_eq!(d[4], INFINITY);
-        assert_eq!(reachable_set(&d), vec![0, 1]);
     }
 
     #[test]
@@ -232,16 +205,17 @@ mod tests {
 
     #[test]
     fn bfs_tree_paths_are_shortest() {
+        // Parent pointers lead every vertex back to the source along graph
+        // edges in exactly `dist[v]` hops.
         let g = generators::grid(4, 4);
         let t = bfs_tree(&g, 0);
         for v in g.nodes() {
-            let p = t.path_to(v).unwrap();
-            assert_eq!(p.len() as Dist - 1, t.dist[v]);
-            assert_eq!(p[0], 0);
-            assert_eq!(*p.last().unwrap(), v);
-            for w in p.windows(2) {
-                assert!(g.has_edge(w[0], w[1]));
+            let (mut cur, mut hops) = (v, 0);
+            while let Some(p) = t.parent[cur] {
+                assert!(g.has_edge(cur, p));
+                (cur, hops) = (p, hops + 1);
             }
+            assert_eq!((cur, hops), (0, t.dist[v]));
         }
     }
 

@@ -8,15 +8,13 @@
 //! BFS of Section 4 possible, and this module provides both the construction
 //! and the empirical checkers used by experiments E1/E2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bfs::bfs_distances;
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::mpx::Clustering;
 use crate::{Dist, INFINITY};
 
 /// The quotient graph of a [`Clustering`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterGraph {
     /// The quotient graph: vertex `c` of this graph is cluster `c`.
     pub graph: Graph,
@@ -62,7 +60,7 @@ impl ClusterGraph {
 }
 
 /// The outcome of checking Lemma 2.2 on one vertex pair.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DistanceProxySample {
     /// Distance in the original graph.
     pub dist_g: Dist,
@@ -110,7 +108,7 @@ pub fn check_distance_proxy(
 }
 
 /// Aggregate statistics over many vertex pairs for experiment E2.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DistanceProxyStats {
     /// Number of pairs sampled (connected pairs only).
     pub pairs: usize,

@@ -1,7 +1,7 @@
 //! Connected components and related connectivity queries.
 
 use crate::bfs::multi_source_bfs;
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::INFINITY;
 
 /// Labels each vertex with a component id in `0..k` (ids are assigned in
@@ -37,16 +37,6 @@ pub fn is_connected(g: &Graph) -> bool {
     }
     let dist = multi_source_bfs(g, &[0]);
     dist.iter().all(|&d| d != INFINITY)
-}
-
-/// Vertices of the component containing `v`.
-pub fn component_of(g: &Graph, v: NodeId) -> Vec<NodeId> {
-    let dist = multi_source_bfs(g, &[v]);
-    dist.iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != INFINITY)
-        .map(|(u, _)| u)
-        .collect()
 }
 
 /// Size of the largest connected component (0 for the empty graph).
@@ -85,7 +75,6 @@ mod tests {
         assert_ne!(comp[3], comp[5]);
         assert!(!is_connected(&g));
         assert_eq!(largest_component_size(&g), 3);
-        assert_eq!(component_of(&g, 4), vec![3, 4]);
     }
 
     #[test]

@@ -8,20 +8,21 @@
 //! worker pool shares by refcount:
 //!
 //! * [`DatasetKey`] — the identity of a compiled dataset: `{family, params,
-//!   n, layout-version}`. Its FNV-1a [`DatasetKey::content_hash`] is baked
-//!   into both the artifact file name and the header, so a stale or
-//!   foreign artifact can never be read as the wrong graph.
-//! * [`write_artifact`] / [`read_artifact`] — the versioned binary format:
-//!   a fixed header (magic, format version, key hash, realized `n`, edge
-//!   count), `u32` offsets and neighbor ids, and a trailing payload
-//!   checksum. Writes go through [`write_atomic`] (a uniquely named temp
-//!   file + rename), so readers never observe a half-written artifact and
-//!   concurrent writers of one key never collide.
+//!   n}`. Its FNV-1a [`DatasetKey::content_hash`] is baked into both the
+//!   artifact file name and the header, so a foreign artifact can never be
+//!   read as the wrong graph.
+//! * [`write_artifact`] / [`read_artifact`] — the dataset payload in the
+//!   shared [`artifact`] frame, whose stamp is a fingerprint of
+//!   [`LAYOUT_VERSION`]: the realized `n`, the edge count, then `u32`
+//!   offsets and neighbor ids. Writes go through [`write_atomic`] (a
+//!   uniquely named temp file + rename), so readers never observe a
+//!   half-written artifact and concurrent writers of one key never
+//!   collide.
 //! * [`DatasetCache`] — `load_or_build` over a cache directory (the runner
 //!   uses `target/datasets/`): a valid artifact is a **hit** (bulk read, no
-//!   generator run); a missing or corrupt one is a **miss** (rebuild, then
-//!   best-effort re-store). Hit/miss counters let smoke tests assert the
-//!   second run of a sweep compiles nothing.
+//!   generator run); a missing, corrupt or stale one is a **miss**
+//!   (rebuild, then best-effort re-store). Hit/miss counters let smoke
+//!   tests assert the second run of a sweep compiles nothing.
 //! * [`hilbert`] — the opt-in space-filling-curve vertex order for grids
 //!   (COST-style cache-aware layout). Relabeling changes neighbor
 //!   iteration order, which feeds RNG-ordered delivery draws, so the
@@ -31,45 +32,40 @@
 //! whose [`Graph::csr_parts`] equal the generator output's, revalidated
 //! through [`Graph::from_csr_parts`] on every load.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::artifact::{self, fnv1a, format_err, write_atomic, ArtifactError, Frame, FNV_OFFSET};
 use crate::graph::Graph;
 
-/// Version of the on-disk artifact format; bumped whenever the header or
-/// payload encoding changes, so readers never misparse old files.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version of the dataset payload encoding; bumped whenever it changes, so
+/// readers never misparse old files. Version 2 moved the realized `n` and
+/// the edge count from a dataset-only header into the payload of the
+/// shared artifact frame.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Version of the vertex/edge *layout* conventions (row-major grids,
-/// curve-rank Hilbert relabeling). Part of every [`DatasetKey`] hash: a
-/// layout change re-keys every artifact instead of silently reusing graphs
-/// built under the old conventions.
+/// curve-rank Hilbert relabeling). Its fingerprint is the stamp of every
+/// dataset artifact, and the result store folds it into its engine
+/// fingerprint: a layout change refuses every artifact built under the old
+/// conventions instead of silently reusing them.
 pub const LAYOUT_VERSION: u32 = 1;
 
-const MAGIC: [u8; 4] = *b"RGDS";
-/// magic + format version + key hash + n + num_edges + neighbors len.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 8;
-
-/// 64-bit FNV-1a over `bytes` — the (non-cryptographic) content hash used
-/// for dataset keys and payload checksums. Stable across platforms and
-/// independent of `std`'s randomized hashers.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FRAME: Frame = Frame {
+    magic: *b"RGDS",
+    version: FORMAT_VERSION,
+    stamp: fnv1a(
+        fnv1a(FNV_OFFSET, b"radio-graph-dataset"),
+        &LAYOUT_VERSION.to_le_bytes(),
+    ),
+    stamp_name: "layout stamp",
+};
 
 /// Identity of a compiled dataset: the deterministic generator inputs
-/// `{family, params, n}` plus the crate's [`LAYOUT_VERSION`]. `n` is the
-/// *target* size handed to the generator; the realized node count lives in
-/// the artifact header (families like grids round down).
+/// `{family, params, n}`. `n` is the *target* size handed to the generator;
+/// the realized node count lives in the payload (families like grids round
+/// down). The layout conventions are not part of the key but the stamp.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DatasetKey {
     /// Family label, e.g. `grid`, `path`, `tree3`.
@@ -91,74 +87,31 @@ impl DatasetKey {
         }
     }
 
-    /// The content hash over `{family, params, n, layout-version}` — the
-    /// artifact's identity on disk. Field boundaries are delimited with NUL
-    /// bytes so `("ab", "c")` and `("a", "bc")` cannot collide.
+    /// The content hash over `{family, params, n}` — the artifact's
+    /// identity on disk. Field boundaries are delimited with NUL bytes so
+    /// `("ab", "c")` and `("a", "bc")` cannot collide.
     pub fn content_hash(&self) -> u64 {
         let mut h = fnv1a(FNV_OFFSET, self.family.as_bytes());
         h = fnv1a(h, &[0]);
         h = fnv1a(h, self.params.as_bytes());
         h = fnv1a(h, &[0]);
-        h = fnv1a(h, &(self.n as u64).to_le_bytes());
-        h = fnv1a(h, &[0]);
-        fnv1a(h, &LAYOUT_VERSION.to_le_bytes())
+        fnv1a(h, &(self.n as u64).to_le_bytes())
     }
 
-    /// The artifact file name, `<family>-n<target>-<hash>.csr`, with the
-    /// family label sanitized to filesystem-safe characters. The hash makes
-    /// the name unique even when labels collide after sanitization.
+    /// The artifact file name, `<family>-n<target>-<hash>.csr`.
     pub fn file_name(&self) -> String {
-        let safe: String = self
-            .family
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        format!("{safe}-n{}-{:016x}.csr", self.n, self.content_hash())
+        artifact::file_name(
+            &self.family,
+            &format!("n{}", self.n),
+            self.content_hash(),
+            "csr",
+        )
     }
 }
 
-/// Why a dataset artifact could not be read (or written).
-#[derive(Debug)]
-pub enum DatasetError {
-    /// The underlying filesystem operation failed (missing file, permission
-    /// denied, disk full, ...).
-    Io(std::io::Error),
-    /// The file exists but is not a valid artifact for the requested key:
-    /// wrong magic or format version, truncated or oversized payload,
-    /// checksum mismatch, a foreign key hash, or CSR arrays violating the
-    /// [`Graph`] invariants.
-    Format(String),
-}
-
-impl fmt::Display for DatasetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DatasetError::Io(e) => write!(f, "dataset io error: {e}"),
-            DatasetError::Format(msg) => write!(f, "malformed dataset artifact: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for DatasetError {}
-
-impl From<std::io::Error> for DatasetError {
-    fn from(e: std::io::Error) -> Self {
-        DatasetError::Io(e)
-    }
-}
-
-fn format_err<T>(msg: impl Into<String>) -> Result<T, DatasetError> {
-    Err(DatasetError::Format(msg.into()))
-}
-
-/// Serializes `graph` into the artifact byte format for `key`.
-fn encode(key: &DatasetKey, graph: &Graph) -> Result<Vec<u8>, DatasetError> {
+/// Serializes `graph` into the dataset payload: realized `n` and edge count
+/// as `u64`, then offsets and neighbor ids as `u32`.
+fn encode(graph: &Graph) -> Result<Vec<u8>, ArtifactError> {
     let (offsets, neighbors, num_edges) = graph.csr_parts();
     if neighbors.len() > u32::MAX as usize {
         return format_err(format!(
@@ -167,124 +120,57 @@ fn encode(key: &DatasetKey, graph: &Graph) -> Result<Vec<u8>, DatasetError> {
             u32::MAX
         ));
     }
-    let n = graph.num_nodes();
-    let mut out = Vec::with_capacity(HEADER_LEN + 4 * (offsets.len() + neighbors.len()) + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.content_hash().to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
+    let mut out = Vec::with_capacity(16 + 4 * (offsets.len() + neighbors.len()));
+    out.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
     out.extend_from_slice(&(num_edges as u64).to_le_bytes());
-    out.extend_from_slice(&(neighbors.len() as u64).to_le_bytes());
     for &o in offsets {
         out.extend_from_slice(&(o as u32).to_le_bytes());
     }
     for &v in neighbors {
         out.extend_from_slice(&(v as u32).to_le_bytes());
     }
-    let checksum = fnv1a(FNV_OFFSET, &out[HEADER_LEN..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
 
-/// Writes `bytes` to `path` atomically: they go to a sibling temp file
-/// first and are renamed into place, so a concurrent reader sees either the
-/// old file or the complete new one, never a prefix. The temp name carries
-/// the process id and a process-wide counter, so concurrent writers of the
-/// same `path` — threads or processes — never share a temp file; the last
-/// rename wins. Both artifact stores (datasets here, scenario results in
-/// the bench crate) write through this.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
-/// Writes the artifact for `(key, graph)` to `path` atomically through
-/// [`write_atomic`].
-pub fn write_artifact(path: &Path, key: &DatasetKey, graph: &Graph) -> Result<(), DatasetError> {
-    Ok(write_atomic(path, &encode(key, graph)?)?)
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-}
-
-/// Bulk-reads and validates the artifact at `path` for `key`.
-///
-/// Every failure mode is a typed [`DatasetError`] rather than a panic:
-/// wrong magic/version, a key-hash mismatch (an artifact compiled for a
-/// different dataset or layout version), truncation, trailing garbage, a
-/// payload checksum mismatch, and CSR invariant violations (the decoded
-/// arrays pass through [`Graph::from_csr_parts`]).
-pub fn read_artifact(path: &Path, key: &DatasetKey) -> Result<Graph, DatasetError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < HEADER_LEN + 8 {
+/// Decodes a dataset payload; the arrays pass through
+/// [`Graph::from_csr_parts`], so a payload that violates the CSR invariants
+/// is an error, never a graph.
+fn decode(payload: &[u8]) -> Result<Graph, ArtifactError> {
+    let field = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    let array_words = payload.len().saturating_sub(16) / 4;
+    if payload.len() < 16 || !payload.len().is_multiple_of(4) || field(0) >= array_words as u64 {
         return format_err(format!(
-            "{} bytes is shorter than the {}-byte header",
-            bytes.len(),
-            HEADER_LEN + 8
+            "{}-byte payload does not hold a CSR graph",
+            payload.len()
         ));
     }
-    if bytes[..4] != MAGIC {
-        return format_err("bad magic (not a dataset artifact)");
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return format_err(format!(
-            "format version {version} (this build reads {FORMAT_VERSION})"
-        ));
-    }
-    let key_hash = read_u64(&bytes, 8);
-    if key_hash != key.content_hash() {
-        return format_err(format!(
-            "key hash {key_hash:016x} does not match requested key {:016x}",
-            key.content_hash()
-        ));
-    }
-    let n = read_u64(&bytes, 16) as usize;
-    let num_edges = read_u64(&bytes, 24) as usize;
-    let neighbors_len = read_u64(&bytes, 32) as usize;
-    let payload = 4usize
-        .checked_mul(n + 1)
-        .and_then(|o| o.checked_add(4 * neighbors_len))
-        .ok_or_else(|| DatasetError::Format("payload size overflows".into()))?;
-    let expected = HEADER_LEN + payload + 8;
-    if bytes.len() < expected {
-        return format_err(format!(
-            "truncated: {} bytes, header promises {expected}",
-            bytes.len()
-        ));
-    }
-    if bytes.len() > expected {
-        return format_err(format!(
-            "trailing garbage: {} bytes, header promises {expected}",
-            bytes.len()
-        ));
-    }
-    let checksum = read_u64(&bytes, expected - 8);
-    let actual = fnv1a(FNV_OFFSET, &bytes[HEADER_LEN..expected - 8]);
-    if checksum != actual {
-        return format_err(format!(
-            "payload checksum {actual:016x} does not match recorded {checksum:016x}"
-        ));
-    }
-    let decode = |range: std::ops::Range<usize>| -> Vec<usize> {
-        bytes[range]
+    let (offsets, neighbors) = payload[16..].split_at(4 * (field(0) as usize + 1));
+    let words = |bytes: &[u8]| -> Vec<usize> {
+        bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")) as usize)
             .collect()
     };
-    let offsets_end = HEADER_LEN + 4 * (n + 1);
-    let offsets = decode(HEADER_LEN..offsets_end);
-    let neighbors = decode(offsets_end..expected - 8);
-    Graph::from_csr_parts(offsets, neighbors, num_edges).or_else(format_err)
+    Graph::from_csr_parts(words(offsets), words(neighbors), field(8) as usize).or_else(format_err)
+}
+
+/// Writes the artifact for `(key, graph)` to `path` atomically through
+/// [`write_atomic`].
+pub fn write_artifact(path: &Path, key: &DatasetKey, graph: &Graph) -> Result<(), ArtifactError> {
+    let bytes = FRAME.seal(key.content_hash(), &encode(graph)?);
+    Ok(write_atomic(path, &bytes)?)
+}
+
+/// Bulk-reads and validates the artifact at `path` for `key`.
+///
+/// Every failure mode is a typed [`ArtifactError`] rather than a panic:
+/// whatever the frame refuses ([`Frame::open`]: a wrong magic, version,
+/// layout stamp or key hash, truncation, trailing garbage, a checksum
+/// mismatch), a payload that does not hold the arrays it promises, and CSR
+/// invariant violations.
+pub fn read_artifact(path: &Path, key: &DatasetKey) -> Result<Graph, ArtifactError> {
+    let bytes = std::fs::read(path)?;
+    decode(FRAME.open(&bytes, key.content_hash())?)
 }
 
 /// A content-addressed build cache over one directory of artifacts.
@@ -326,12 +212,12 @@ impl DatasetCache {
     }
 
     /// Reads `key`'s artifact, if present and valid.
-    pub fn load(&self, key: &DatasetKey) -> Result<Graph, DatasetError> {
+    pub fn load(&self, key: &DatasetKey) -> Result<Graph, ArtifactError> {
         read_artifact(&self.path_for(key), key)
     }
 
     /// Compiles and stores `graph` as `key`'s artifact, returning its path.
-    pub fn store(&self, key: &DatasetKey, graph: &Graph) -> Result<PathBuf, DatasetError> {
+    pub fn store(&self, key: &DatasetKey, graph: &Graph) -> Result<PathBuf, ArtifactError> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.path_for(key);
         write_artifact(&path, key, graph)?;
@@ -564,6 +450,28 @@ mod tests {
         }
     }
 
+    /// The artifact of `path(4)` under the key `("path", "", 4)`, byte for
+    /// byte: a change that re-encodes the caches users already hold fails
+    /// here.
+    const PATH4_ARTIFACT: &str = concat!(
+        "52474453",                                         // magic
+        "02000000",                                         // format version
+        "225b4f0a099bbbb0",                                 // key hash
+        "cd1c1d2895051338",                                 // layout stamp
+        "3c00000000000000",                                 // payload length
+        "04000000000000000300000000000000",                 // n, edges
+        "0000000001000000030000000500000006000000",         // offsets
+        "010000000000000002000000010000000300000002000000", // neighbors
+        "c0fa788c9a0998e9",                                 // payload checksum
+    );
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
     #[test]
     fn artifacts_round_trip_byte_identically() {
         let scratch = ScratchDir::new("roundtrip");
@@ -579,6 +487,15 @@ mod tests {
             let back = read_artifact(&path, &key).expect("read");
             assert_eq!(back.csr_parts(), g.csr_parts(), "{tag}");
         }
+        // The pinned bytes decode to path(4) and re-encode to themselves.
+        let key = DatasetKey::new("path", "", 4);
+        let path = scratch.0.join(key.file_name());
+        let pinned = hex(PATH4_ARTIFACT);
+        std::fs::write(&path, &pinned).expect("write pinned bytes");
+        let decoded = read_artifact(&path, &key).expect("pinned bytes decode");
+        assert_eq!(decoded.csr_parts(), generators::path(4).csr_parts());
+        write_artifact(&path, &key, &decoded).expect("re-encode");
+        assert_eq!(std::fs::read(&path).expect("re-read"), pinned);
     }
 
     #[test]
@@ -627,7 +544,7 @@ mod tests {
         write_artifact(&path, &written, &g).expect("write");
         let other = DatasetKey::new("cycle", "", 16);
         let err = read_artifact(&path, &other).expect_err("foreign key must fail");
-        assert!(matches!(err, DatasetError::Format(_)), "{err}");
+        assert!(matches!(err, ArtifactError::Format(_)), "{err}");
     }
 
     #[test]
@@ -648,5 +565,14 @@ mod tests {
         assert_eq!(rebuilt.csr_parts(), built.csr_parts());
         let healed = cache.load(&key).expect("re-stored artifact");
         assert_eq!(healed.csr_parts(), built.csr_parts());
+        // A payload the frame accepts but that claims more nodes than it
+        // holds offsets for is refused by the codec, never indexed past.
+        let lying = FRAME.seal(
+            key.content_hash(),
+            &[u64::MAX.to_le_bytes(), [0; 8]].concat(),
+        );
+        std::fs::write(cache.path_for(&key), lying).expect("forge payload");
+        let err = cache.load(&key).expect_err("oversized n must fail");
+        assert!(err.to_string().contains("CSR graph"), "{err}");
     }
 }

@@ -4,9 +4,8 @@
 //! its lower bounds use `K_n`, `K_n − e`, and the sparse set-disjointness
 //! construction (see [`crate::lower_bound`]); its upper-bound analysis is
 //! parameterized by the diameter `D`, which the deterministic families below
-//! (paths, cycles, grids, trees, hypercubes, …) let us control exactly.
+//! (paths, cycles, grids, trees, …) let us control exactly.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
@@ -80,21 +79,6 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
             }
             if c + 1 < cols {
                 b.add_edge(idx(r, c), idx(r, c + 1));
-            }
-        }
-    }
-    b.build()
-}
-
-/// The `d`-dimensional hypercube on `2^d` vertices; diameter `d`.
-pub fn hypercube(d: u32) -> Graph {
-    let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for bit in 0..d {
-            let u = v ^ (1 << bit);
-            if u > v {
-                b.add_edge(v, u);
             }
         }
     }
@@ -332,40 +316,9 @@ pub fn lollipop(k: usize, tail: usize) -> Graph {
     b.build()
 }
 
-/// A graph made of `count` disjoint cliques of size `size` connected in a
-/// ring by single edges: a synthetic "cluster-ish" topology that exercises
-/// the MPX clustering with an obvious ground truth.
-pub fn clique_ring(count: usize, size: usize) -> Graph {
-    assert!(count >= 3 && size >= 1);
-    let n = count * size;
-    let mut b = GraphBuilder::new(n);
-    for c in 0..count {
-        let base = c * size;
-        for u in 0..size {
-            for v in (u + 1)..size {
-                b.add_edge(base + u, base + v);
-            }
-        }
-        let next_base = ((c + 1) % count) * size;
-        b.add_edge(base, next_base);
-    }
-    b.build()
-}
-
-/// Randomly permutes vertex labels, returning the relabelled graph and the
-/// permutation used (`perm[old] = new`).
-///
-/// Useful in tests to check that nothing depends on label order.
-pub fn shuffle_labels<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> (Graph, Vec<NodeId>) {
-    let mut perm: Vec<NodeId> = (0..g.num_nodes()).collect();
-    perm.shuffle(rng);
-    (g.relabel(&perm), perm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::bfs_distances;
     use crate::components::is_connected;
     use crate::diameter::exact_diameter;
     use rand::SeedableRng;
@@ -424,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn hypercube_properties() {
-        let g = hypercube(5);
-        assert_eq!(g.num_nodes(), 32);
-        assert_eq!(g.num_edges(), 5 * 32 / 2);
-        assert_eq!(exact_diameter(&g), Some(5));
-        assert!(g.nodes().all(|v| g.degree(v) == 5));
-    }
-
-    #[test]
     fn k_ary_tree_shape() {
         let g = complete_k_ary_tree(2, 4); // 1 + 2 + 4 + 8 = 15 vertices
         assert_eq!(g.num_nodes(), 15);
@@ -460,13 +404,6 @@ mod tests {
     fn lollipop_diameter() {
         let g = lollipop(6, 5);
         assert_eq!(exact_diameter(&g), Some(6));
-    }
-
-    #[test]
-    fn clique_ring_is_connected_with_right_size() {
-        let g = clique_ring(4, 5);
-        assert_eq!(g.num_nodes(), 20);
-        assert!(is_connected(&g));
     }
 
     #[test]
@@ -546,24 +483,6 @@ mod tests {
                 assert_eq!(g.num_edges(), n - 1);
                 assert!(is_connected(&g));
             }
-        }
-    }
-
-    #[test]
-    fn shuffle_labels_preserves_distances_multiset() {
-        let mut r = rng(8);
-        let g = grid(5, 5);
-        let (h, perm) = shuffle_labels(&g, &mut r);
-        let dg = bfs_distances(&g, 0);
-        let dh = bfs_distances(&h, perm[0]);
-        let mut a: Vec<_> = dg.clone();
-        let mut b: Vec<_> = dh.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // And individual distances map through the permutation.
-        for v in 0..g.num_nodes() {
-            assert_eq!(dg[v], dh[perm[v]]);
         }
     }
 }

@@ -9,13 +9,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex; vertices are always `0..n`.
 pub type NodeId = usize;
 
 /// An immutable, undirected, simple graph in CSR form.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`.
     offsets: Vec<usize>,
@@ -73,15 +71,6 @@ impl Graph {
             .map(|v| self.degree(v))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Average degree `2m/n` (0 if there are no vertices).
-    pub fn average_degree(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            0.0
-        } else {
-            2.0 * self.num_edges as f64 / self.num_nodes() as f64
-        }
     }
 
     /// Returns `true` if `{u, v}` is an edge. `O(log deg(u))`.
@@ -416,7 +405,10 @@ mod tests {
 
     #[test]
     fn average_degree_matches_handshake_lemma() {
+        // The degrees sum to twice the edge count, so a 4-cycle averages 2.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert!((g.average_degree() - 2.0).abs() < 1e-12);
+        let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
+        assert_eq!(degree_sum, 2 * g.num_edges());
+        assert_eq!(degree_sum / g.num_nodes(), 2);
     }
 }

@@ -9,7 +9,7 @@
 //! * [`generators`] — the graph families used throughout the paper and its
 //!   experiments: paths, cycles, grids, trees, complete graphs, `K_n − e`,
 //!   Erdős–Rényi, random unit-disc graphs (the paper's sensor-field
-//!   motivation), hypercubes, and more.
+//!   motivation), and more.
 //! * [`bfs`] / [`diameter`] / [`components`] — centralized (non-distributed)
 //!   reference algorithms used as ground truth by the tests and experiments.
 //! * [`exponential`] — sampling from `Exponential(β)` with the paper's
@@ -25,11 +25,15 @@
 //!   outputs compiled once into content-addressed binary artifacts and
 //!   bulk-read into `Arc<Graph>`s shared across worker pools, plus the
 //!   opt-in Hilbert-curve grid layout.
+//! * [`artifact`] — the on-disk artifact frame (header, checksum,
+//!   validation, file names, atomic writes) shared by the dataset cache and
+//!   the bench crate's result store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arboricity;
+pub mod artifact;
 pub mod bfs;
 pub mod cluster_graph;
 pub mod components;

@@ -16,12 +16,10 @@
 //! provides the communication-cost ledger used by experiment E11 to replay
 //! the reduction's accounting on concrete protocol traces.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Graph, GraphBuilder, NodeId};
 
 /// Which class a vertex of the lower-bound graph belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VertexClass {
     /// `u_i ∈ V_A`, corresponding to element `a_i ∈ S_A`.
     A,
@@ -38,7 +36,7 @@ pub enum VertexClass {
 }
 
 /// The Theorem 5.2 graph together with its vertex-class layout.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DisjointnessGraph {
     /// The constructed graph.
     pub graph: Graph,

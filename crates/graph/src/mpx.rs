@@ -16,14 +16,13 @@
 use std::collections::VecDeque;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::exponential::{clustering_rounds, sample_start_times};
 use crate::graph::{Graph, NodeId};
 use crate::{Dist, INFINITY};
 
 /// Parameters of an MPX clustering.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MpxParams {
     /// The rate β of the exponential start-time shifts. The paper always
     /// chooses β so that `1/β` is an integer; [`MpxParams::new`] enforces it.
@@ -59,7 +58,7 @@ impl MpxParams {
 
 /// The result of an MPX clustering: a partition of `V(G)` into clusters,
 /// each grown from a center, plus the layer labels of the growth process.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Clustering {
     /// β used to produce the clustering.
     pub beta: f64,

@@ -19,13 +19,12 @@ use radio_graph::exponential::{sample_exponential, start_time};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::message::Msg;
 use crate::stack::RadioStack;
 
 /// Configuration of the distributed clustering.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusteringConfig {
     /// The MPX rate β (the paper requires `1/β` to be an integer).
     pub beta: f64,
@@ -79,7 +78,7 @@ impl ClusteringConfig {
 /// The state shared by all members of a clustering, produced by
 /// [`cluster_distributed`] and consumed by the casts, the virtual cluster
 /// network, and the recursive BFS.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterState {
     /// β used to grow the clustering.
     pub beta: f64,

@@ -5,10 +5,8 @@
 //! receiver); Lemma 2.4 converts those units into physical slots. The
 //! ledger records the Local-Broadcast-unit side of that equation.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts Local-Broadcast participations per node and calls overall.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LbLedger {
     participations: Vec<u64>,
     calls: u64,

@@ -29,9 +29,9 @@
 //! * [`cluster_net`] — the simulation of Local-Broadcast on the cluster
 //!   graph `G*` (Lemma 3.2), itself a [`RadioStack`], which is what lets
 //!   the recursive BFS of Section 4 call itself on `G*`;
-//! * [`aggregate`] / [`broadcast`] / [`leader`] — the Find-Minimum /
-//!   Find-Maximum, layered broadcast, and leader-election subroutines used
-//!   by the diameter algorithms of Section 5.1;
+//! * [`aggregate`] / [`broadcast`] — the Find-Minimum / Find-Maximum and
+//!   layered broadcast subroutines used by the diameter algorithms of
+//!   Section 5.1;
 //! * [`protocol`] — the first-class [`Protocol`] trait and the
 //!   [`ProtocolRegistry`] resolving string specs (`clustering:b=4`,
 //!   `lb_sweep:r=16`, and — via `energy-bfs` — the BFS drivers) into boxed
@@ -50,7 +50,6 @@ pub mod cast;
 pub mod cluster_net;
 pub mod clustering;
 pub mod lb;
-pub mod leader;
 pub mod ledger;
 pub mod message;
 pub mod protocol;

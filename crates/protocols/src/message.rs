@@ -13,8 +13,6 @@
 //! (2 words), clustering join messages (3 words) — now clone without
 //! touching the allocator.
 
-use serde::{Deserialize, Serialize};
-
 /// A Local-Broadcast payload: a short vector of words, stored inline up to
 /// [`Msg::INLINE_WORDS`] words.
 #[derive(Clone, Debug)]
@@ -144,9 +142,6 @@ impl std::hash::Hash for Msg {
         self.as_slice().hash(state);
     }
 }
-
-impl Serialize for Msg {}
-impl<'de> Deserialize<'de> for Msg {}
 
 impl From<Vec<u64>> for Msg {
     fn from(v: Vec<u64>) -> Self {

@@ -26,14 +26,13 @@
 //! without any per-call sort.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::frame::{NodeSet, RoundFrame, SlotFrame};
 use crate::model::{CollisionDetection, Feedback, LbFeedback};
 use crate::network::RadioNetwork;
 
 /// Parameters of one Local-Broadcast execution.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecayParams {
     /// An upper bound `Δ` on the maximum degree (the paper allows any bound
     /// `Δ ≤ n − 1`; using the true maximum degree is always safe).

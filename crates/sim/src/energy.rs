@@ -7,8 +7,6 @@
 //! transmissions are costlier), plus elapsed slots, so both the paper's
 //! metric and time complexity fall out of one structure.
 
-use serde::{Deserialize, Serialize};
-
 /// How listening and transmitting slots convert into energy cost.
 ///
 /// The paper's main model charges one unit for either (the default); its
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// costlier than listening. The meter always tracks the two counters
 /// separately, so the model is applied at read time and one run can be
 /// summarised under any model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EnergyModel {
     /// `listen = transmit = 1` (the paper's default).
     #[default]
@@ -60,7 +58,7 @@ impl EnergyModel {
 }
 
 /// Tracks per-device energy and global time.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EnergyMeter {
     listen: Vec<u64>,
     transmit: Vec<u64>,

@@ -7,8 +7,6 @@
 //! a payload takes is the protocol's concern (`radio-protocols` measures
 //! its messages with `Msg::bit_size`).
 
-use serde::{Deserialize, Serialize};
-
 /// What a device does in one slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Action<M> {
@@ -49,7 +47,7 @@ pub enum Feedback<M> {
 /// `Noise`-as-information and all-silent-round termination, see
 /// `energy-bfs`'s `trivial_bfs_cd`), while a [`LbFeedback::Noise`] verdict
 /// proves a sending neighbour existed even though nothing was decoded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LbFeedback {
     /// A message was received (it is in the frame's `delivered` arena).
     Delivered,
@@ -67,7 +65,7 @@ pub enum LbFeedback {
 /// The paper's algorithms assume the weakest model (no collision detection);
 /// its lower bounds are proved even with receiver-side collision detection,
 /// so the simulator supports both.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CollisionDetection {
     /// Listeners receive [`Feedback::Nothing`] unless exactly one neighbour
     /// transmits. This is the paper's default model.

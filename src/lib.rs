@@ -16,8 +16,9 @@
 //! * [`bfs`] (`energy-bfs`) — the recursive sub-polynomial-energy BFS, the
 //!   diameter approximations, baselines, and hardness experiments.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the reproduction methodology.
+//! See `README.md` for a quickstart and the experiments (E1–E14) that
+//! reproduce the paper's claims, and `ARCHITECTURE.md` for how the layers
+//! fit together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
