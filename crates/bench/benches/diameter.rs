@@ -10,7 +10,6 @@ fn config() -> RecursiveBfsConfig {
     RecursiveBfsConfig {
         inv_beta: 8,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 70,
     }
 }

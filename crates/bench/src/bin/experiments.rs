@@ -35,7 +35,7 @@
 //!   Records are byte-identical either way (the cache changes where graph
 //!   bytes come from, never what they are).
 //! * `--xl` — append the `xl-` large-graph scenarios (n up to 2^20) after
-//!   the default sweep. Off by default: the 364 default records are the
+//!   the default sweep. Off by default: the 397 default records are the
 //!   frozen conformance surface, xl cells are strictly append-only.
 //!
 //! Result store knobs (scenarios and serve):
@@ -838,7 +838,6 @@ fn e7_claims_1_and_2() {
         let config = RecursiveBfsConfig {
             inv_beta: 16,
             max_depth: 1,
-            trivial_cutoff: 16,
             seed: 7,
         };
         let mut net = StackBuilder::new(g.clone()).build();
@@ -882,7 +881,6 @@ fn e8_estimate_evolution() {
     let config = RecursiveBfsConfig {
         inv_beta: 16,
         max_depth: 1,
-        trivial_cutoff: 16,
         seed: 8,
     };
     let mut net = StackBuilder::new(g.clone()).build();
@@ -1060,7 +1058,6 @@ fn e12_two_approx_diameter() {
     let config = RecursiveBfsConfig {
         inv_beta: 8,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 12,
     };
     let mut rows = Vec::new();
@@ -1106,7 +1103,6 @@ fn e13_three_halves_diameter() {
     let config = RecursiveBfsConfig {
         inv_beta: 8,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 13,
     };
     let mut rows = Vec::new();

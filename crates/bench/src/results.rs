@@ -882,8 +882,8 @@ mod tests {
     }
 
     #[test]
-    fn index_rebuild_skips_foreign_and_corrupt_artifacts() {
-        let scratch = ScratchDir::new("index-skip");
+    fn size_walk_skips_foreign_and_corrupt_artifacts() {
+        let scratch = ScratchDir::new("size-skip");
         let store = ResultStore::new(scratch.0.clone());
         let cells = keyed_records(2);
         for (key, record) in &cells {

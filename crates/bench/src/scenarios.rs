@@ -49,6 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use radio_graph::dataset::{self, DatasetCache, DatasetKey};
+use radio_graph::diameter::is_nearly_three_halves_approx;
 use radio_graph::lower_bound::build_disjointness_graph;
 use radio_graph::{generators, Graph};
 use radio_protocols::protocol::{
@@ -723,7 +724,8 @@ const EXACT_DIAMETER_CEILING: usize = 16_384;
 /// exact diameter `exact`?
 ///
 /// * `diameter_two_approx` — Theorem 5.3: `estimate ∈ [⌈D/2⌉, D]`.
-/// * `diameter_three_halves_approx` — Theorem 5.4: `estimate ∈ [⌊2D/3⌋, D]`.
+/// * `diameter_three_halves_approx` — Theorem 5.4: `estimate ∈ [⌊2D/3⌋, D]`
+///   ([`is_nearly_three_halves_approx`]).
 /// * `diameter_hyperball_p{p}…` / `hyperball_p{p}…` — the standard HLL
 ///   envelope, relative error `1.04/√2^p` (plus one round of slack for
 ///   tiny diameters, where a single register round is the resolution).
@@ -735,7 +737,7 @@ pub fn diameter_agreement(label: &str, estimate: u64, exact: u64) -> bool {
         return estimate <= exact && 2 * estimate >= exact;
     }
     if label == "diameter_three_halves_approx" {
-        return estimate <= exact && estimate >= (2 * exact) / 3;
+        return is_nearly_three_halves_approx(exact, estimate);
     }
     let hyper_p = label
         .strip_prefix("diameter_hyperball_p")
@@ -1297,7 +1299,7 @@ pub fn default_scenarios() -> Vec<Scenario> {
 /// backend's delivery under zero failures is order-invariant (pinned by the
 /// `hilbert_relabel_is_observation_invariant` test below).
 ///
-/// These scenarios are **separate from [`default_scenarios`]** — the 364
+/// These scenarios are **separate from [`default_scenarios`]** — the 397
 /// default records are a byte-frozen conformance surface, and xl cells land
 /// after them only when explicitly requested (`--xl`).
 pub fn xl_scenarios() -> Vec<Scenario> {

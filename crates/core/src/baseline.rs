@@ -50,20 +50,14 @@ pub(crate) struct Wavefront {
 impl Wavefront {
     /// Settles the active `sources` at distance 0 as the first frontier;
     /// every other active vertex listens.
-    pub(crate) fn from_sources(sources: &[usize], active: &[bool]) -> Self {
-        let n = active.len();
-        let mut dist: Vec<Option<u64>> = vec![None; n];
+    pub(crate) fn from_sources(sources: impl IntoIterator<Item = usize>, active: &NodeSet) -> Self {
+        let mut dist: Vec<Option<u64>> = vec![None; active.universe()];
         let mut frontier = Vec::new();
-        for &s in sources {
-            if active[s] && dist[s].is_none() {
+        let mut listeners = active.clone();
+        for s in sources {
+            if dist[s].is_none() && listeners.remove(s) {
                 dist[s] = Some(0);
                 frontier.push(s);
-            }
-        }
-        let mut listeners = NodeSet::new(n);
-        for (v, &a) in active.iter().enumerate() {
-            if a && dist[v].is_none() {
-                listeners.insert(v);
             }
         }
         Wavefront {
@@ -147,18 +141,41 @@ impl Wavefront {
 pub(crate) fn wavefront_bfs(
     net: &mut dyn RadioStack,
     frame: &mut LbFrame,
-    sources: &[usize],
-    active: &[bool],
+    sources: impl IntoIterator<Item = usize>,
+    active: &NodeSet,
     limit: Option<u64>,
     cd: bool,
 ) -> WavefrontResult {
-    assert_eq!(active.len(), net.num_nodes());
+    assert_eq!(active.universe(), net.num_nodes());
     let mut wave = Wavefront::from_sources(sources, active);
     let calls = wave.advance(net, frame, 0, limit, cd);
     WavefrontResult {
         dist: wave.dist,
         calls,
     }
+}
+
+/// Every vertex of an `n`-vertex network.
+pub(crate) fn all_vertices(n: usize) -> NodeSet {
+    let mut set = NodeSet::new(n);
+    set.extend(0..n);
+    set
+}
+
+/// [`trivial_bfs`] or [`trivial_bfs_cd`]: `mask` becomes the active set
+/// once, on entry.
+fn trivial_wavefront(
+    net: &mut dyn RadioStack,
+    sources: &[usize],
+    mask: &[bool],
+    depth: u64,
+    cd: bool,
+) -> WavefrontResult {
+    let mut active = NodeSet::new(mask.len());
+    active.extend((0..mask.len()).filter(|&v| mask[v]));
+    let mut frame = net.new_frame();
+    let sources = sources.iter().copied();
+    wavefront_bfs(net, &mut frame, sources, &active, Some(depth), cd)
 }
 
 /// Advances a BFS wavefront for `depth` Local-Broadcast calls, restricted
@@ -177,8 +194,7 @@ pub fn trivial_bfs(
     active: &[bool],
     depth: u64,
 ) -> WavefrontResult {
-    let mut frame = net.new_frame();
-    wavefront_bfs(net, &mut frame, sources, active, Some(depth), false)
+    trivial_wavefront(net, sources, active, depth, false)
 }
 
 /// [`trivial_bfs`] on a collision-detection-capable stack, exploiting the
@@ -214,16 +230,15 @@ pub fn trivial_bfs_cd(
     active: &[bool],
     depth: u64,
 ) -> WavefrontResult {
-    let mut frame = net.new_frame();
-    wavefront_bfs(net, &mut frame, sources, active, Some(depth), true)
+    trivial_wavefront(net, sources, active, depth, true)
 }
 
 /// Decay-style BFS without a distance bound: advances the wavefront until a
 /// call settles no new vertex. All unsettled vertices listen in every call.
 pub fn decay_bfs(net: &mut dyn RadioStack, source: usize) -> WavefrontResult {
     let mut frame = net.new_frame();
-    let active = vec![true; net.num_nodes()];
-    wavefront_bfs(net, &mut frame, &[source], &active, None, false)
+    let active = all_vertices(net.num_nodes());
+    wavefront_bfs(net, &mut frame, [source], &active, None, false)
 }
 
 #[cfg(test)]

@@ -27,12 +27,9 @@ const ELL_FACTOR: f64 = 2.0;
 pub struct RecursiveBfsConfig {
     /// `1/β` (an integer, as the paper requires).
     pub inv_beta: u64,
-    /// Maximum recursion depth `L`; depth `L` reverts to the trivial BFS.
+    /// Maximum recursion depth `L`; depth `L` reverts to the trivial BFS,
+    /// as does any call whose depth bound is at most `1/β` (one stage).
     pub max_depth: usize,
-    /// Depth bound below which the recursion bottoms out early into the
-    /// trivial BFS regardless of remaining levels (a practical cut-off; the
-    /// paper's analysis only requires bottoming out at `L`).
-    pub trivial_cutoff: u64,
     /// RNG seed for all randomized components (clustering shifts, tags,
     /// tie-breaking).
     pub seed: u64,
@@ -43,7 +40,6 @@ impl Default for RecursiveBfsConfig {
         RecursiveBfsConfig {
             inv_beta: 8,
             max_depth: 1,
-            trivial_cutoff: 16,
             seed: 0,
         }
     }
@@ -74,7 +70,7 @@ impl RecursiveBfsConfig {
     /// and the diameter estimators run with: `1/β = D^eps` rounded to the
     /// nearest integer, then up to a power of two, and at least 4 — the
     /// paper's `1/β ≈ √D` (up to constants) at `eps = 0.5` — with one
-    /// recursion level, the trivial cutoff at `1/β`, and `seed`.
+    /// recursion level and `seed`.
     pub fn for_depth(depth: u64, eps: f64, seed: u64) -> Self {
         // `sqrt`, not `powf(0.5)`: the two can differ in the last ulp, which
         // would flip `round` and change the pinned sweep records.
@@ -87,7 +83,6 @@ impl RecursiveBfsConfig {
         RecursiveBfsConfig {
             inv_beta,
             max_depth: 1,
-            trivial_cutoff: inv_beta,
             seed,
         }
     }
@@ -155,7 +150,6 @@ mod tests {
         ] {
             let c = RecursiveBfsConfig::for_depth(depth, eps, 7);
             assert_eq!(c.inv_beta, inv_beta, "depth {depth}, eps {eps}");
-            assert_eq!(c.trivial_cutoff, inv_beta);
             assert_eq!(c.max_depth, 1);
             assert_eq!(c.seed, 7);
         }
@@ -190,9 +184,7 @@ mod tests {
         let c = RecursiveBfsConfig::auto(0, 0);
         assert_eq!(c, RecursiveBfsConfig::auto(4, 2));
         assert_eq!((c.inv_beta, c.max_depth), (2, 1));
-        let defaults = RecursiveBfsConfig::default();
-        assert_eq!(c.trivial_cutoff, defaults.trivial_cutoff);
-        assert_eq!(c.seed, defaults.seed);
+        assert_eq!(c.seed, RecursiveBfsConfig::default().seed);
     }
 
     #[test]

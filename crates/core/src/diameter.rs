@@ -234,7 +234,6 @@ mod tests {
         RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 8,
             seed: 1,
         }
     }
@@ -277,7 +276,6 @@ mod tests {
         let cfg = RecursiveBfsConfig {
             inv_beta: 16,
             max_depth: 1,
-            trivial_cutoff: 16,
             seed: 2,
         };
         let est = two_approx_diameter(&mut net, &cfg);

@@ -30,7 +30,7 @@ use radio_protocols::{
     ProtocolRegistry, RadioStack,
 };
 
-use crate::baseline::wavefront_bfs;
+use crate::baseline::{all_vertices, wavefront_bfs};
 use crate::config::RecursiveBfsConfig;
 use crate::diameter::{three_halves_approx_diameter, two_approx_diameter};
 use crate::recursive_bfs::{build_hierarchy, recursive_bfs_with_hierarchy};
@@ -157,8 +157,8 @@ pub fn registry() -> ProtocolRegistry {
 /// seed, and the active set come from the [`ProtocolInput`]: with
 /// `input.active = None` the whole vertex set participates (the exact
 /// historical behaviour), while a restricted set runs the recursion's
-/// base-case workload — the same `active: &[bool]` the free functions have
-/// always taken, now expressible through the registry.
+/// base-case workload: the wavefront over [`ProtocolInput::active_set`],
+/// the set the free functions build from their `active: &[bool]` mask.
 #[derive(Clone, Debug)]
 pub struct TrivialBfsProtocol {
     /// Explicit depth bound; `None` defers to the input/default.
@@ -196,8 +196,9 @@ impl Protocol for TrivialBfsProtocol {
     ) -> ProtocolOutput {
         let n = net.num_nodes();
         let depth = self.depth.or(input.depth).unwrap_or(n as u64);
-        let active = input.active_mask(n);
-        let result = wavefront_bfs(net, frame, &input.sources, &active, Some(depth), self.cd);
+        let active = input.active_set(n);
+        let sources = input.sources.iter().copied();
+        let result = wavefront_bfs(net, frame, sources, &active, Some(depth), self.cd);
         ProtocolOutput::Distances(result.dist)
     }
 }
@@ -222,8 +223,8 @@ impl Protocol for DecayBfsProtocol {
         frame: &mut LbFrame,
     ) -> ProtocolOutput {
         let source = input.sources.first().copied().unwrap_or(0);
-        let active = vec![true; net.num_nodes()];
-        let result = wavefront_bfs(net, frame, &[source], &active, None, false);
+        let active = all_vertices(net.num_nodes());
+        let result = wavefront_bfs(net, frame, [source], &active, None, false);
         ProtocolOutput::Distances(result.dist)
     }
 }
@@ -248,7 +249,6 @@ impl RecursiveBfsProtocol {
         let inv_beta = self.inv_beta.unwrap_or(tuned.inv_beta);
         RecursiveBfsConfig {
             inv_beta,
-            trivial_cutoff: inv_beta,
             max_depth: self.max_depth,
             ..tuned
         }
@@ -604,13 +604,7 @@ mod tests {
         assert_eq!(implicit.energy, explicit.energy);
         // Out-of-range vertices in the set are ignored, not a panic.
         let oob = ProtocolInput::from_seed(7).with_active(vec![0, 1, 2, 999]);
-        assert_eq!(
-            oob.active_mask(g.num_nodes())
-                .iter()
-                .filter(|&&b| b)
-                .count(),
-            3
-        );
+        assert_eq!(oob.active_set(g.num_nodes()).len(), 3);
     }
 
     #[test]

@@ -21,6 +21,15 @@
 //!    (the ruler-like [`crate::zseq::ZSequence`]). Everyone else performs a
 //!    free *Automatic Update*.
 //!
+//! Steps 1 and 7 of Figure 2 are one subroutine on different inputs,
+//! written once: some vertices up-cast to their cluster centers, BFS
+//! recurses on `G*` from their clusters within a set of clusters up to a
+//! radius, and the centers down-cast the result (Lemmas 3.1–3.2). A
+//! level's active set, its listeners and its cluster sets are
+//! [`NodeSet`]s that the stages walk in ascending order, so no stage scans
+//! all `n` vertices. A call whose depth bound is at most `β⁻¹` (one stage)
+//! is the base case.
+//!
 //! The recursion on `G*` happens through
 //! [`radio_protocols::VirtualClusterNet`], so all energy ultimately lands on
 //! the physical devices of the original network — the accounting of
@@ -35,7 +44,7 @@ use radio_protocols::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::baseline::{wavefront_bfs, Wavefront};
+use crate::baseline::{all_vertices, wavefront_bfs, Wavefront};
 use crate::config::RecursiveBfsConfig;
 use crate::estimates::{DistanceEstimate, EstimateTracePoint, UpdateKind};
 use crate::metrics::RecursionStats;
@@ -134,348 +143,250 @@ pub fn recursive_bfs_with_hierarchy(
     trace_clusters: &[usize],
 ) -> BfsOutcome {
     let n = net.num_nodes();
-    let mut stats = RecursionStats {
-        wavefront_memberships: vec![0; n],
-        special_update_memberships: vec![0; hierarchy.first().map_or(0, |s| s.num_clusters())],
-        recursive_calls_by_depth: vec![0; config.max_depth + 1],
-        stages: 0,
-        estimate_traces: trace_clusters.iter().map(|&c| (c, Vec::new())).collect(),
-    };
-    let mut active = vec![true; n];
-    let sources: Vec<usize> = sources.to_vec();
-    let w = config.w(net.global_n());
-    let dist = recurse(
-        net,
+    let mut query = Query {
         hierarchy,
-        &sources,
-        &mut active,
-        depth_bound,
-        0,
-        w,
         config,
-        &mut stats,
-    );
-    BfsOutcome { dist, stats }
+        w: config.w(net.global_n()),
+        stats: RecursionStats {
+            wavefront_memberships: vec![0; n],
+            special_update_memberships: vec![0; hierarchy.first().map_or(0, |s| s.num_clusters())],
+            recursive_calls_by_depth: vec![0; config.max_depth + 1],
+            stages: 0,
+            estimate_traces: trace_clusters.iter().map(|&c| (c, Vec::new())).collect(),
+        },
+    };
+    let mut source_set = NodeSet::new(n);
+    source_set.extend(sources.iter().copied());
+    let dist = query.recurse(net, 0, &source_set, all_vertices(n), depth_bound);
+    BfsOutcome {
+        dist,
+        stats: query.stats,
+    }
 }
 
-/// One level of the recursion (Figure 2). Returns the distance labelling of
-/// the network it was called on, restricted to its active set and depth.
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    net: &mut dyn RadioStack,
-    hierarchy: &[ClusterState],
-    sources: &[usize],
-    active: &mut [bool],
-    depth: u64,
-    level: usize,
+/// What every level of one query shares: the hierarchy, the configuration
+/// and `w`, and the statistics the query records.
+struct Query<'q> {
+    hierarchy: &'q [ClusterState],
+    config: &'q RecursiveBfsConfig,
     w: f64,
-    config: &RecursiveBfsConfig,
-    stats: &mut RecursionStats,
-) -> Vec<Option<u64>> {
-    let n = net.num_nodes();
-    let active_count = active.iter().filter(|&&a| a).count();
-    // One frame per recursion level, reused by every Local-Broadcast this
-    // level issues (wavefront advances, casts, and the base case).
-    let mut frame = net.new_frame();
+    stats: RecursionStats,
+}
 
-    // Base case: no further cluster level, or the remaining radius is small
-    // enough that the trivial wavefront is at least as cheap.
-    if hierarchy.is_empty() || depth <= config.trivial_cutoff || active_count <= 4 {
-        return wavefront_bfs(net, &mut frame, sources, active, Some(depth), false).dist;
-    }
+impl Query<'_> {
+    /// One level of the recursion (Figure 2) on `net`, which
+    /// `hierarchy[level]` clusters if that level exists. Returns the
+    /// distance labelling of `net`, restricted to the vertices of `active`
+    /// and to `depth`.
+    fn recurse(
+        &mut self,
+        net: &mut dyn RadioStack,
+        level: usize,
+        sources: &NodeSet,
+        mut active: NodeSet,
+        depth: u64,
+    ) -> Vec<Option<u64>> {
+        let inv_beta = self.config.inv_beta;
+        // One frame per recursion level, reused by every Local-Broadcast
+        // this level issues (wavefront advances, casts, and the base case).
+        let mut frame = net.new_frame();
 
-    let state = &hierarchy[0];
-    let rest = &hierarchy[1..];
-    let beta = config.beta();
-    let inv_beta = config.inv_beta;
-    let trace_top = level == 0;
+        // Base case: no further cluster level, or the remaining radius fits
+        // in one stage, so the trivial wavefront is at least as cheap.
+        if level == self.hierarchy.len() || depth <= inv_beta || active.len() <= 4 {
+            return wavefront_bfs(net, &mut frame, sources, &active, Some(depth), false).dist;
+        }
 
-    // ---- Step 1: initialize distance estimates via a recursive BFS on G*.
-    let zseq = ZSequence::for_depth(w, beta, depth);
-    let d_star = zseq.d_star;
+        let state = &self.hierarchy[level];
+        let beta = self.config.beta();
+        let w = self.w;
+        let trace_top = level == 0;
 
-    let cluster_is_active: Vec<bool> = cluster_activity(state, active);
-    let cluster_sources: Vec<usize> = source_clusters(state, sources, active);
+        // ---- Step 1: initialize distance estimates via a recursive BFS on
+        // G*, from the clusters of the active sources, to radius D*.
+        let zseq = ZSequence::for_depth(w, beta, depth);
+        let active_clusters = cluster_activity(state, &active);
+        let announcers = sources.iter().filter(|&s| active.contains(s));
+        let cluster_dist0 = self.bfs_on_cluster_graph(
+            net,
+            level,
+            announcers,
+            &active_clusters,
+            zseq.d_star,
+            &mut frame,
+        );
 
-    // The sources tell their cluster centers that they are sources (an
-    // up-cast), and the result of the recursive call is disseminated back to
-    // the members (a down-cast); both are charged below around the call.
-    charge_source_upcast(net, state, sources, active, &cluster_is_active, &mut frame);
-
-    let cluster_dist0 = {
-        let mut cluster_active = cluster_is_active.clone();
-        let mut virt = VirtualClusterNet::new(net, state);
-        stats.recursive_calls_by_depth[level] += 1;
-        recurse(
-            &mut virt,
-            rest,
-            &cluster_sources,
-            &mut cluster_active,
-            d_star,
-            level + 1,
-            w,
-            config,
-            stats,
-        )
-    };
-    charge_result_downcast(net, state, &cluster_is_active, &cluster_dist0, &mut frame);
-
-    // Per-cluster distance estimates, stored columnar (indexed by cluster).
-    let mut estimates: Vec<Option<DistanceEstimate>> = vec![None; state.num_clusters()];
-    for (c, &is_active) in cluster_is_active.iter().enumerate() {
-        if is_active {
+        // Per-cluster distance estimates, stored columnar (indexed by cluster).
+        let mut estimates: Vec<Option<DistanceEstimate>> = vec![None; state.num_clusters()];
+        for c in &active_clusters {
             estimates[c] = Some(DistanceEstimate::initialize(cluster_dist0[c], beta, w));
         }
-    }
-    record_traces(stats, &estimates, 0, trace_top, |_| UpdateKind::Initialize);
+        record_traces(&mut self.stats, &estimates, 0, trace_top, |_| {
+            UpdateKind::Initialize
+        });
 
-    // ---- Step 2: deactivate vertices whose cluster is beyond the horizon.
-    for (v, is_active) in active.iter_mut().enumerate() {
-        if *is_active {
-            let keep = estimates[state.cluster_of[v]]
-                .map(|e| !e.is_unreachable())
-                .unwrap_or(false);
-            if !keep {
-                *is_active = false;
+        // ---- Step 2: deactivate vertices whose cluster is beyond the horizon.
+        active.retain(|v| estimates[state.cluster_of[v]].is_some_and(|e| !e.is_unreachable()));
+
+        // ---- Step 3: the main wavefront loop. The active sources settle at 0
+        // and form the first wavefront W_0.
+        let mut wave = Wavefront::from_sources(sources, &active);
+        let num_stages = depth.div_ceil(inv_beta);
+
+        for i in 0..num_stages {
+            if trace_top {
+                self.stats.stages = i + 1;
             }
-        }
-    }
-
-    // ---- Step 3: the main wavefront loop. The active sources settle at 0
-    // and form the first wavefront W_0.
-    let mut wave = Wavefront::from_sources(sources, active);
-    let num_stages = depth.div_ceil(inv_beta);
-
-    for i in 0..num_stages {
-        if trace_top {
-            stats.stages = i + 1;
-        }
-        // Step 4: the participation set X_i. Its unsettled vertices are the
-        // listeners of step 5.
-        wave.listeners.clear();
-        for v in 0..n {
-            let joins = active[v]
-                && estimates[state.cluster_of[v]].is_some_and(|e| e.joins_wavefront(beta));
-            if joins {
-                if trace_top {
-                    stats.wavefront_memberships[v] += 1;
-                }
-                if wave.dist[v].is_none() {
-                    wave.listeners.insert(v);
+            // Step 4: the participation set X_i. Its unsettled vertices are
+            // the listeners of step 5.
+            wave.listeners.clear();
+            for v in &active {
+                if estimates[state.cluster_of[v]].is_some_and(|e| e.joins_wavefront(beta)) {
+                    if trace_top {
+                        self.stats.wavefront_memberships[v] += 1;
+                    }
+                    if wave.dist[v].is_none() {
+                        wave.listeners.insert(v);
+                    }
                 }
             }
-        }
 
-        // Step 5: the trivial BFS restricted to X_i — β⁻¹ calls from W_i,
-        // reusing this level's frame for every hop.
-        wave.advance(net, &mut frame, i * inv_beta, Some(inv_beta), false);
+            // Step 5: the trivial BFS restricted to X_i — β⁻¹ calls from W_i,
+            // reusing this level's frame for every hop.
+            wave.advance(net, &mut frame, i * inv_beta, Some(inv_beta), false);
 
-        // Step 6: deactivate settled vertices strictly inside the new
-        // wavefront.
-        let boundary = (i + 1) * inv_beta;
-        for (a, d) in active.iter_mut().zip(&wave.dist) {
-            if *a && d.is_some_and(|d| d < boundary) {
-                *a = false;
+            // Step 6: deactivate settled vertices strictly inside the new
+            // wavefront.
+            let boundary = (i + 1) * inv_beta;
+            active.retain(|v| wave.dist[v].is_none_or(|d| d >= boundary));
+
+            if i + 1 == num_stages {
+                break;
             }
-        }
 
-        if i + 1 == num_stages {
-            break;
-        }
+            // The new wavefront W_{i+1}, which sends first in the next stage.
+            wave.frontier.clear();
+            wave.frontier
+                .extend(active.iter().filter(|&v| wave.dist[v] == Some(boundary)));
+            if wave.frontier.is_empty() {
+                // The search has exhausted everything reachable within the
+                // remaining radius; further stages cannot settle anyone.
+                break;
+            }
+            if active.len() == wave.frontier.len() {
+                // Only the frontier itself is left; nothing beyond it to settle.
+                break;
+            }
 
-        // The new wavefront W_{i+1}, which sends first in the next stage.
-        wave.frontier.clear();
-        wave.frontier
-            .extend((0..n).filter(|&v| active[v] && wave.dist[v] == Some(boundary)));
-        if wave.frontier.is_empty() {
-            // The search has exhausted everything reachable within the
-            // remaining radius; further stages cannot settle anyone.
-            break;
-        }
-        if active.iter().filter(|&&a| a).count() == wave.frontier.len() {
-            // Only the frontier itself is left; nothing beyond it to settle.
-            break;
-        }
-
-        // Step 7: Special Update for clusters that might soon be relevant.
-        let z_next = zseq.z(i + 1);
-        let cluster_is_active_now = cluster_activity(state, active);
-        let mut upsilon = NodeSet::new(state.num_clusters());
-        for (c, e) in estimates.iter().enumerate() {
-            if let Some(e) = e {
-                if cluster_is_active_now[c] && e.joins_special_update(z_next, beta) {
+            // Step 7: Special Update for the active clusters that might soon
+            // be relevant, and for every cluster of W_{i+1} (together Υ):
+            // W_{i+1} announces itself and BFS on G* runs inside Υ to radius
+            // Z[i+1].
+            let z_next = zseq.z(i + 1);
+            let active_clusters = cluster_activity(state, &active);
+            let mut upsilon = NodeSet::new(state.num_clusters());
+            for c in &active_clusters {
+                if estimates[c].is_some_and(|e| e.joins_special_update(z_next, beta)) {
                     upsilon.insert(c);
                 }
             }
-        }
-        let mut wavefront_clusters = NodeSet::new(state.num_clusters());
-        for &v in &wave.frontier {
-            wavefront_clusters.insert(state.cluster_of[v]);
-        }
-        upsilon.extend(wavefront_clusters.iter());
-        if trace_top {
-            for c in upsilon.iter() {
-                stats.special_update_memberships[c] += 1;
+            upsilon.extend(wave.frontier.iter().map(|&v| state.cluster_of[v]));
+            if trace_top {
+                for c in &upsilon {
+                    self.stats.special_update_memberships[c] += 1;
+                }
             }
-        }
-
-        // The wavefront vertices inform their cluster centers (an up-cast),
-        // the recursive BFS runs on the induced subgraph of G*, and the new
-        // distances come back down (a down-cast).
-        charge_wavefront_upcast(net, state, &wave.frontier, &upsilon, &mut frame);
-        let upsilon_active: Vec<bool> = (0..state.num_clusters())
-            .map(|c| upsilon.contains(c))
-            .collect();
-        let wavefront_cluster_sources: Vec<usize> = wavefront_clusters.iter().collect();
-        let cluster_dist_i = {
-            let mut cluster_active = upsilon_active.clone();
-            let mut virt = VirtualClusterNet::new(net, state);
-            stats.recursive_calls_by_depth[level] += 1;
-            recurse(
-                &mut virt,
-                rest,
-                &wavefront_cluster_sources,
-                &mut cluster_active,
+            let cluster_dist = self.bfs_on_cluster_graph(
+                net,
+                level,
+                wave.frontier.iter().copied(),
+                &upsilon,
                 z_next,
-                level + 1,
-                w,
-                config,
-                stats,
-            )
+                &mut frame,
+            );
+
+            // Step 7 (update) and Step 8 (automatic update).
+            let mut next_estimates: Vec<Option<DistanceEstimate>> =
+                vec![None; state.num_clusters()];
+            for c in &active_clusters {
+                next_estimates[c] = estimates[c].map(|e| {
+                    if upsilon.contains(c) {
+                        e.special(cluster_dist[c], z_next, beta, w)
+                    } else {
+                        e.automatic(beta)
+                    }
+                });
+            }
+            record_traces(&mut self.stats, &next_estimates, i + 1, trace_top, |c| {
+                if upsilon.contains(c) {
+                    UpdateKind::Special
+                } else {
+                    UpdateKind::Automatic
+                }
+            });
+            estimates = next_estimates;
+        }
+
+        // Output: settled distances within the depth bound, for vertices that
+        // were active when the call began.
+        let mut dist = wave.dist;
+        for d in dist.iter_mut() {
+            if d.is_some_and(|x| x > depth) {
+                *d = None;
+            }
+        }
+        dist
+    }
+
+    /// Figure 2's Steps 1 and 7, one subroutine on different inputs
+    /// (Lemmas 3.1 and 3.2): the `announcers` up-cast to their cluster
+    /// centers, BFS recurses on `G*` from their clusters, in ascending
+    /// order, over the clusters in `within` up to `radius`, and the centers
+    /// of `within` down-cast the result — `dist + 1`, or 0 if unreached.
+    /// Returns the distance of every cluster.
+    fn bfs_on_cluster_graph(
+        &mut self,
+        net: &mut dyn RadioStack,
+        level: usize,
+        announcers: impl IntoIterator<Item = usize>,
+        within: &NodeSet,
+        radius: u64,
+        frame: &mut LbFrame,
+    ) -> Vec<Option<u64>> {
+        let state = &self.hierarchy[level];
+        let mut clusters = NodeSet::new(state.num_clusters());
+        {
+            // Scoped so that the holder arena is freed before the recursion.
+            let mut holders: NodeSlots<Msg> = NodeSlots::new(state.num_nodes());
+            for v in announcers {
+                holders.insert(v, Msg::words(&[1]));
+                clusters.insert(state.cluster_of[v]);
+            }
+            if !holders.is_empty() {
+                let _ = up_cast(net, state, &clusters, &holders, frame);
+            }
+        }
+        let cluster_dist = {
+            let mut virt = VirtualClusterNet::new(net, state);
+            self.stats.recursive_calls_by_depth[level] += 1;
+            self.recurse(&mut virt, level + 1, &clusters, within.clone(), radius)
         };
-        charge_result_downcast(net, state, &upsilon_active, &cluster_dist_i, &mut frame);
-
-        // Step 7 (update) and Step 8 (automatic update).
-        let mut next_estimates: Vec<Option<DistanceEstimate>> = vec![None; state.num_clusters()];
-        for (c, est) in estimates.iter().enumerate() {
-            let Some(est) = est else { continue };
-            if !cluster_is_active_now[c] {
-                continue;
+        if !within.is_empty() {
+            let mut results: NodeSlots<Msg> = NodeSlots::new(state.num_clusters());
+            for c in within {
+                results.insert(c, Msg::words(&[cluster_dist[c].map_or(0, |d| d + 1)]));
             }
-            let updated = if upsilon.contains(c) {
-                est.special(cluster_dist_i[c], z_next, beta, w)
-            } else {
-                est.automatic(beta)
-            };
-            next_estimates[c] = Some(updated);
+            let _ = down_cast(net, state, &results, frame);
         }
-        record_traces(stats, &next_estimates, i + 1, trace_top, |c| {
-            if upsilon.contains(c) {
-                UpdateKind::Special
-            } else {
-                UpdateKind::Automatic
-            }
-        });
-        estimates = next_estimates;
+        cluster_dist
     }
-
-    // Output: settled distances within the depth bound, for vertices that
-    // were active when the call began.
-    let mut dist = wave.dist;
-    for d in dist.iter_mut() {
-        if d.is_some_and(|x| x > depth) {
-            *d = None;
-        }
-    }
-    dist
 }
 
-/// Which clusters contain at least one active vertex.
-fn cluster_activity(state: &ClusterState, active: &[bool]) -> Vec<bool> {
-    let mut out = vec![false; state.num_clusters()];
-    for (v, &a) in active.iter().enumerate() {
-        if a {
-            out[state.cluster_of[v]] = true;
-        }
-    }
-    out
-}
-
-/// The clusters containing at least one active source, in ascending order
-/// (deterministic by construction via the dense cluster set).
-fn source_clusters(state: &ClusterState, sources: &[usize], active: &[bool]) -> Vec<usize> {
-    let mut set = NodeSet::new(state.num_clusters());
-    for &s in sources {
-        if active[s] {
-            set.insert(state.cluster_of[s]);
-        }
-    }
-    set.iter().collect()
-}
-
-/// Charges the up-cast by which sources announce themselves to their cluster
-/// centers before the initial recursive call.
-fn charge_source_upcast(
-    net: &mut dyn RadioStack,
-    state: &ClusterState,
-    sources: &[usize],
-    active: &[bool],
-    cluster_is_active: &[bool],
-    frame: &mut LbFrame,
-) {
-    let mut holders: NodeSlots<Msg> = NodeSlots::new(state.num_nodes());
-    for &s in sources {
-        if active[s] {
-            holders.insert(s, Msg::words(&[1]));
-        }
-    }
-    if holders.is_empty() {
-        return;
-    }
-    let mut participating = NodeSet::new(state.num_clusters());
-    for (s, _) in holders.iter() {
-        let c = state.cluster_of[s];
-        if cluster_is_active[c] {
-            participating.insert(c);
-        }
-    }
-    let _ = up_cast(net, state, &participating, &holders, frame);
-}
-
-/// Charges the up-cast by which the new wavefront vertices announce their
-/// clusters as sources of the Special Update's recursive call.
-fn charge_wavefront_upcast(
-    net: &mut dyn RadioStack,
-    state: &ClusterState,
-    wavefront: &[usize],
-    upsilon: &NodeSet,
-    frame: &mut LbFrame,
-) {
-    if wavefront.is_empty() {
-        return;
-    }
-    let mut holders: NodeSlots<Msg> = NodeSlots::new(state.num_nodes());
-    let mut participating = NodeSet::new(state.num_clusters());
-    for &v in wavefront {
-        holders.insert(v, Msg::words(&[1]));
-        let c = state.cluster_of[v];
-        if upsilon.contains(c) {
-            participating.insert(c);
-        }
-    }
-    let _ = up_cast(net, state, &participating, &holders, frame);
-}
-
-/// Charges the down-cast by which cluster centers disseminate the outcome of
-/// a recursive call (the new `L`/`U` inputs) to their members.
-fn charge_result_downcast(
-    net: &mut dyn RadioStack,
-    state: &ClusterState,
-    participating: &[bool],
-    cluster_dist: &[Option<u64>],
-    frame: &mut LbFrame,
-) {
-    let mut messages: NodeSlots<Msg> = NodeSlots::new(state.num_clusters());
-    for (c, &p) in participating.iter().enumerate() {
-        if p {
-            let encoded = cluster_dist[c].map(|d| d + 1).unwrap_or(0);
-            messages.insert(c, Msg::words(&[encoded]));
-        }
-    }
-    if messages.is_empty() {
-        return;
-    }
-    let _ = down_cast(net, state, &messages, frame);
+/// The clusters holding at least one active vertex.
+fn cluster_activity(state: &ClusterState, active: &NodeSet) -> NodeSet {
+    let mut clusters = NodeSet::new(state.num_clusters());
+    clusters.extend(active.iter().map(|v| state.cluster_of[v]));
+    clusters
 }
 
 /// Appends stage `stage`'s estimate of every traced cluster, labelled with
@@ -543,7 +454,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 8,
             max_depth: 1,
-            trivial_cutoff: 8,
             ..Default::default()
         };
         let outcome = recursive_bfs(&mut net, 0, 119, &config);
@@ -557,7 +467,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed: 3,
         };
         let outcome = recursive_bfs(&mut net, 5, 30, &config);
@@ -571,7 +480,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed: 1,
         };
         let outcome = recursive_bfs(&mut net, 0, 40, &config);
@@ -590,7 +498,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 2,
-            trivial_cutoff: 4,
             seed: 7,
         };
         let outcome = recursive_bfs(&mut net, 0, 199, &config);
@@ -606,7 +513,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed: 5,
         };
         let hierarchy = build_hierarchy(&mut net, &config);
@@ -635,7 +541,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed: 11,
         };
         let outcome = recursive_bfs(&mut net, 0, 69, &config);
@@ -651,7 +556,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed: 13,
         };
         let hierarchy = build_hierarchy(&mut net, &config);
@@ -677,7 +581,6 @@ mod tests {
             let config = RecursiveBfsConfig {
                 inv_beta,
                 max_depth: 1,
-                trivial_cutoff: inv_beta,
                 seed: 17,
             };
             let mut net = StackBuilder::new(g.clone()).build();
@@ -719,7 +622,6 @@ mod tests {
             let config = RecursiveBfsConfig {
                 inv_beta: 8,
                 max_depth: 1,
-                trivial_cutoff: 8,
                 seed: 19,
             };
             let outcome = recursive_bfs(&mut net, 0, (n - 1) as u64, &config);
@@ -752,7 +654,6 @@ mod tests {
         let config = RecursiveBfsConfig {
             inv_beta: 8,
             max_depth: 1,
-            trivial_cutoff: 8,
             seed: 23,
         };
         let hierarchy = build_hierarchy(&mut net, &config);

@@ -166,7 +166,6 @@ proptest! {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed,
         };
         let mut net = StackBuilder::new(g.clone()).build();

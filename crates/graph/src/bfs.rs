@@ -127,22 +127,6 @@ pub fn bfs_tree(g: &Graph, source: NodeId) -> BfsTree {
     }
 }
 
-/// Checks that `labels` is a correct BFS labelling from `source`:
-/// the source is 0, every other reachable vertex `v` has
-/// `labels[v] = 1 + min_{u ∈ N(v)} labels[u]`, and unreachable vertices are
-/// [`INFINITY`].
-///
-/// This is the `polylog(n)`-energy verifiability observation from the
-/// paper's introduction, in centralized form; it is used pervasively by the
-/// test suite.
-pub fn is_valid_bfs_labeling(g: &Graph, source: NodeId, labels: &[Dist]) -> bool {
-    if labels.len() != g.num_nodes() {
-        return false;
-    }
-    let truth = bfs_distances(g, source);
-    labels == truth.as_slice()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,16 +210,5 @@ mod tests {
         assert_eq!(t.eccentricity(), Some(6));
         assert_eq!(t.layer(3), vec![3]);
         assert_eq!(t.layer(0), vec![0]);
-    }
-
-    #[test]
-    fn valid_labeling_checker() {
-        let g = generators::cycle(5);
-        let good = bfs_distances(&g, 1);
-        assert!(is_valid_bfs_labeling(&g, 1, &good));
-        let mut bad = good.clone();
-        bad[3] += 1;
-        assert!(!is_valid_bfs_labeling(&g, 1, &bad));
-        assert!(!is_valid_bfs_labeling(&g, 1, &good[..4]));
     }
 }

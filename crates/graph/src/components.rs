@@ -39,16 +39,6 @@ pub fn is_connected(g: &Graph) -> bool {
     dist.iter().all(|&d| d != INFINITY)
 }
 
-/// Size of the largest connected component (0 for the empty graph).
-pub fn largest_component_size(g: &Graph) -> usize {
-    let (comp, k) = connected_components(g);
-    let mut sizes = vec![0usize; k];
-    for &c in &comp {
-        sizes[c] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,7 +51,6 @@ mod tests {
         assert_eq!(k, 1);
         assert!(comp.iter().all(|&c| c == 0));
         assert!(is_connected(&g));
-        assert_eq!(largest_component_size(&g), 10);
     }
 
     #[test]
@@ -74,7 +63,6 @@ mod tests {
         assert_ne!(comp[0], comp[3]);
         assert_ne!(comp[3], comp[5]);
         assert!(!is_connected(&g));
-        assert_eq!(largest_component_size(&g), 3);
     }
 
     #[test]
@@ -82,7 +70,6 @@ mod tests {
         assert!(is_connected(&Graph::empty()));
         let singleton = Graph::from_edges(1, &[]);
         assert!(is_connected(&singleton));
-        assert_eq!(largest_component_size(&singleton), 1);
     }
 
     #[test]

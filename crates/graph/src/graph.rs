@@ -97,19 +97,6 @@ impl Graph {
         })
     }
 
-    /// Returns a copy of this graph with the single edge `{u, v}` removed.
-    ///
-    /// Used by the Theorem 5.1 hard instances (`K_n` vs `K_n − e`). Panics if
-    /// the edge does not exist.
-    pub fn without_edge(&self, u: NodeId, v: NodeId) -> Graph {
-        assert!(self.has_edge(u, v), "edge ({u}, {v}) not present");
-        let edges: Vec<(NodeId, NodeId)> = self
-            .edges()
-            .filter(|&(a, b)| !(a == u.min(v) && b == u.max(v)))
-            .collect();
-        Graph::from_edges(self.num_nodes(), &edges)
-    }
-
     /// Returns the subgraph induced by `keep` (`keep[v] == true` means `v`
     /// survives), together with the mapping `old id -> new id`.
     ///
@@ -358,22 +345,6 @@ mod tests {
             assert!(u < v);
             assert!(g.has_edge(u, v));
         }
-    }
-
-    #[test]
-    fn without_edge_removes_exactly_one_edge() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-        let h = g.without_edge(0, 2);
-        assert_eq!(h.num_edges(), g.num_edges() - 1);
-        assert!(!h.has_edge(0, 2));
-        assert!(h.has_edge(0, 1));
-    }
-
-    #[test]
-    #[should_panic]
-    fn without_edge_panics_on_missing_edge() {
-        let g = Graph::from_edges(3, &[(0, 1)]);
-        let _ = g.without_edge(1, 2);
     }
 
     #[test]

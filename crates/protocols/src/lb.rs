@@ -131,6 +131,8 @@ mod tests {
         let out = local_broadcast_once(&mut net, &[(0, msg(1)), (1, msg(2))], &[1, 2]);
         assert!(!out.contains(1));
         assert_eq!(out.get(2), Some(&msg(2)));
+        // Listed twice, it still participates once.
+        assert_eq!(net.lb_energy(1), 1);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! receiver); Lemma 2.4 converts those units into physical slots. The
 //! ledger records the Local-Broadcast-unit side of that equation.
 
+use radio_sim::NodeSet;
+
 /// Counts Local-Broadcast participations per node and calls overall.
 #[derive(Clone, Debug, Default)]
 pub struct LbLedger {
@@ -23,25 +25,29 @@ impl LbLedger {
 
     /// Records one Local-Broadcast call: one unit of time overall and one
     /// unit of energy for every participant, sending or listening alike.
+    /// A node listed as both sender and receiver participates once: the
+    /// channel treats it as a sender only.
     ///
     /// ```
-    /// use radio_protocols::LbLedger;
+    /// use radio_protocols::{LbLedger, NodeSet};
     ///
+    /// let set = |members: &[usize]| {
+    ///     let mut s = NodeSet::new(3);
+    ///     s.extend(members.iter().copied());
+    ///     s
+    /// };
     /// let mut ledger = LbLedger::new(3);
-    /// ledger.record_call([0], [1, 2]);
-    /// ledger.record_call([1], [0]);
+    /// ledger.record_call(&set(&[0]), &set(&[1, 2]));
+    /// ledger.record_call(&set(&[1]), &set(&[0, 1]));
     /// assert_eq!(ledger.calls(), 2);
     /// assert_eq!(ledger.participation_counts(), &[2, 2, 1]);
     /// ```
-    pub fn record_call<I, J>(&mut self, senders: I, receivers: J)
-    where
-        I: IntoIterator<Item = usize>,
-        J: IntoIterator<Item = usize>,
-    {
+    pub fn record_call(&mut self, senders: &NodeSet, receivers: &NodeSet) {
         self.calls += 1;
-        senders
-            .into_iter()
-            .chain(receivers)
+        let only_senders = senders.iter().filter(|&v| !receivers.contains(v));
+        receivers
+            .iter()
+            .chain(only_senders)
             .for_each(|v| self.participations[v] += 1);
     }
 
@@ -65,11 +71,17 @@ impl LbLedger {
 mod tests {
     use super::*;
 
+    fn set(n: usize, members: impl IntoIterator<Item = usize>) -> NodeSet {
+        let mut s = NodeSet::new(n);
+        s.extend(members);
+        s
+    }
+
     #[test]
     fn records_participants_and_calls() {
         let mut l = LbLedger::new(4);
-        l.record_call([0usize, 1], [2usize, 3]);
-        l.record_call([2usize], [0usize]);
+        l.record_call(&set(4, [0, 1]), &set(4, [2, 3]));
+        l.record_call(&set(4, [2]), &set(4, [0]));
         assert_eq!(l.calls(), 2);
         assert_eq!(l.participations(0), 2);
         assert_eq!(l.participations(1), 1);
@@ -87,8 +99,8 @@ mod tests {
     #[test]
     fn a_call_without_participants_costs_time_only() {
         let mut l = LbLedger::new(3);
-        l.record_call(std::iter::empty(), std::iter::empty());
-        l.record_call(0..0, 0..0);
+        l.record_call(&set(3, []), &set(3, []));
+        l.record_call(&set(3, []), &set(3, []));
         assert_eq!(l.calls(), 2);
         assert_eq!(l.participation_counts(), &[0, 0, 0]);
     }
@@ -100,8 +112,8 @@ mod tests {
         // unchanged.
         let mut a = LbLedger::new(5);
         let mut b = LbLedger::new(5);
-        a.record_call(0..2, 2..5);
-        b.record_call(2..5, 0..2);
+        a.record_call(&set(5, 0..2), &set(5, 2..5));
+        b.record_call(&set(5, 2..5), &set(5, 0..2));
         assert_eq!(a.participation_counts(), b.participation_counts());
         assert_eq!(a.participation_counts(), &[1; 5]);
     }
@@ -109,6 +121,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn participants_outside_the_universe_are_rejected() {
-        LbLedger::new(2).record_call([2usize], []);
+        LbLedger::new(2).record_call(&set(3, [2]), &set(3, []));
     }
 }

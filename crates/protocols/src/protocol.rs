@@ -38,6 +38,7 @@
 
 use std::fmt;
 
+use radio_sim::NodeSet;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -142,24 +143,17 @@ impl ProtocolInput {
         self
     }
 
-    /// The active set as the `&[bool]` mask the wavefront free functions
-    /// take, over an `n`-vertex universe. `None` is the full set (the exact
-    /// historical `vec![true; n]`); indices `≥ n` are ignored, so a mask
-    /// for a smaller realized graph never panics — validating callers (the
-    /// sweep server) should range-check before building the input.
-    pub fn active_mask(&self, n: usize) -> Vec<bool> {
+    /// The active set over an `n`-vertex universe. `None` is the full set;
+    /// indices `≥ n` are ignored, so a set for a smaller realized graph
+    /// never panics — validating callers (the sweep server) should
+    /// range-check before building the input.
+    pub fn active_set(&self, n: usize) -> NodeSet {
+        let mut set = NodeSet::new(n);
         match &self.active {
-            None => vec![true; n],
-            Some(set) => {
-                let mut mask = vec![false; n];
-                for &v in set {
-                    if v < n {
-                        mask[v] = true;
-                    }
-                }
-                mask
-            }
+            None => set.extend(0..n),
+            Some(active) => set.extend(active.iter().copied().filter(|&v| v < n)),
         }
+        set
     }
 }
 

@@ -646,7 +646,7 @@ impl RadioStack for Stack {
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
         self.ledger
-            .record_call(frame.senders().keys().iter(), frame.receivers().iter());
+            .record_call(frame.senders().keys(), frame.receivers());
         let cd = self.cd == CollisionDetection::Receiver;
         match &mut self.channel {
             Channel::Abstract {

@@ -180,6 +180,23 @@ impl NodeSet {
         present
     }
 
+    /// Keeps only the members for which `keep` returns `true`, asking in
+    /// ascending order. `O(occupied range + |set|)`; the range is kept, as
+    /// after [`NodeSet::remove`].
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for w in self.occupied_words() {
+            let mut bits = self.words[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(w * 64 + b) {
+                    self.words[w] &= !(1u64 << b);
+                    self.len -= 1;
+                }
+            }
+        }
+    }
+
     /// Membership test. `O(1)`; out-of-universe ids are never members.
     pub fn contains(&self, v: usize) -> bool {
         v < self.universe && self.words[v / 64] & (1u64 << (v % 64)) != 0
@@ -778,6 +795,15 @@ mod tests {
             "difference and intersection are disjoint"
         );
         assert_eq!(d.count_intersection(&i), 0);
+
+        let mut r = a.clone();
+        let mut asked = Vec::new();
+        r.retain(|v| {
+            asked.push(v);
+            ys.contains(&v)
+        });
+        assert_eq!(asked, xs, "every member asked once, ascending");
+        assert_eq!(r, i, "retaining the members of b is intersecting with b");
     }
 
     #[test]

@@ -41,7 +41,6 @@ fn main() {
     let config = RecursiveBfsConfig {
         inv_beta: 8,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 5,
     };
 

@@ -90,7 +90,6 @@ fn recursive_bfs_is_seed_deterministic_across_runs() {
         let config = RecursiveBfsConfig {
             inv_beta: 4,
             max_depth: 1,
-            trivial_cutoff: 4,
             seed,
         };
         let outcome = recursive_bfs(&mut net, 0, 16, &config);

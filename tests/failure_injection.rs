@@ -135,7 +135,6 @@ fn recursive_bfs_with_polynomial_failure_rate_is_still_exact() {
     let config = RecursiveBfsConfig {
         inv_beta: 8,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 77,
     };
     let mut net = StackBuilder::new(g.clone())
@@ -160,7 +159,6 @@ fn recursive_bfs_under_heavy_loss_never_lies() {
     let config = RecursiveBfsConfig {
         inv_beta: 4,
         max_depth: 1,
-        trivial_cutoff: 4,
         seed: 3,
     };
     let mut net = StackBuilder::new(g.clone())

@@ -23,7 +23,6 @@ fn recursive_bfs_on_the_physical_simulator_matches_reference() {
     let config = RecursiveBfsConfig {
         inv_beta: 4,
         max_depth: 1,
-        trivial_cutoff: 4,
         seed: 31,
     };
     let mut net = StackBuilder::new(g.clone())
@@ -58,7 +57,6 @@ fn lb_unit_accounting_is_backend_independent() {
     let config = RecursiveBfsConfig {
         inv_beta: 4,
         max_depth: 1,
-        trivial_cutoff: 4,
         seed: 7,
     };
 
@@ -111,7 +109,6 @@ fn baseline_and_recursive_bfs_agree_on_labels() {
     let config = RecursiveBfsConfig {
         inv_beta: 8,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 3,
     };
     let mut recursive_net = StackBuilder::new(g.clone()).build();
@@ -229,7 +226,6 @@ fn physical_run_with_small_world_topology() {
     let config = RecursiveBfsConfig {
         inv_beta: 4,
         max_depth: 1,
-        trivial_cutoff: 4,
         seed: 21,
     };
     let mut net = StackBuilder::new(g.clone())

@@ -80,7 +80,6 @@ fn diameter_guarantees_on_random_graphs() {
     let config = RecursiveBfsConfig {
         inv_beta: 4,
         max_depth: 1,
-        trivial_cutoff: 8,
         seed: 13,
     };
     for trial in 0..3u64 {
