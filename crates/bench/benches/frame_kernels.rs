@@ -1,7 +1,7 @@
 //! E6 bench: the word-parallel frame kernels in isolation, and the per-call
 //! cost of a sparse Local-Broadcast on a large universe.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * `nodeset_kernels` — bulk [`NodeSet`] operations (`union_with`,
 //!   `difference_with`, `count_intersection`) against a per-bit scalar
@@ -19,6 +19,12 @@
 //!   2^20. This is HyperBall's call shape; since every frame set carries a
 //!   two-sided occupied-word range, the time per call should stay flat in n
 //!   (within 2x across the sizes) instead of growing with the sender's id.
+//! * `abstract_lb_call` — the two call shapes of the recursive BFS on the
+//!   abstract stack. `cast` is an up- or down-cast step: one sender and
+//!   three receivers about ten words apart on a 2^12 path. `wavefront` is
+//!   a trivial-BFS hop: one sender and every other node listening, on 2^12
+//!   and 2^14 paths — dense listeners, sparse senders, where the sender
+//!   walk costs the sender's degree instead of every listener's.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use radio_graph::generators;
@@ -158,10 +164,43 @@ fn bench_sparse_lb_call(c: &mut Criterion) {
     group.finish();
 }
 
+/// One abstract Local-Broadcast per iteration, refilling a reused frame
+/// each time as the casts and the wavefront do.
+fn bench_abstract_lb_call(c: &mut Criterion) {
+    let mut group = c.benchmark_group("abstract_lb_call");
+    group.sample_size(2_000);
+    for (shape, log_n) in [("cast", 12u32), ("wavefront", 12), ("wavefront", 14)] {
+        let n = 1usize << log_n;
+        // A cast step: the sender's neighbour and two nodes ten and twenty
+        // words away listen. A wavefront hop: every other node listens.
+        let (sender, listeners): (usize, Vec<usize>) = if shape == "cast" {
+            (1000, vec![1001, 1641, 2281])
+        } else {
+            (n / 2, (0..n).filter(|&v| v != n / 2).collect())
+        };
+        let mut receivers = NodeSet::new(n);
+        receivers.extend(listeners);
+        let mut net = StackBuilder::new(generators::path(n)).build();
+        let mut frame = net.new_frame();
+        let msg = Msg::words(&[1, 7]);
+        group.bench_with_input(BenchmarkId::new(shape, format!("2^{log_n}")), &n, |b, _| {
+            b.iter(|| {
+                frame.clear();
+                frame.add_sender(sender, msg.clone());
+                frame.set_receivers(&receivers);
+                net.local_broadcast(&mut frame);
+                black_box(frame.delivered().len())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_nodeset_kernels,
     bench_delivery_resolution,
-    bench_sparse_lb_call
+    bench_sparse_lb_call,
+    bench_abstract_lb_call
 );
 criterion_main!(benches);

@@ -56,11 +56,13 @@ impl Graph {
     }
 
     /// Neighbourhood `N(v)` as a sorted slice.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Degree of `v`.
+    #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         self.offsets[v + 1] - self.offsets[v]
     }

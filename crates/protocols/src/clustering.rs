@@ -120,6 +120,7 @@ impl ClusterState {
     }
 
     /// Members of cluster `c` at layer `l` (empty past the cluster radius).
+    #[inline]
     pub fn members_at_layer(&self, c: usize, l: u32) -> &[usize] {
         self.members_by_layer[c]
             .get(l as usize)
@@ -128,6 +129,7 @@ impl ClusterState {
     }
 
     /// Radius (maximum layer) of cluster `c`.
+    #[inline]
     pub fn radius(&self, c: usize) -> u32 {
         (self.members_by_layer[c].len() as u32).saturating_sub(1)
     }

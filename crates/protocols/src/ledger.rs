@@ -42,13 +42,17 @@ impl LbLedger {
     /// assert_eq!(ledger.calls(), 2);
     /// assert_eq!(ledger.participation_counts(), &[2, 2, 1]);
     /// ```
+    #[inline]
     pub fn record_call(&mut self, senders: &NodeSet, receivers: &NodeSet) {
         self.calls += 1;
-        let only_senders = senders.iter().filter(|&v| !receivers.contains(v));
-        receivers
-            .iter()
-            .chain(only_senders)
-            .for_each(|v| self.participations[v] += 1);
+        for v in receivers {
+            self.participations[v] += 1;
+        }
+        for v in senders {
+            if !receivers.contains(v) {
+                self.participations[v] += 1;
+            }
+        }
     }
 
     /// Number of calls a node has participated in (its energy in LB units).

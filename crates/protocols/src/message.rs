@@ -43,6 +43,7 @@ impl Msg {
     }
 
     /// A message with the given words.
+    #[inline]
     pub fn words(words: &[u64]) -> Self {
         if words.len() <= Msg::INLINE_WORDS {
             let mut inline = [0u64; Msg::INLINE_WORDS];
@@ -59,6 +60,7 @@ impl Msg {
     /// The words as a slice (the canonical view; equality and hashing are
     /// defined over it, so inline and spilled representations of the same
     /// words compare equal).
+    #[inline]
     pub fn as_slice(&self) -> &[u64] {
         match &self.0 {
             Repr::Inline { len, words } => &words[..*len as usize],
@@ -86,6 +88,7 @@ impl Msg {
 
     /// Word at position `i`; panics if absent (protocol decoding errors are
     /// programming errors, not runtime conditions).
+    #[inline]
     pub fn word(&self, i: usize) -> u64 {
         self.as_slice()[i]
     }
@@ -97,6 +100,7 @@ impl Msg {
 
     /// A copy with `word` prepended — the "tag with an identifier" shape
     /// both casts use ([`Msg::split_first`] is the inverse).
+    #[inline]
     pub fn prepended(&self, word: u64) -> Msg {
         let s = self.as_slice();
         if s.len() < Msg::INLINE_WORDS {
@@ -117,6 +121,7 @@ impl Msg {
 
     /// Splits into the first word and the remaining payload; panics on an
     /// empty message (a decoding error, as with [`Msg::word`]).
+    #[inline]
     pub fn split_first(&self) -> (u64, Msg) {
         let s = self.as_slice();
         (s[0], Msg::words(&s[1..]))

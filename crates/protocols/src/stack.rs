@@ -49,7 +49,7 @@ use std::sync::Arc;
 use radio_graph::Graph;
 use radio_sim::{
     decay_local_broadcast, decay_local_broadcast_cd, CollisionDetection, DecayParams, DecayScratch,
-    EnergyModel, LbFeedback, RadioNetwork,
+    EnergyModel, LbFeedback, NodeSet, RadioNetwork,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -504,6 +504,7 @@ impl StackBuilder {
             None => Channel::Abstract {
                 failure_prob: self.failure_prob,
                 pick_buf: Vec::new(),
+                reached: NodeSet::new(n),
             },
             Some(model) => {
                 assert!(
@@ -543,7 +544,17 @@ impl StackBuilder {
 ///   exactly — every receiver with a sending neighbour hears one of them,
 ///   picked uniformly — optionally losing each delivery with an injected
 ///   probability `f`. With collision detection, a receiver with no sending
-///   neighbour reads `Silence` and a lost delivery reads `Noise`;
+///   neighbour reads `Silence` and a lost delivery reads `Noise`. Each call
+///   finds the receivers with a sending neighbour by one of two walks: if
+///   the senders' degrees sum to less than the receiver count, it marks
+///   `N(S) ∩ R` from the senders' side in `O(Σ deg(S))` plus the words the
+///   marks span, however many receivers listen; otherwise it scans every
+///   receiver's adjacency in `O(Σ_{r∈R} deg(r))`. Either walk visits those
+///   receivers in ascending order, and each draws its failure coin and
+///   then its pick — receivers without a sending neighbour draw nothing —
+///   so the RNG stream and every outcome are the same whichever walk ran.
+///   With collision detection, one pass over `R` then gives `Silence` to
+///   every receiver left without a verdict;
 /// * the **physical** channel expands every call into Decay slots
 ///   (Lemma 2.4) on the `radio-sim` simulator, so collisions and per-slot
 ///   energy are fully modelled. With collision detection it runs the
@@ -571,6 +582,9 @@ enum Channel {
         /// CSR pass, so the uniform pick indexes the buffer instead of
         /// re-scanning.
         pick_buf: Vec<usize>,
+        /// The sender walk's scratch: the receivers with a sending
+        /// neighbour, `N(S) ∩ R`.
+        reached: NodeSet,
     },
     /// Boxed: the slot simulator and the Decay scratch dwarf the rest of
     /// the stack.
@@ -652,13 +666,32 @@ impl RadioStack for Stack {
             Channel::Abstract {
                 failure_prob,
                 pick_buf,
+                reached,
             } => {
                 frame.clear_delivered();
                 let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
-                // Receivers are visited in ascending node order — the
-                // frame's iteration order by construction — so the RNG
-                // stream maps to receivers deterministically on every run.
-                for r in receivers.iter() {
+                let graph = &*self.graph;
+                // The sender walk costs `O(Σ deg(S) + words of the marks'
+                // range)`, the receiver walk `O(Σ_{r∈R} deg(r))`; the cheaper
+                // one is chosen per call, like `RadioNetwork::step_frame`'s
+                // scan and columnar paths. Both visit their candidates in
+                // ascending node order — the frame's iteration order by
+                // construction — and only those with a sending neighbour
+                // draw, so the RNG stream maps to receivers identically.
+                let degree_sum: usize = senders.keys().iter().map(|s| graph.degree(s)).sum();
+                let candidates = if degree_sum < receivers.len() {
+                    reached.clear();
+                    for s in senders.keys() {
+                        for &u in graph.neighbors(s) {
+                            reached.insert(u);
+                        }
+                    }
+                    reached.intersect_with(receivers);
+                    &*reached
+                } else {
+                    receivers
+                };
+                for r in candidates {
                     if senders.contains(r) {
                         // Sender/receiver sets are required to be disjoint; a
                         // vertex listed in both acts as a sender only.
@@ -668,16 +701,14 @@ impl RadioStack for Stack {
                     // adjacency against the sender occupancy bitset.
                     pick_buf.clear();
                     pick_buf.extend(
-                        self.graph
+                        graph
                             .neighbors(r)
                             .iter()
                             .copied()
                             .filter(|&u| senders.contains(u)),
                     );
                     if pick_buf.is_empty() {
-                        if cd {
-                            feedback.insert(r, LbFeedback::Silence);
-                        }
+                        // Only the receiver walk visits such receivers.
                         continue;
                     }
                     if *failure_prob > 0.0 && self.rng.gen_bool(*failure_prob) {
@@ -693,6 +724,15 @@ impl RadioStack for Stack {
                     delivered.insert(r, senders.get(u).expect("occupied sender").clone());
                     if cd {
                         feedback.insert(r, LbFeedback::Delivered);
+                    }
+                }
+                if cd {
+                    // Every receiver with a sending neighbour has its verdict;
+                    // the rest heard nothing.
+                    for r in receivers {
+                        if !feedback.contains(r) && !senders.contains(r) {
+                            feedback.insert(r, LbFeedback::Silence);
+                        }
                     }
                 }
             }

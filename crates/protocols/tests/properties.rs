@@ -17,7 +17,7 @@ use radio_graph::{generators, Graph};
 use radio_protocols::cast::{down_cast, up_cast};
 use radio_protocols::{
     cluster_distributed, local_broadcast_once, ClusteringConfig, CollisionDetection, EnergyModel,
-    Msg, NodeSet, NodeSlots, RadioStack, StackBuilder,
+    LbFeedback, Msg, NodeSet, NodeSlots, RadioStack, StackBuilder,
 };
 
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
@@ -39,19 +39,24 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
-/// A straightforward map-based reference implementation of one reliable
-/// Local-Broadcast call — the representation the seed repository used —
-/// kept here purely as an executable specification for the frame engine.
-/// Iterates receivers in sorted order and draws the uniform sender pick
-/// from the same RNG discipline as the abstract `Stack`, so a reliable
-/// frame-based call must reproduce it exactly.
+/// A straightforward map-based reference implementation of one
+/// Local-Broadcast call on the abstract channel — the representation the
+/// seed repository used — kept here purely as an executable specification
+/// for the frame engine. It visits the receivers in sorted order; one with a
+/// sending neighbour first draws the failure coin (when `failure_prob > 0`),
+/// then, if the delivery survives, the uniform pick over its sending
+/// neighbours in adjacency order — the abstract `Stack`'s RNG discipline,
+/// so a frame-based call must reproduce it exactly. Returns the deliveries
+/// and every receiver's collision-detection verdict.
 fn reference_local_broadcast(
     g: &Graph,
     senders: &HashMap<usize, Msg>,
     receivers: &HashSet<usize>,
+    failure_prob: f64,
     rng: &mut ChaCha8Rng,
-) -> HashMap<usize, Msg> {
+) -> (HashMap<usize, Msg>, HashMap<usize, LbFeedback>) {
     let mut delivered = HashMap::new();
+    let mut verdicts = HashMap::new();
     let mut ordered: Vec<usize> = receivers.iter().copied().collect();
     ordered.sort_unstable();
     for r in ordered {
@@ -64,13 +69,18 @@ fn reference_local_broadcast(
             .copied()
             .filter(|u| senders.contains_key(u))
             .collect();
-        if sending.is_empty() {
-            continue;
-        }
-        let pick = sending[rng.gen_range(0..sending.len())];
-        delivered.insert(r, senders[&pick].clone());
+        let verdict = if sending.is_empty() {
+            LbFeedback::Silence
+        } else if failure_prob > 0.0 && rng.gen_bool(failure_prob) {
+            LbFeedback::Noise
+        } else {
+            let pick = sending[rng.gen_range(0..sending.len())];
+            delivered.insert(r, senders[&pick].clone());
+            LbFeedback::Delivered
+        };
+        verdicts.insert(r, verdict);
     }
-    delivered
+    (delivered, verdicts)
 }
 
 proptest! {
@@ -124,45 +134,74 @@ proptest! {
         }
     }
 
-    /// Cross-backend equivalence: on seeded instances, the frame-based
-    /// engine delivers exactly the receiver → message outcomes of the
-    /// map-based reference implementation (same RNG seed), and charges the
-    /// same per-node energy.
+    /// Cross-backend equivalence: on seeded instances, with and without
+    /// injected failures and collision detection, the frame-based engine
+    /// reproduces the map-based reference exactly — deliveries, verdicts
+    /// and per-node energy — over three calls on one stack: the drawn
+    /// senders, no senders at all, then the drawn senders again. A call
+    /// that draws more or less often than the reference shifts the next
+    /// call's stream, so the later calls expose the RNG position. Sender
+    /// sets run from none through a single node to most of the graph.
     #[test]
     fn frame_engine_matches_map_reference(
         g in arb_connected_graph(),
         seed in 0u64..1000,
-        sender_bits in proptest::collection::vec(any::<bool>(), 30),
+        sender_draws in proptest::collection::vec(0usize..30, 0..30),
         receiver_bits in proptest::collection::vec(any::<bool>(), 30),
+        failure_pick in 0usize..3,
+        cd in any::<bool>(),
     ) {
         let n = g.num_nodes();
-        let sender_map: HashMap<usize, Msg> = (0..n)
-            .filter(|&v| sender_bits[v % sender_bits.len()])
-            .map(|v| (v, Msg::words(&[100 + v as u64])))
+        let failure_prob = [0.0, 0.25, 0.6][failure_pick];
+        let sender_map: HashMap<usize, Msg> = sender_draws
+            .iter()
+            .map(|&v| (v % n, Msg::words(&[100 + (v % n) as u64])))
             .collect();
         let receiver_set: HashSet<usize> = (0..n)
             .filter(|&v| receiver_bits[v % receiver_bits.len()])
             .collect();
 
-        // Frame engine, seeded.
-        let mut net = StackBuilder::new(g.clone()).with_seed(seed).build();
-        let senders: Vec<(usize, Msg)> =
-            sender_map.iter().map(|(&v, m)| (v, m.clone())).collect();
-        let receivers: Vec<usize> = receiver_set.iter().copied().collect();
-        let out = local_broadcast_once(&mut net, &senders, &receivers);
-
-        // Reference, same seed. `with_failures(0.0, seed)` reseeds the
-        // network's RNG, whose only draws are the per-receiver picks.
+        let mut builder = StackBuilder::new(g.clone())
+            .with_seed(seed)
+            .with_failures(failure_prob);
+        if cd {
+            builder = builder.with_cd();
+        }
+        let mut net = builder.build();
+        let mut frame = net.new_frame();
+        // The reference draws from a generator seeded like the stack's,
+        // whose only draws are the failure coins and the picks.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let want = reference_local_broadcast(&g, &sender_map, &receiver_set, &mut rng);
+        let no_senders = HashMap::new();
+        let mut energy = vec![0u64; n];
+        for (call, senders) in [&sender_map, &no_senders, &sender_map].into_iter().enumerate() {
+            frame.clear();
+            for (&v, m) in senders {
+                frame.add_sender(v, m.clone());
+            }
+            for &v in &receiver_set {
+                frame.add_receiver(v);
+            }
+            net.local_broadcast(&mut frame);
+            let (want, verdicts) =
+                reference_local_broadcast(&g, senders, &receiver_set, failure_prob, &mut rng);
 
-        let got: HashMap<usize, Msg> = out.iter().map(|(v, m)| (v, m.clone())).collect();
-        prop_assert_eq!(got, want);
-
-        // Energy parity with the specification's accounting.
-        for v in 0..n {
-            let expected = u64::from(sender_map.contains_key(&v) || receiver_set.contains(&v));
-            prop_assert_eq!(net.lb_energy(v), expected);
+            let got: HashMap<usize, Msg> =
+                frame.delivered().iter().map(|(v, m)| (v, m.clone())).collect();
+            prop_assert_eq!(got, want, "deliveries of call {}", call + 1);
+            let feedback: HashMap<usize, LbFeedback> =
+                frame.feedback().iter().map(|(v, &f)| (v, f)).collect();
+            if cd {
+                prop_assert_eq!(feedback, verdicts, "verdicts of call {}", call + 1);
+            } else {
+                prop_assert!(feedback.is_empty(), "a No-CD stack gave verdicts");
+            }
+            // Energy parity with the specification's accounting.
+            prop_assert_eq!(net.lb_time(), call as u64 + 1);
+            for (v, spent) in energy.iter_mut().enumerate() {
+                *spent += u64::from(senders.contains_key(&v) || receiver_set.contains(&v));
+                prop_assert_eq!(net.lb_energy(v), *spent);
+            }
         }
     }
 

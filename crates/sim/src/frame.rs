@@ -123,9 +123,30 @@ impl NodeSet {
     /// Removes every member. `O(occupied range)`: only the words that may
     /// hold bits are zeroed, so clearing a sparse set over a big universe
     /// costs proportional to what was actually occupied.
+    #[inline]
     pub fn clear(&mut self) {
         let range = self.occupied_words();
         self.words[range].fill(0);
+        self.forget_range();
+    }
+
+    /// Removes every member in one pass over the occupied words, handing
+    /// each to `f` in ascending order before its word is zeroed.
+    /// `O(occupied range + |set|)`.
+    fn clear_each(&mut self, mut f: impl FnMut(usize)) {
+        for w in self.occupied_words() {
+            let mut bits = std::mem::take(&mut self.words[w]);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.forget_range();
+    }
+
+    /// Resets the bookkeeping once every word is zero.
+    #[inline]
+    fn forget_range(&mut self) {
         (self.len, self.lo, self.hi) = (0, EMPTY_LO, 0);
     }
 
@@ -140,6 +161,7 @@ impl NodeSet {
     ///
     /// Panics if `v` is outside the universe (see the type-level note on
     /// out-of-universe ids; use [`NodeSet::try_insert`] to probe instead).
+    #[inline]
     pub fn insert(&mut self, v: usize) -> bool {
         assert!(
             v < self.universe,
@@ -198,11 +220,13 @@ impl NodeSet {
     }
 
     /// Membership test. `O(1)`; out-of-universe ids are never members.
+    #[inline]
     pub fn contains(&self, v: usize) -> bool {
         v < self.universe && self.words[v / 64] & (1u64 << (v % 64)) != 0
     }
 
     /// Iterates the members in ascending order. `O(occupied range + |set|)`.
+    #[inline]
     pub fn iter(&self) -> NodeSetIter<'_> {
         let range = self.occupied_words();
         let words = &self.words[..range.end];
@@ -224,6 +248,7 @@ impl NodeSet {
     /// outside it is zero, so a read-only word loop over
     /// `words()[occupied_words()]` sees every member. Conservative — words
     /// inside it may be zero too — and `0..0` for a cleared or fresh set.
+    #[inline]
     pub fn occupied_words(&self) -> std::ops::Range<usize> {
         self.lo.min(self.hi)..self.hi
     }
@@ -379,6 +404,7 @@ impl NodeSet {
 impl<'a> IntoIterator for &'a NodeSet {
     type Item = usize;
     type IntoIter = NodeSetIter<'a>;
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -394,6 +420,7 @@ pub struct NodeSetIter<'a> {
 impl Iterator for NodeSetIter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.current == 0 {
             self.word_idx += 1;
@@ -445,16 +472,14 @@ impl<T> NodeSlots<T> {
         self.occupied.is_empty()
     }
 
-    /// Removes every entry, touching only the occupied slots.
-    /// `O(occupied range + |occupied|)`.
+    /// Removes and drops every entry in one pass over the occupied words:
+    /// each word's members have their values dropped, then the word is
+    /// zeroed. `O(occupied range + |occupied|)`, so sparse rounds over big
+    /// universes cost what they touched. Values are dropped, not left stale,
+    /// so a cleared arena holds no heap payload alive.
     pub fn clear(&mut self) {
-        // Drop values via the occupancy index rather than scanning all n
-        // slots: sparse rounds over big universes cost what they touched.
         let slots = &mut self.slots;
-        for v in self.occupied.iter() {
-            slots[v] = None;
-        }
-        self.occupied.clear();
+        self.occupied.clear_each(|v| slots[v] = None);
     }
 
     /// Inserts `value` at node `v`, replacing any previous value.
@@ -884,6 +909,40 @@ mod tests {
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.get(7), None);
+    }
+
+    #[test]
+    fn node_slots_clear_drops_what_it_clears() {
+        use std::rc::Rc;
+        let n = 64 * 6;
+        // Members on both sides of word boundaries, and in a word of their
+        // own far from the rest.
+        let members = [0usize, 63, 64, 65, 127, 128, 191, 64 * 5 + 7];
+        let values: Vec<Rc<usize>> = members.iter().map(|&v| Rc::new(v)).collect();
+        let mut m: NodeSlots<Rc<usize>> = NodeSlots::new(n);
+        for (&v, value) in members.iter().zip(&values) {
+            m.insert(v, Rc::clone(value));
+        }
+        // A range wider than the members, as `NodeSet::remove` leaves it:
+        // the last word's only member is taken out again.
+        m.insert(n - 1, Rc::new(n - 1));
+        drop(m.slots[n - 1].take());
+        m.occupied.remove(n - 1);
+        assert_eq!(m.keys().occupied_words(), 0..6);
+        assert!(values.iter().all(|value| Rc::strong_count(value) == 2));
+
+        m.clear();
+        for (&v, value) in members.iter().zip(&values) {
+            assert_eq!(Rc::strong_count(value), 1, "the value at {v} was kept");
+        }
+        assert_eq!(m.len(), 0);
+        assert_eq!(m.iter().count(), 0);
+        assert!((0..n).all(|v| m.get(v).is_none() && !m.contains(v)));
+
+        // An insert after the clear wins, even where a value used to sit.
+        m.insert_if_absent(64, Rc::new(1_000));
+        assert_eq!(m.get(64).map(|value| **value), Some(1_000));
+        assert_eq!(m.iter().map(|(v, _)| v).collect::<Vec<_>>(), vec![64]);
     }
 
     #[test]

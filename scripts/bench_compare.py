@@ -11,7 +11,10 @@ Two modes:
                     python3 scripts/bench_compare.py collect -o BENCH_pr2.json
 
   compare   Diff two recorded files (or a recorded file against raw bench
-            output) and print per-bench ratios new/old.
+            output) and print per-bench ratios new/old. A bench is compared
+            by `median_ns` (the median batch mean) when both records carry
+            it, and by `mean_ns` otherwise, so files recorded before the
+            stand-in reported medians still compare.
 
                 python3 scripts/bench_compare.py compare \
                     BENCH_baseline.json BENCH_pr2.json
@@ -72,9 +75,10 @@ def cmd_collect(args):
             "os": platform.platform(),
             "command": "BENCH_JSON=1 cargo bench",
             "note": (
-                "Vendored criterion stand-in: mean of sample_size timed "
-                "iterations after one warm-up; compare order of magnitude, "
-                "not microseconds."
+                "Vendored criterion stand-in: sample_size timed iterations "
+                "after one warm-up, in up to 10 batches; mean_ns over all "
+                "iterations, median_ns and min_ns over the batch means; "
+                "compare order of magnitude, not microseconds."
             ),
         },
         "benches": benches,
@@ -88,32 +92,42 @@ def cmd_collect(args):
     return 0
 
 
+def compared(old, new):
+    """The statistic two records of one bench are compared by: the median
+    batch mean when both carry it, the mean otherwise."""
+    key = "median_ns" if "median_ns" in old and "median_ns" in new else "mean_ns"
+    return key[: -len("_ns")], old[key], new[key]
+
+
 def cmd_compare(args):
-    old = {b["bench"]: b["mean_ns"] for b in parse_benches(open(args.old).read())}
-    new = {b["bench"]: b["mean_ns"] for b in parse_benches(open(args.new).read())}
-    common = sorted(set(old) & set(new))
+    old_recs = {b["bench"]: b for b in parse_benches(open(args.old).read())}
+    new_recs = {b["bench"]: b for b in parse_benches(open(args.new).read())}
+    common = sorted(set(old_recs) & set(new_recs))
     if not common:
         print("no common benches between the two files", file=sys.stderr)
         return 1
+    rows = {b: compared(old_recs[b], new_recs[b]) for b in common}
     width = max(len(b) for b in common)
-    print(f"{'bench':<{width}}  {'old ns':>14}  {'new ns':>14}  {'ratio':>7}")
-    print("-" * (width + 43))
+    print(f"{'bench':<{width}}  {'stat':>6}  {'old ns':>14}  {'new ns':>14}  {'ratio':>7}")
+    print("-" * (width + 51))
     worst = 0.0
     for b in common:
-        ratio = new[b] / old[b] if old[b] else float("inf")
+        stat, old, new = rows[b]
+        ratio = new / old if old else float("inf")
         worst = max(worst, ratio)
         marker = "" if ratio <= args.fail_above else "  <-- regression"
-        print(f"{b:<{width}}  {old[b]:>14.0f}  {new[b]:>14.0f}  {ratio:>6.2f}x{marker}")
-    only_old = sorted(set(old) - set(new))
-    only_new = sorted(set(new) - set(old))
+        print(f"{b:<{width}}  {stat:>6}  {old:>14.0f}  {new:>14.0f}  {ratio:>6.2f}x{marker}")
+    only_old = sorted(set(old_recs) - set(new_recs))
+    only_new = sorted(set(new_recs) - set(old_recs))
     if only_old:
         print(f"\nonly in {args.old}: {', '.join(only_old)}")
     if only_new:
         print(f"only in {args.new}: {', '.join(only_new)}")
     geo = 1.0
     for b in common:
-        if old[b] > 0 and new[b] > 0:
-            geo *= new[b] / old[b]
+        _, old, new = rows[b]
+        if old > 0 and new > 0:
+            geo *= new / old
     geo **= 1.0 / len(common)
     print(f"\n{len(common)} common benches; geometric-mean ratio {geo:.2f}x")
     if args.fail_above < float("inf") and worst > args.fail_above:
