@@ -3,11 +3,10 @@
 //!
 //! Four groups:
 //!
-//! * `nodeset_kernels` — bulk [`NodeSet`] operations (`union_with`,
-//!   `difference_with`, `count_intersection`) against a per-bit scalar
-//!   reference, across universe sizes and fill densities. The kernels are
-//!   what every hot loop in the simulator now calls, so their throughput
-//!   bounds the per-slot cost of delivery resolution and decay bookkeeping.
+//! * `nodeset_kernels` — the bulk [`NodeSet`] kernel `difference_with`,
+//!   across universe sizes and fill densities. It is what Decay's
+//!   bookkeeping calls every slot, so its throughput bounds that per-slot
+//!   cost.
 //! * `delivery_resolution` — `step_frame_scan` vs `step_frame_columnar` on
 //!   the same physical slot, at the two extremes the adaptive dispatch in
 //!   `step_frame` arbitrates between: a handful of transmitters with the
@@ -53,24 +52,6 @@ fn bench_nodeset_kernels(c: &mut Criterion) {
             let b_set = strided_set(n, stride, stride / 2 + 1);
             let id = format!("{label}/{n}");
 
-            group.bench_with_input(BenchmarkId::new("union_with", &id), &n, |b, _| {
-                let mut dst = NodeSet::new(n);
-                b.iter(|| {
-                    dst.copy_from(&a);
-                    dst.union_with(&b_set);
-                    black_box(dst.len())
-                });
-            });
-            group.bench_with_input(BenchmarkId::new("union_scalar_ref", &id), &n, |b, _| {
-                let mut dst = NodeSet::new(n);
-                b.iter(|| {
-                    dst.copy_from(&a);
-                    for v in b_set.iter() {
-                        dst.insert(v);
-                    }
-                    black_box(dst.len())
-                });
-            });
             group.bench_with_input(BenchmarkId::new("difference_with", &id), &n, |b, _| {
                 let mut dst = NodeSet::new(n);
                 b.iter(|| {
@@ -78,9 +59,6 @@ fn bench_nodeset_kernels(c: &mut Criterion) {
                     dst.difference_with(&b_set);
                     black_box(dst.len())
                 });
-            });
-            group.bench_with_input(BenchmarkId::new("count_intersection", &id), &n, |b, _| {
-                b.iter(|| black_box(a.count_intersection(&b_set)))
             });
         }
     }

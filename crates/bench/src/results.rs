@@ -401,10 +401,6 @@ impl HotSet {
             }
         }
     }
-
-    fn len(&self) -> usize {
-        self.inner.lock().expect("hot set").map.len()
-    }
 }
 
 /// A content-addressed result cache over one directory of artifacts.
@@ -519,11 +515,6 @@ impl ResultStore {
     /// set without touching disk.
     pub fn hot_hits(&self) -> u64 {
         self.hot_hits.load(Ordering::Relaxed)
-    }
-
-    /// Decoded records currently resident in the hot set.
-    pub fn hot_len(&self) -> usize {
-        self.hot.len()
     }
 
     /// The hot set's capacity (0 = disabled).
@@ -821,8 +812,8 @@ mod tests {
         for (key, record) in &cells {
             store.put(key, record).expect("put");
         }
-        // Capacity 2 with 3 inserts: the oldest (seed 0) was evicted.
-        assert_eq!(store.hot_len(), 2);
+        // Capacity 2 with 3 inserts: the oldest (seed 0) was evicted, so
+        // its probe below reads disk.
         // Warm probe of a resident key answers from memory even after the
         // artifact is destroyed — the proof it never touched disk.
         std::fs::remove_file(store.path_for(&cells[2].0)).expect("remove artifact");

@@ -17,9 +17,9 @@
 //! assumption the BFS problem makes about its source — and charge nothing
 //! for the election.
 
-use radio_graph::Dist;
 use radio_protocols::aggregate::{find_max, find_min};
-use radio_protocols::{EnergyView, Msg, RadioStack};
+use radio_protocols::broadcast::Layers;
+use radio_protocols::{EnergyView, RadioStack};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,12 +45,6 @@ pub struct DiameterEstimate {
     pub setup_energy: EnergyView,
 }
 
-fn labels_to_dists(dist: &[Option<u64>]) -> Vec<Dist> {
-    dist.iter()
-        .map(|d| d.map(|x| x as Dist).unwrap_or(radio_graph::INFINITY))
-        .collect()
-}
-
 /// Theorem 5.3: a 2-approximation of the diameter (`D' ∈ [diam/2, diam]`)
 /// using one BFS plus one Find-Maximum.
 pub fn two_approx_diameter(
@@ -61,17 +55,13 @@ pub fn two_approx_diameter(
     let setup_energy = net.energy_view();
 
     let labels = recursive_bfs_full(net, &hierarchy, &[INITIATOR], config).dist;
-    let label_dists = labels_to_dists(&labels);
     let n = net.num_nodes();
-    // Find-Maximum over the BFS labels so that every device knows the
-    // estimate (the centralized maximum is used as a cross-check).
-    let keys: Vec<Option<u64>> = labels.to_vec();
-    let msgs: Vec<Msg> = (0..n).map(|v| Msg::words(&[v as u64])).collect();
-    let found = find_max(net, &label_dists, &keys, &msgs, n as u64 + 1);
-    let estimate = found.map(|r| r.key).unwrap_or(0);
+    // Find-Maximum over the BFS labels, on the BFS tree they define, so that
+    // every device knows the estimate.
+    let found = find_max(net, &Layers::new(&labels), &labels, n as u64 + 1);
 
     DiameterEstimate {
-        estimate,
+        estimate: found.map_or(0, |r| r.key),
         bfs_count: 1,
         energy: net.energy_view(),
         setup_energy,
@@ -95,7 +85,7 @@ pub fn three_halves_approx_diameter(
     // eccentricity.
     let initiator_labels = recursive_bfs_full(net, &hierarchy, &[INITIATOR], config).dist;
     bfs_count += 1;
-    let tree = labels_to_dists(&initiator_labels);
+    let tree = Layers::new(&initiator_labels);
     let mut best = max_finite(&initiator_labels);
 
     // Sample S: each vertex joins independently with probability
@@ -111,26 +101,19 @@ pub fn three_halves_approx_diameter(
     let _ = announce_set(net, &tree, &s_set, n);
 
     // dist(·, S) and the max label over the BFS from each s ∈ S.
-    let mut dist_to_s: Vec<u64> = vec![u64::MAX; n];
+    let mut dist_to_s: Vec<Option<u64>> = vec![None; n];
     for &s in &s_set {
         let labels = recursive_bfs_full(net, &hierarchy, &[s], config).dist;
         bfs_count += 1;
         best = best.max(max_finite(&labels));
-        for v in 0..n {
-            if let Some(d) = labels[v] {
-                dist_to_s[v] = dist_to_s[v].min(d);
-            }
+        for (to_s, d) in dist_to_s.iter_mut().zip(labels) {
+            *to_s = to_s.iter().copied().chain(d).min();
         }
     }
 
     // v*: the vertex farthest from S (elected with one Find-Maximum).
-    let keys: Vec<Option<u64>> = dist_to_s
-        .iter()
-        .map(|&d| if d == u64::MAX { None } else { Some(d) })
-        .collect();
-    let msgs: Vec<Msg> = (0..n).map(|v| Msg::words(&[v as u64])).collect();
-    let v_star = find_max(net, &tree, &keys, &msgs, n as u64 + 1)
-        .map(|r| r.message.word(0) as usize)
+    let v_star = find_max(net, &tree, &dist_to_s, n as u64 + 1)
+        .map(|r| r.node)
         .unwrap_or(INITIATOR);
 
     // BFS from v*; everyone learns its distance to v*.
@@ -139,29 +122,20 @@ pub fn three_halves_approx_diameter(
     best = best.max(max_finite(&star_labels));
 
     // R: the √n vertices closest to v*, selected by √n Find-Minimum
-    // iterations over (distance-to-v*, id).
+    // iterations over (distance-to-v*, id); a selected vertex drops its key.
     let r_size = ((n as f64).sqrt().ceil() as usize).min(n);
+    let ids = n as u64 + 1;
+    let mut keys: Vec<Option<u64>> = (0..n)
+        .map(|v| star_labels[v].map(|d| d * ids + v as u64))
+        .collect();
     let mut r_set: Vec<usize> = Vec::with_capacity(r_size);
-    let mut excluded = vec![false; n];
     for _ in 0..r_size {
-        let keys: Vec<Option<u64>> = (0..n)
-            .map(|v| {
-                if excluded[v] {
-                    None
-                } else {
-                    star_labels[v].map(|d| d * (n as u64 + 1) + v as u64)
-                }
-            })
-            .collect();
-        let bound = (n as u64 + 1) * (n as u64 + 1);
-        match find_min(net, &tree, &keys, &msgs, bound) {
-            Some(result) => {
-                let v = (result.key % (n as u64 + 1)) as usize;
-                excluded[v] = true;
-                r_set.push(v);
-            }
-            None => break,
-        }
+        let Some(result) = find_min(net, &tree, &keys, ids * ids) else {
+            break;
+        };
+        let v = (result.key % ids) as usize;
+        keys[v] = None;
+        r_set.push(v);
     }
 
     // BFS from every vertex of R.
@@ -173,8 +147,7 @@ pub fn three_halves_approx_diameter(
 
     // Final Find-Maximum so the whole network knows D' (the centralized
     // `best` is what we report).
-    let keys: Vec<Option<u64>> = (0..n).map(|_| Some(best)).collect();
-    let _ = find_max(net, &tree, &keys, &msgs, best + 2);
+    let _ = find_max(net, &tree, &vec![Some(best); n], best + 2);
 
     DiameterEstimate {
         estimate: best,
@@ -187,34 +160,15 @@ pub fn three_halves_approx_diameter(
 /// Announces the members of `set` to the whole network, one Find-Minimum per
 /// member, over the BFS tree `tree`. Returns the number of aggregation
 /// rounds used.
-fn announce_set(net: &mut dyn RadioStack, tree: &[Dist], set: &[usize], n: usize) -> u64 {
-    let msgs: Vec<Msg> = (0..n).map(|v| Msg::words(&[v as u64])).collect();
-    let mut announced = vec![false; n];
-    let member: Vec<bool> = {
-        let mut m = vec![false; n];
-        for &v in set {
-            m[v] = true;
-        }
-        m
-    };
+fn announce_set(net: &mut dyn RadioStack, tree: &Layers, set: &[usize], n: usize) -> u64 {
+    let mut pending: Vec<Option<u64>> = vec![None; n];
+    for &v in set {
+        pending[v] = Some(v as u64);
+    }
     let mut rounds = 0u64;
-    loop {
-        let keys: Vec<Option<u64>> = (0..n)
-            .map(|v| {
-                if member[v] && !announced[v] {
-                    Some(v as u64)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        match find_min(net, tree, &keys, &msgs, n as u64 + 1) {
-            Some(result) => {
-                announced[result.key as usize] = true;
-                rounds += 1;
-            }
-            None => break,
-        }
+    while let Some(result) = find_min(net, tree, &pending, n as u64 + 1) {
+        pending[result.key as usize] = None;
+        rounds += 1;
     }
     rounds
 }
@@ -376,7 +330,7 @@ mod tests {
     #[test]
     fn announce_set_counts_every_member_once() {
         let g = generators::path(20);
-        let tree: Vec<Dist> = radio_graph::bfs::bfs_distances(&g, 0);
+        let tree = Layers::new(&(0..20).map(Some).collect::<Vec<_>>());
         let mut net = StackBuilder::new(g).build();
         let rounds = announce_set(&mut net, &tree, &[3, 7, 15], 20);
         assert_eq!(rounds, 3);

@@ -1,12 +1,11 @@
-//! Degeneracy and arboricity estimation.
+//! Degeneracy, the arboricity certificate.
 //!
 //! Theorem 5.2 claims its lower-bound graphs have arboricity (and treewidth)
 //! `O(log n)`. Computing arboricity exactly is unnecessary for that check:
 //! the degeneracy `d` of a graph satisfies `arboricity ≤ d ≤ 2·arboricity − 1`,
 //! so a degeneracy bound of `O(log n)` certifies the claim up to a factor
 //! of two. We compute degeneracy exactly with the standard linear-time
-//! peeling (Matula–Beck) algorithm and derive arboricity bounds from it and
-//! from the Nash-Williams density lower bound.
+//! peeling (Matula–Beck) algorithm.
 
 use crate::graph::Graph;
 
@@ -58,23 +57,6 @@ pub fn degeneracy(g: &Graph) -> usize {
     degen
 }
 
-/// Upper bound on arboricity derived from degeneracy: a `d`-degenerate graph
-/// decomposes into at most `d` forests.
-pub fn arboricity_upper_bound(g: &Graph) -> usize {
-    degeneracy(g)
-}
-
-/// Nash-Williams style lower bound on arboricity from global density:
-/// `⌈m / (n − 1)⌉` for `n ≥ 2` (0 otherwise). The true arboricity is the
-/// maximum of this quantity over all subgraphs.
-pub fn arboricity_lower_bound(g: &Graph) -> usize {
-    let n = g.num_nodes();
-    if n < 2 {
-        return 0;
-    }
-    g.num_edges().div_ceil(n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,27 +78,19 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let t = generators::random_tree(100, &mut rng);
         assert_eq!(degeneracy(&t), 1);
-        assert_eq!(arboricity_lower_bound(&t), 1);
     }
 
     #[test]
     fn bounds_sandwich_each_other() {
+        // The Nash-Williams density bound ⌈m/(n−1)⌉ ≤ arboricity never
+        // exceeds the degeneracy, which bounds arboricity from above.
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
         for _ in 0..5 {
             let g = generators::gnp(80, 0.1, &mut rng);
-            let lo = arboricity_lower_bound(&g);
-            let hi = arboricity_upper_bound(&g);
-            // arboricity ≤ degeneracy and density/(n-1) ≤ arboricity, so lo ≤ hi.
-            assert!(lo <= hi, "lo={lo} hi={hi}");
+            let density = g.num_edges().div_ceil(g.num_nodes() - 1);
+            let d = degeneracy(&g);
+            assert!(density <= d, "density bound {density} > degeneracy {d}");
         }
-    }
-
-    #[test]
-    fn complete_graph_arboricity_bounds() {
-        let g = generators::complete(10);
-        // arboricity(K_10) = ceil(10/2) = 5.
-        assert_eq!(arboricity_lower_bound(&g), 5);
-        assert_eq!(arboricity_upper_bound(&g), 9);
     }
 }

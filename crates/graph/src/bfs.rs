@@ -71,62 +71,6 @@ pub fn restricted_bfs(g: &Graph, sources: &[NodeId], active: &[bool]) -> Vec<Dis
     dist
 }
 
-/// A BFS tree: for every vertex, its parent on some shortest path to the
-/// source (`None` for the source itself and for unreachable vertices), plus
-/// the distance labelling.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BfsTree {
-    /// Source vertex of the tree.
-    pub source: NodeId,
-    /// `parent[v]` is `v`'s parent, `None` for the source / unreachable.
-    pub parent: Vec<Option<NodeId>>,
-    /// BFS distance labels.
-    pub dist: Vec<Dist>,
-}
-
-impl BfsTree {
-    /// Maximum finite distance in the tree (the eccentricity of the source
-    /// within its component). `None` if the graph has no vertices.
-    pub fn eccentricity(&self) -> Option<Dist> {
-        self.dist.iter().copied().filter(|&d| d != INFINITY).max()
-    }
-
-    /// Vertices at exactly distance `d` (a BFS "layer").
-    pub fn layer(&self, d: Dist) -> Vec<NodeId> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &x)| x == d)
-            .map(|(v, _)| v)
-            .collect()
-    }
-}
-
-/// Computes a BFS tree rooted at `source`.
-pub fn bfs_tree(g: &Graph, source: NodeId) -> BfsTree {
-    let n = g.num_nodes();
-    assert!(source < n);
-    let mut dist = vec![INFINITY; n];
-    let mut parent = vec![None; n];
-    let mut queue = VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
-            if dist[v] == INFINITY {
-                dist[v] = dist[u] + 1;
-                parent[v] = Some(u);
-                queue.push_back(v);
-            }
-        }
-    }
-    BfsTree {
-        source,
-        parent,
-        dist,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,26 +133,18 @@ mod tests {
 
     #[test]
     fn bfs_tree_paths_are_shortest() {
-        // Parent pointers lead every vertex back to the source along graph
-        // edges in exactly `dist[v]` hops.
+        // The BFS tree the labels define: stepping from every vertex to a
+        // neighbour one label closer reaches the source in exactly `d[v]`
+        // hops, and no edge spans more than one label.
         let g = generators::grid(4, 4);
-        let t = bfs_tree(&g, 0);
+        let d = bfs_distances(&g, 0);
         for v in g.nodes() {
             let (mut cur, mut hops) = (v, 0);
-            while let Some(p) = t.parent[cur] {
-                assert!(g.has_edge(cur, p));
+            while let Some(&p) = g.neighbors(cur).iter().find(|&&u| d[u] + 1 == d[cur]) {
                 (cur, hops) = (p, hops + 1);
             }
-            assert_eq!((cur, hops), (0, t.dist[v]));
+            assert_eq!((cur, hops), (0, d[v]));
+            assert!(g.neighbors(v).iter().all(|&u| d[u].abs_diff(d[v]) <= 1));
         }
-    }
-
-    #[test]
-    fn bfs_tree_eccentricity_and_layers() {
-        let g = generators::path(7);
-        let t = bfs_tree(&g, 0);
-        assert_eq!(t.eccentricity(), Some(6));
-        assert_eq!(t.layer(3), vec![3]);
-        assert_eq!(t.layer(0), vec![0]);
     }
 }

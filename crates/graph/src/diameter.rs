@@ -39,25 +39,6 @@ pub fn exact_diameter(g: &Graph) -> Option<Dist> {
     Some(best)
 }
 
-/// The classical "double sweep" 2-approximation of the diameter in two BFS
-/// passes: the eccentricity of the farthest vertex from an arbitrary start.
-///
-/// Guarantees `result ∈ [diam/2, diam]` (and is exact on trees). This is the
-/// centralized counterpart of the paper's Theorem 5.3 observation that a BFS
-/// labelling 2-approximates the diameter.
-pub fn double_sweep_lower_bound(g: &Graph, start: NodeId) -> Option<Dist> {
-    let d1 = bfs_distances(g, start);
-    if d1.contains(&INFINITY) {
-        return None;
-    }
-    let far = d1
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &d)| d)
-        .map(|(v, _)| v)?;
-    eccentricity(g, far)
-}
-
 /// Checks the paper's footnote-5 definition of a *nearly 3/2-approximation*:
 /// `estimate ∈ [⌊2·diam/3⌋, diam]`. Takes `u64`, the type of the
 /// distributed estimates it judges.
@@ -94,31 +75,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert_eq!(exact_diameter(&g), None);
         assert_eq!(eccentricity(&g, 0), None);
-    }
-
-    #[test]
-    fn double_sweep_within_factor_two() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        for _ in 0..10 {
-            let g = generators::connected_gnp(60, 0.08, 100, &mut rng).unwrap();
-            let diam = exact_diameter(&g).unwrap();
-            let est = double_sweep_lower_bound(&g, 0).unwrap();
-            assert!(est <= diam);
-            assert!(2 * est >= diam);
-        }
-    }
-
-    #[test]
-    fn double_sweep_exact_on_trees() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-        for _ in 0..10 {
-            let g = generators::random_tree(80, &mut rng);
-            let diam = exact_diameter(&g).unwrap();
-            let est = double_sweep_lower_bound(&g, 0).unwrap();
-            assert_eq!(est, diam);
-        }
     }
 
     #[test]

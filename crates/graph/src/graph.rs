@@ -99,29 +99,6 @@ impl Graph {
         })
     }
 
-    /// Returns the subgraph induced by `keep` (`keep[v] == true` means `v`
-    /// survives), together with the mapping `old id -> new id`.
-    ///
-    /// Vertices not kept map to `None`.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> (Graph, Vec<Option<NodeId>>) {
-        assert_eq!(keep.len(), self.num_nodes());
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
-        let mut next = 0usize;
-        for v in self.nodes() {
-            if keep[v] {
-                remap[v] = Some(next);
-                next += 1;
-            }
-        }
-        let mut builder = GraphBuilder::new(next);
-        for (u, v) in self.edges() {
-            if let (Some(nu), Some(nv)) = (remap[u], remap[v]) {
-                builder.add_edge(nu, nv);
-            }
-        }
-        (builder.build(), remap)
-    }
-
     /// The raw CSR arrays `(offsets, neighbors, num_edges)`.
     ///
     /// This is the serialization surface of the dataset layer
@@ -347,21 +324,6 @@ mod tests {
             assert!(u < v);
             assert!(g.has_edge(u, v));
         }
-    }
-
-    #[test]
-    fn induced_subgraph_remaps_ids() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let keep = vec![false, true, true, true, false];
-        let (sub, remap) = g.induced_subgraph(&keep);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 2);
-        assert_eq!(remap[0], None);
-        assert_eq!(remap[1], Some(0));
-        assert_eq!(remap[4], None);
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
-        assert!(!sub.has_edge(0, 2));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   Erdős–Rényi, random unit-disc graphs (the paper's sensor-field
 //!   motivation), and more.
 //! * [`bfs`] / [`diameter`] / [`components`] — centralized (non-distributed)
-//!   reference algorithms used as ground truth by the tests and experiments.
+//!   BFS distances, eccentricities, the exact diameter, the paper's
+//!   approximation envelopes and the connectivity check, used as ground
+//!   truth by the tests and experiments.
 //! * [`exponential`] — sampling from `Exponential(β)` with the paper's
 //!   integral-`1/β` convention.
 //! * [`mpx`] and [`cluster_graph`] — the Miller–Peng–Xu clustering of
@@ -19,8 +21,9 @@
 //!   distance-preservation lemmas (Lemmas 2.1–2.3).
 //! * [`lower_bound`] — the set-disjointness lower-bound construction of
 //!   Theorem 5.2.
-//! * [`arboricity`] — degeneracy/arboricity estimation used to validate the
-//!   sparsity claims of the lower-bound graphs.
+//! * [`arboricity`] — exact degeneracy, which bounds arboricity within a
+//!   factor of two and so validates the sparsity claims of the lower-bound
+//!   graphs.
 //! * [`dataset`] — shared immutable CSR datasets: deterministic generator
 //!   outputs compiled once into content-addressed binary artifacts and
 //!   bulk-read into `Arc<Graph>`s shared across worker pools, plus the

@@ -24,7 +24,7 @@ use crate::clustering::ClusterState;
 use crate::lb::LbFrame;
 use crate::ledger::LbLedger;
 use crate::message::Msg;
-use crate::stack::{Capabilities, EnergyView, RadioStack};
+use crate::stack::{Capabilities, RadioStack};
 
 /// A virtual radio network whose nodes are the clusters of a
 /// [`ClusterState`] over some parent [`RadioStack`].
@@ -75,34 +75,6 @@ impl<'a> VirtualClusterNet<'a> {
             cast_scratch,
             at_centers,
         }
-    }
-
-    /// The clustering this network is built on.
-    pub fn state(&self) -> &ClusterState {
-        self.state
-    }
-
-    /// The parent's capability descriptor. Note the contrast with
-    /// [`RadioStack::capabilities`] *on this net*, which always reports the
-    /// plain no-CD abstraction: the virtual layer cannot propagate channel
-    /// verdicts through cluster centers, whatever the parent can do.
-    pub fn parent_capabilities(&self) -> Capabilities {
-        self.parent.capabilities()
-    }
-
-    /// A read-only snapshot of the parent's energy counters — for measuring
-    /// what a sequence of virtual calls costs the real devices (the
-    /// equation (3) accounting), without handing out the parent itself.
-    ///
-    /// This deliberately replaces the old `parent_mut` accessor: exposing
-    /// `&mut dyn RadioStack` let callers issue raw Local-Broadcasts on the
-    /// parent mid-virtual-call, bypassing the cast discipline and the
-    /// capability checks of [`crate::protocol::Protocol::run`]. Interleaved
-    /// real/virtual phases (as in the recursive BFS) should instead hold the
-    /// parent themselves and scope the `VirtualClusterNet` borrow to the
-    /// virtual phase.
-    pub fn parent_energy_view(&self) -> EnergyView {
-        self.parent.energy_view()
     }
 }
 
@@ -310,29 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn parent_accessors_expose_counters_and_capabilities_read_only() {
-        // The narrowed replacement for the old `parent_mut`: mid-virtual-
-        // phase callers can observe the parent's energy and capabilities but
-        // cannot issue raw parent Local-Broadcasts around the cast
-        // discipline.
-        let g = generators::grid(8, 8);
-        let (mut net, state) = setup(g.clone(), 3, 6);
-        let quotient = state.quotient_graph(&g);
-        let (a, b) = quotient.edges().next().expect("two adjacent clusters");
-        let mut virt = VirtualClusterNet::new(&mut net, &state);
-        assert!(!virt.parent_capabilities().physical);
-        let before = virt.parent_energy_view();
-        let _ = local_broadcast_once(&mut virt, &[(a, Msg::words(&[9]))], &[b]);
-        let spent = virt.parent_energy_view().diff(&before);
-        // The virtual call charged real devices (down-cast + crossing call +
-        // up-cast), all visible through the read-only view.
-        assert!(spent.lb_time() >= 1);
-        assert!(spent.max_lb_energy() >= 1);
-        // The virtual layer itself still reports the plain abstraction.
-        assert!(!virt.capabilities().collision_detection.is_receiver());
-    }
-
-    #[test]
     fn virtual_views_count_virtual_calls_in_lb_units_only() {
         // On a physical parent the virtual layer still reports plain LB
         // units — its calls have no slot structure of their own — while
@@ -346,20 +295,22 @@ mod tests {
         let state = cluster_distributed(&mut net, &ClusteringConfig::new(3), &mut rng);
         let quotient = state.quotient_graph(&g);
         let (a, b) = quotient.edges().next().expect("two adjacent clusters");
-        let mut virt = VirtualClusterNet::new(&mut net, &state);
-        assert!(virt.parent_capabilities().physical);
-        assert!(!virt.capabilities().physical);
-        for round in 0..3 {
-            let _ = local_broadcast_once(&mut virt, &[(a, Msg::words(&[round]))], &[b]);
-        }
-        let view = virt.energy_view();
+        let view = {
+            let mut virt = VirtualClusterNet::new(&mut net, &state);
+            assert!(!virt.capabilities().physical);
+            assert!(!virt.capabilities().collision_detection.is_receiver());
+            for round in 0..3 {
+                let _ = local_broadcast_once(&mut virt, &[(a, Msg::words(&[round]))], &[b]);
+            }
+            virt.energy_view()
+        };
         assert!(!view.has_physical());
         assert_eq!(view.nodes(), state.num_clusters());
         assert_eq!(view.lb_time(), 3);
         assert_eq!((view.lb_energy(a), view.lb_energy(b)), (3, 3));
         assert_eq!(view.total_lb_energy(), 6);
-        assert!(virt.parent_energy_view().has_physical());
-        assert!(virt.parent_energy_view().lb_time() > 3);
+        assert!(net.energy_view().has_physical());
+        assert!(net.energy_view().lb_time() > 3);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Every protocol in this repository encodes its payload as a short vector
 //! of 64-bit words (`Msg`). The paper's algorithms only ever need to carry
 //! `O(1)` identifiers, layer numbers, and distance labels per message, i.e.
-//! `O(log n)` bits, which the tests check through [`Msg::bit_size`].
+//! `O(log n)` bits: a constant number of words, which the tests check by
+//! recording the longest payload each protocol sends.
 //!
 //! `Msg` is an inline small-vector: up to [`Msg::INLINE_WORDS`] words live
 //! directly in the struct, spilling to a heap `Vec` only beyond that. The
@@ -93,11 +94,6 @@ impl Msg {
         self.as_slice()[i]
     }
 
-    /// Size in bits when transmitted.
-    pub fn bit_size(&self) -> usize {
-        64 * self.len()
-    }
-
     /// A copy with `word` prepended — the "tag with an identifier" shape
     /// both casts use ([`Msg::split_first`] is the inverse).
     #[inline]
@@ -176,9 +172,8 @@ mod tests {
         assert_eq!(m.word(1), 7);
         assert_eq!(m.get(2), Some(11));
         assert_eq!(m.get(3), None);
-        assert_eq!(m.bit_size(), 192);
         assert!(Msg::empty().is_empty());
-        assert_eq!(Msg::empty().bit_size(), 0);
+        assert_eq!(Msg::empty().len(), 0);
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl HllSketch {
         s
     }
 
-    /// Precision.
-    pub fn precision(&self) -> u32 {
-        self.p
-    }
-
     /// The packed register words.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -198,24 +193,6 @@ impl HllSketch {
     /// The cardinality estimate.
     pub fn estimate(&self) -> f64 {
         estimate_words(&self.words, self.p)
-    }
-
-    /// The register array as a Local-Broadcast payload ([`HllSketch::from_msg`]
-    /// is the inverse).
-    pub fn to_msg(&self) -> Msg {
-        Msg::words(&self.words)
-    }
-
-    /// Reconstructs a counter of precision `p` from a payload produced by
-    /// [`HllSketch::to_msg`]; `None` if the word count does not match.
-    pub fn from_msg(p: u32, msg: &Msg) -> Option<Self> {
-        if !(MIN_PRECISION..=MAX_PRECISION).contains(&p) || msg.len() != words_for(p) {
-            return None;
-        }
-        Some(HllSketch {
-            p,
-            words: msg.as_slice().to_vec(),
-        })
     }
 }
 
@@ -477,18 +454,6 @@ mod tests {
             }
         }
         assert_eq!(s.words()[0] & 0xFF, 65 - 4);
-    }
-
-    #[test]
-    fn msg_round_trip_preserves_registers() {
-        let s = exact_counter(6, 9, 0..33);
-        let msg = s.to_msg();
-        assert_eq!(msg.len(), words_for(6));
-        assert_eq!(HllSketch::from_msg(6, &msg).unwrap(), s);
-        assert!(
-            HllSketch::from_msg(7, &msg).is_none(),
-            "word-count mismatch"
-        );
     }
 
     #[test]

@@ -13,7 +13,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use radio_graph::bfs::bfs_distances;
 use radio_graph::{generators, Graph};
+use radio_protocols::aggregate::{find_max, find_min};
+use radio_protocols::broadcast::{layered_broadcast, up_sweep, Layers};
 use radio_protocols::cast::{down_cast, up_cast};
 use radio_protocols::{
     cluster_distributed, local_broadcast_once, ClusteringConfig, CollisionDetection, EnergyModel,
@@ -353,6 +356,55 @@ proptest! {
     /// satisfied exactly by the `with_cd()` stacks; and the gate in
     /// `Protocol::run` agrees with `Capabilities::satisfies` — refusing
     /// with the typed error before any Local-Broadcast, never panicking.
+    #[test]
+    fn section_5_primitives_on_random_connected_graphs(
+        g in arb_connected_graph(),
+        root in 0usize..30,
+        holder in 0usize..30,
+        key_bound in 1u64..4097,
+        seed in any::<u64>(),
+    ) {
+        let n = g.num_nodes();
+        let (root, holder) = (root % n, holder % n);
+        let labels: Vec<Option<u64>> = bfs_distances(&g, root)
+            .into_iter()
+            .map(|d| Some(u64::from(d)))
+            .collect();
+        let layers = Layers::new(&labels);
+
+        // The broadcast reaches every labelled vertex, each in ≤ 2 calls.
+        let mut net = StackBuilder::new(g.clone()).build();
+        let reached = layered_broadcast(&mut net, &layers, &Msg::words(&[77]));
+        for (v, m) in reached.iter().enumerate() {
+            prop_assert_eq!(m.as_ref().map(|m| m.word(0)), Some(77), "vertex {}", v);
+        }
+        prop_assert!(net.max_lb_energy() <= 2);
+
+        // An up sweep from any single holder reaches the root.
+        let mut holders = NodeSlots::new(n);
+        holders.insert(holder, Msg::words(&[holder as u64]));
+        let mut net = StackBuilder::new(g.clone()).build();
+        let at_root = up_sweep(&mut net, &layers, &holders);
+        prop_assert_eq!(at_root.get(root).map(|m| m.word(0)), Some(holder as u64));
+
+        // Find-Min and Find-Max return the true extremum of random keys
+        // below a random bound K, and a vertex holding it.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let keys: Vec<Option<u64>> = (0..n)
+            .map(|_| rng.gen_bool(0.7).then(|| rng.gen_range(0..key_bound)))
+            .collect();
+        let mut net = StackBuilder::new(g.clone()).with_seed(seed).build();
+        for (found, want) in [
+            (find_min(&mut net, &layers, &keys, key_bound), keys.iter().flatten().min()),
+            (find_max(&mut net, &layers, &keys, key_bound), keys.iter().flatten().max()),
+        ] {
+            prop_assert_eq!(found.as_ref().map(|r| r.key), want.copied());
+            if let Some(r) = found {
+                prop_assert_eq!(keys[r.node], Some(r.key));
+            }
+        }
+    }
+
     #[test]
     fn capability_gate_agrees_with_the_satisfies_lattice(
         g in arb_connected_graph(),

@@ -119,9 +119,6 @@ proptest! {
         prop_assert!(covers_words(m.words(), a.words()));
         prop_assert!(covers_words(m.words(), b.words()));
 
-        // Local-Broadcast payload round-trip.
-        prop_assert_eq!(HllSketch::from_msg(p, &a.to_msg()), Some(a.clone()));
-
         // Fixed points of the estimator at the bottom of the lattice: the
         // empty sketch reads 0 and any singleton reads m·ln(m/(m−1)) ≈ 1,
         // independent of which register the hash lands in.

@@ -41,15 +41,14 @@ const EMPTY_LO: usize = usize::MAX;
 /// set costs the words it touches wherever its members sit in a large
 /// universe, not the position of its highest member.
 ///
-/// The bulk kernels ([`NodeSet::union_with`], [`NodeSet::intersect_with`],
-/// [`NodeSet::difference_with`], [`NodeSet::copy_from`],
-/// [`NodeSet::is_disjoint`], [`NodeSet::count_intersection`]) are written
-/// as straight-line loops over `u64` blocks — 64 membership decisions per
+/// The bulk kernels ([`NodeSet::intersect_with`],
+/// [`NodeSet::difference_with`], [`NodeSet::copy_from`]) are written as
+/// straight-line loops over `u64` blocks — 64 membership decisions per
 /// iteration, autovectorizer-friendly — with `len` kept exact by
-/// `count_ones` accumulation. Raw word access for external kernels is
-/// available through [`NodeSet::words`] / [`NodeSet::words_mut`] +
-/// [`NodeSet::recount`], with [`NodeSet::occupied_words`] naming the range
-/// a read-only kernel needs to walk.
+/// `count_ones` accumulation. Read-only word access for external kernels
+/// is available through [`NodeSet::words`], with
+/// [`NodeSet::occupied_words`] naming the range such a kernel needs to
+/// walk.
 ///
 /// # Out-of-universe ids
 ///
@@ -58,15 +57,14 @@ const EMPTY_LO: usize = usize::MAX;
 /// insert is always a logic error — the bit has nowhere to live), while
 /// [`NodeSet::remove`] and [`NodeSet::contains`] tolerate them (removing a
 /// non-member is a no-op and an out-of-universe id is never a member, so
-/// both have a sensible total answer). Frame-reuse call sites that probe
-/// speculatively can use [`NodeSet::try_insert`] instead of pre-checking.
+/// both have a sensible total answer).
 #[derive(Clone, Debug)]
 pub struct NodeSet {
     words: Vec<u64>,
     universe: usize,
     len: usize,
     /// The occupied-word range `lo..hi`: every word outside it is zero.
-    /// Grows on insert and union, resets on clear, and is *not* shrunk by
+    /// Grows on insert, resets on clear, and is *not* shrunk by
     /// remove — it is a conservative bound, not an exact one. An empty
     /// range is stored as `EMPTY_LO..0`, which
     /// [`NodeSet::occupied_words`] reports as `0..0`.
@@ -160,7 +158,7 @@ impl NodeSet {
     /// Inserts `v`; returns `true` if it was not already present.
     ///
     /// Panics if `v` is outside the universe (see the type-level note on
-    /// out-of-universe ids; use [`NodeSet::try_insert`] to probe instead).
+    /// out-of-universe ids).
     #[inline]
     pub fn insert(&mut self, v: usize) -> bool {
         assert!(
@@ -175,18 +173,6 @@ impl NodeSet {
         self.lo = self.lo.min(w);
         self.hi = self.hi.max(w + 1);
         fresh
-    }
-
-    /// Non-panicking [`NodeSet::insert`]: returns `true` iff `v` is inside
-    /// the universe *and* was not already present. Out-of-universe ids are
-    /// ignored (mirroring how [`NodeSet::remove`] / [`NodeSet::contains`]
-    /// treat them), which is the shape speculative frame-reuse call sites
-    /// want.
-    pub fn try_insert(&mut self, v: usize) -> bool {
-        if v >= self.universe {
-            return false;
-        }
-        self.insert(v)
     }
 
     /// Removes `v`; returns `true` if it was present. Out-of-universe ids
@@ -268,40 +254,6 @@ impl NodeSet {
         &self.words
     }
 
-    /// Mutable raw word access for external word-at-a-time kernels.
-    ///
-    /// After writing through this slice the cached `len` and occupied-word
-    /// range are stale — call [`NodeSet::recount`] before using any other
-    /// method. Callers must not set bits at `universe` or beyond.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Recomputes `len` and the occupied-word range (tight: first to last
-    /// nonzero word) from the raw words after a [`NodeSet::words_mut`]
-    /// edit. `O(n/64)` — the one method that walks the whole universe,
-    /// because an external edit may have touched any word.
-    pub fn recount(&mut self) {
-        debug_assert!(
-            self.universe.is_multiple_of(64)
-                || self
-                    .words
-                    .last()
-                    .is_none_or(|&w| w >> (self.universe % 64) == 0),
-            "bit set beyond universe {}",
-            self.universe
-        );
-        let (mut len, mut lo, mut hi) = (0usize, EMPTY_LO, 0usize);
-        for (i, &w) in self.words.iter().enumerate() {
-            len += w.count_ones() as usize;
-            if w != 0 {
-                lo = lo.min(i);
-                hi = i + 1;
-            }
-        }
-        (self.len, self.lo, self.hi) = (len, lo, hi);
-    }
-
     /// Makes this set a copy of `other` (same universe required) without
     /// reallocating. `O(both occupied ranges)`: the words of `self`'s range
     /// that `other`'s does not cover are zeroed, `other`'s range is copied,
@@ -318,22 +270,6 @@ impl NodeSet {
         }
         self.words[src.clone()].copy_from_slice(&other.words[src]);
         (self.len, self.lo, self.hi) = (other.len, other.lo, other.hi);
-    }
-
-    /// `self |= other` (same universe required), word-parallel over
-    /// `other`'s occupied range; `len` stays exact by counting the bits
-    /// each word gains.
-    pub fn union_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let src = other.occupied_words();
-        let mut gained = 0usize;
-        for (a, &b) in self.words[src.clone()].iter_mut().zip(&other.words[src]) {
-            gained += (b & !*a).count_ones() as usize;
-            *a |= b;
-        }
-        self.len += gained;
-        self.lo = self.lo.min(other.lo);
-        self.hi = self.hi.max(other.hi);
     }
 
     /// `self &= other` (same universe required), word-parallel over
@@ -373,31 +309,6 @@ impl NodeSet {
             *a &= !b;
         }
         self.len -= removed;
-    }
-
-    /// `true` iff the sets share no member (same universe required).
-    /// Word-parallel over the overlap of the occupied ranges, with early
-    /// exit on the first shared word.
-    pub fn is_disjoint(&self, other: &NodeSet) -> bool {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let both = self.overlap(other);
-        self.words[both.clone()]
-            .iter()
-            .zip(&other.words[both])
-            .all(|(&a, &b)| a & b == 0)
-    }
-
-    /// `|self & other|` without materialising the intersection (same
-    /// universe required), word-parallel `count_ones` accumulation over the
-    /// overlap of the occupied ranges.
-    pub fn count_intersection(&self, other: &NodeSet) -> usize {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let both = self.overlap(other);
-        self.words[both.clone()]
-            .iter()
-            .zip(&other.words[both])
-            .map(|(&a, &b)| (a & b).count_ones() as usize)
-            .sum()
     }
 }
 
@@ -744,17 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn node_set_try_insert_tolerates_out_of_universe() {
-        let mut s = NodeSet::new(4);
-        assert!(s.try_insert(3));
-        assert!(!s.try_insert(3), "duplicate reports not-fresh");
-        assert!(!s.try_insert(4), "out-of-universe is ignored");
-        assert!(!s.try_insert(1000));
-        assert_eq!(s.len(), 1);
-        assert!(!s.contains(4));
-    }
-
-    #[test]
     fn node_set_equality_ignores_watermark_history() {
         let mut a = NodeSet::new(300);
         let mut b = NodeSet::new(300);
@@ -790,14 +690,6 @@ mod tests {
         let mut b = NodeSet::new(n);
         b.extend(ys);
 
-        let mut u = a.clone();
-        u.union_with(&b);
-        let want: Vec<usize> = (0..n)
-            .filter(|v| xs.contains(v) || ys.contains(v))
-            .collect();
-        assert_eq!(u.iter().collect::<Vec<_>>(), want);
-        assert_eq!(u.len(), want.len());
-
         let mut i = a.clone();
         i.intersect_with(&b);
         let want: Vec<usize> = (0..n)
@@ -805,8 +697,6 @@ mod tests {
             .collect();
         assert_eq!(i.iter().collect::<Vec<_>>(), want);
         assert_eq!(i.len(), want.len());
-        assert_eq!(a.count_intersection(&b), want.len());
-        assert!(!a.is_disjoint(&b));
 
         let mut d = a.clone();
         d.difference_with(&b);
@@ -815,11 +705,6 @@ mod tests {
             .collect();
         assert_eq!(d.iter().collect::<Vec<_>>(), want);
         assert_eq!(d.len(), want.len());
-        assert!(
-            d.is_disjoint(&i),
-            "difference and intersection are disjoint"
-        );
-        assert_eq!(d.count_intersection(&i), 0);
 
         let mut r = a.clone();
         let mut asked = Vec::new();
@@ -859,10 +744,10 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![5765, 5951, 6080]);
         s.remove(64 * 90 + 5);
         assert_eq!(s.occupied_words(), 90..96, "remove keeps the range");
+        s.insert(3);
+        assert_eq!(s.occupied_words(), 0..96, "a low member widens it down");
         let mut low = NodeSet::new(64 * 100);
         low.insert(3);
-        s.union_with(&low);
-        assert_eq!(s.occupied_words(), 0..96, "union covers both ranges");
         s.intersect_with(&low);
         assert_eq!(s.occupied_words(), 0..1, "intersect narrows to the overlap");
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3]);
@@ -874,24 +759,6 @@ mod tests {
         s.clear();
         assert_eq!(s.occupied_words(), 0..0);
         assert!(s.words().iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn node_set_words_mut_recount_round_trip() {
-        let mut s = NodeSet::new(130);
-        s.insert(129);
-        s.words_mut()[0] = 0b1011;
-        s.recount();
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 3, 129]);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.occupied_words(), 0..3);
-        s.words_mut()[0] = 0;
-        s.recount();
-        assert_eq!(s.occupied_words(), 2..3, "recount finds the low end too");
-        s.words_mut().fill(0);
-        s.recount();
-        assert!(s.is_empty());
-        assert_eq!(s.watermark(), 0);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!
 //! The simulator puts no bound on message size: it models `RN[∞]`, in
 //! which the paper's lower bounds hold, and payload sizes are the
-//! protocols' concern (`radio-protocols` measures its messages with
-//! `Msg::bit_size`). Every slot runs through one entry point,
-//! [`RadioNetwork::step_frame`], on a columnar [`SlotFrame`].
+//! protocols' concern (the workspace's tests record the longest `Msg`
+//! each paper protocol sends, in 64-bit words). Every slot runs through
+//! one entry point, [`RadioNetwork::step_frame`], on a columnar
+//! [`SlotFrame`].
 //!
 //! Layering: this crate knows nothing about clustering or BFS. Higher-level
 //! algorithms are written against the Local-Broadcast abstraction in

@@ -4,8 +4,8 @@
 //! A message is any `M: Clone`, and the simulator puts no bound on its
 //! size: it models `RN[∞]`, in which the paper's lower bounds hold. The
 //! algorithms' `O(log n)`-bit payloads run in it unchanged; how many bits
-//! a payload takes is the protocol's concern (`radio-protocols` measures
-//! its messages with `Msg::bit_size`).
+//! a payload takes is the protocol's concern (the workspace's tests record
+//! the longest `Msg` each paper protocol sends, in 64-bit words).
 
 /// What a device does in one slot.
 #[derive(Clone, Debug, PartialEq, Eq)]

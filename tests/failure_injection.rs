@@ -11,7 +11,7 @@ use radio_energy::bfs::baseline::trivial_bfs;
 use radio_energy::bfs::{build_hierarchy, recursive_bfs_with_hierarchy, RecursiveBfsConfig};
 use radio_energy::graph::bfs::bfs_distances;
 use radio_energy::graph::generators;
-use radio_energy::protocols::broadcast::layered_broadcast;
+use radio_energy::protocols::broadcast::{layered_broadcast, Layers};
 use radio_energy::protocols::{cluster_distributed, ClusteringConfig, Msg, StackBuilder};
 
 /// Clustering under 30% message loss still produces a structurally valid
@@ -40,14 +40,18 @@ fn clustering_survives_heavy_loss() {
 #[test]
 fn broadcast_degrades_gracefully_and_never_corrupts() {
     let g = generators::grid(9, 9);
-    let labels = bfs_distances(&g, 0);
+    let labels: Vec<Option<u64>> = bfs_distances(&g, 0)
+        .into_iter()
+        .map(|d| Some(u64::from(d)))
+        .collect();
+    let layers = Layers::new(&labels);
 
     let coverage = |failure: f64, seed: u64| -> usize {
         let mut net = StackBuilder::new(g.clone())
             .with_failures(failure)
             .with_seed(seed)
             .build();
-        let out = layered_broadcast(&mut net, &labels, &Msg::words(&[7]));
+        let out = layered_broadcast(&mut net, &layers, &Msg::words(&[7]));
         for m in out.iter().flatten() {
             assert_eq!(m.word(0), 7, "corrupted payload");
         }

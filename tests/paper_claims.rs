@@ -14,7 +14,10 @@ use radio_energy::graph::cluster_graph::{distance_proxy_stats, lemma_2_1_bound, 
 use radio_energy::graph::diameter::{exact_diameter, satisfies_theorem_5_4_bound};
 use radio_energy::graph::generators;
 use radio_energy::graph::lower_bound::build_disjointness_graph;
-use radio_energy::protocols::{cluster_distributed, ClusteringConfig, RadioStack, StackBuilder};
+use radio_energy::protocols::{
+    cluster_distributed, Capabilities, ClusteringConfig, LbFrame, ProtocolInput, RadioStack,
+    StackBuilder,
+};
 
 /// Lemma 2.2, with the clustering produced by the *distributed* protocol:
 /// cluster-graph distances stay inside the paper's interval for every
@@ -322,5 +325,100 @@ fn clustering_energy_budget_lemma_2_5() {
         let rounds = cfg.rounds(net.global_n());
         assert!(net.lb_time() <= rounds);
         assert!(net.max_lb_energy() <= rounds);
+    }
+}
+
+/// Forwards every call to the stack it wraps and records the longest
+/// payload any sender hands it, in 64-bit words.
+struct PayloadMeter<'a> {
+    inner: &'a mut dyn RadioStack,
+    longest: usize,
+}
+
+impl RadioStack for PayloadMeter<'_> {
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+
+    fn global_n(&self) -> usize {
+        self.inner.global_n()
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+
+    fn local_broadcast(&mut self, frame: &mut LbFrame) {
+        for (_, m) in frame.senders().iter() {
+            self.longest = self.longest.max(m.len());
+        }
+        self.inner.local_broadcast(frame);
+    }
+
+    fn lb_energy(&self, v: usize) -> u64 {
+        self.inner.lb_energy(v)
+    }
+
+    fn lb_time(&self) -> u64 {
+        self.inner.lb_time()
+    }
+
+    fn topology(&self) -> Option<&radio_energy::graph::Graph> {
+        self.inner.topology()
+    }
+}
+
+/// The paper's protocols carry `O(1)` ids, layers and labels per message,
+/// i.e. `O(log n)` bits: the longest payload each registry protocol sends
+/// on paths and grids is a constant number of words, the same at every n.
+/// A second recursion level wraps one more cast tag around the payload.
+/// The nearly-3/2 estimator runs about `√n·log n` recursive BFSs, so it
+/// stops at n = 256 (its 1,024-node path takes minutes in a debug build);
+/// its payloads are the recursion's and the aggregates', which the other
+/// specs reach at n = 1,024.
+#[test]
+fn every_paper_protocol_sends_constant_size_messages() {
+    let registry = radio_energy::bfs::protocol::registry();
+    let all_sides: &[usize] = &[8, 16, 32];
+    let cases = [
+        ("trivial_bfs", 1, all_sides),
+        ("decay_bfs", 1, all_sides),
+        ("clustering:b=4", 3, all_sides),
+        ("recursive", 3, all_sides),
+        ("diameter:two_approx", 3, all_sides),
+        ("diameter:three_halves_approx", 3, &all_sides[..2]),
+        ("recursive:d=2", 4, all_sides),
+    ];
+    for (spec, bound, sides) in cases {
+        let protocol = registry.get(spec).expect("spec resolves");
+        for family in ["path", "grid"] {
+            let longest: Vec<usize> = sides
+                .iter()
+                .map(|&side| {
+                    let g = match family {
+                        "path" => generators::path(side * side),
+                        _ => generators::grid(side, side),
+                    };
+                    let mut stack = StackBuilder::new(g).with_seed(5).build();
+                    let mut net = PayloadMeter {
+                        inner: &mut stack,
+                        longest: 0,
+                    };
+                    protocol
+                        .run(&mut net, &ProtocolInput::from_seed(5))
+                        .expect("runs on a plain stack");
+                    net.longest
+                })
+                .collect();
+            let sizes: Vec<usize> = sides.iter().map(|side| side * side).collect();
+            assert!(
+                longest.iter().all(|&words| words <= bound),
+                "{spec} on {family}s of {sizes:?} nodes sent {longest:?} words, bound {bound}"
+            );
+            assert!(
+                longest.iter().all(|&words| words == longest[0]),
+                "{spec} on {family}s: the longest payload grows with n: {longest:?}"
+            );
+        }
     }
 }
