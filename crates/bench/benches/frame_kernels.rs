@@ -4,9 +4,9 @@
 //! Four groups:
 //!
 //! * `nodeset_kernels` — the bulk [`NodeSet`] kernel `difference_with`,
-//!   across universe sizes and fill densities. It is what Decay's
-//!   bookkeeping calls every slot, so its throughput bounds that per-slot
-//!   cost.
+//!   across universe sizes and fill densities. It is what the
+//!   collision-detection Decay's bookkeeping calls every slot, so its
+//!   throughput bounds that per-slot cost.
 //! * `delivery_resolution` — `step_frame_scan` vs `step_frame_columnar` on
 //!   the same physical slot, at the two extremes the adaptive dispatch in
 //!   `step_frame` arbitrates between: a handful of transmitters with the
@@ -88,14 +88,14 @@ fn bench_delivery_resolution(c: &mut Criterion) {
             let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
             b.iter(|| {
                 net.step_frame_scan(&mut frame);
-                black_box(frame.received.len())
+                black_box(frame.feedback.len())
             });
         });
         group.bench_with_input(BenchmarkId::new("columnar", k), &k, |b, _| {
             let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
             b.iter(|| {
                 net.step_frame_columnar(&mut frame);
-                black_box(frame.received.len())
+                black_box(frame.feedback.len())
             });
         });
     }

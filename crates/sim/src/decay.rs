@@ -18,12 +18,25 @@
 //!
 //! The call operates on a reusable [`RoundFrame`]: senders and receivers go
 //! in, deliveries come out in `frame.delivered()`, and a [`DecayScratch`]
-//! carries the per-slot buffers so that repeated calls (the normal case —
+//! carries the per-call buffers so that repeated calls (the normal case —
 //! every higher-level protocol is a long sequence of Local-Broadcasts)
 //! allocate nothing. Senders draw their decay slots in ascending node order
 //! — the order [`NodeSlots`](crate::frame::NodeSlots) iterates by
 //! construction — so the RNG stream maps to devices deterministically
 //! without any per-call sort.
+//!
+//! Without collision detection a receiver learns nothing from a slot but
+//! the message it decodes, so [`decay_local_broadcast`] resolves each slot
+//! from its transmitters' side: only the devices a slot's transmitters
+//! reach can change state, and each receiver's listening is billed once per
+//! call — every slot up to and including the one in which it heard, or
+//! every slot of the call if it heard nothing. A call then costs
+//! `O(iterations · (|S| + Σ_{s ∈ S} deg(s)) + |R|)` host work rather than
+//! one pass over the listeners per slot, with the same RNG draws,
+//! deliveries and meters as a slot-by-slot run.
+//! [`decay_local_broadcast_cd`] needs every listener's per-slot verdict
+//! and runs its slots through
+//! [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame).
 
 use rand::Rng;
 
@@ -106,22 +119,28 @@ impl DecayParams {
     }
 }
 
-/// Reusable per-slot buffers for [`decay_local_broadcast`]: the columnar
-/// [`SlotFrame`] handed to the channel each slot, plus the per-iteration
-/// slot schedule bucketed by slot number.
+/// Reusable buffers for [`decay_local_broadcast`] and
+/// [`decay_local_broadcast_cd`], so that repeated calls allocate nothing.
 #[derive(Clone, Debug)]
 pub struct DecayScratch<M> {
+    /// CD variant only: the slot handed to
+    /// [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame).
     slot: SlotFrame<M>,
     /// `buckets[t]` lists the senders that picked slot `t` this iteration,
     /// in ascending node order (bucket 0 is unused — slots are 1-based).
     /// Bucketing the schedule once per iteration lets each slot touch only
     /// its own transmitters instead of re-scanning every sender per slot.
     buckets: Vec<Vec<usize>>,
+    /// No-CD variant only: for a receiver that has heard this call, the
+    /// 1-based slot of the call in which it heard (and stopped listening).
+    /// Entries of other devices are stale and never read.
+    heard_at: Vec<u64>,
     /// CD variant only: senders that still have unresolved receivers nearby.
     active_senders: NodeSet,
     /// CD variant only: receivers that heard non-silence this iteration.
     heard_activity: NodeSet,
-    /// Word-parallel workspace for listen/unresolved set computations.
+    /// The receivers still listening (no-CD), or a word-parallel workspace
+    /// for the unresolved receivers (CD).
     pending: NodeSet,
 }
 
@@ -131,20 +150,21 @@ impl<M> DecayScratch<M> {
         DecayScratch {
             slot: SlotFrame::new(n),
             buckets: Vec::new(),
+            heard_at: vec![0; n],
             active_senders: NodeSet::new(n),
             heard_activity: NodeSet::new(n),
             pending: NodeSet::new(n),
         }
     }
+}
 
-    /// Clears the slot buckets for a new iteration with `levels` slots.
-    fn reset_buckets(&mut self, levels: usize) {
-        if self.buckets.len() <= levels {
-            self.buckets.resize_with(levels + 1, Vec::new);
-        }
-        for bucket in &mut self.buckets[..=levels] {
-            bucket.clear();
-        }
+/// Empties `buckets[..=levels]` for a new iteration with `levels` slots.
+fn reset_buckets(buckets: &mut Vec<Vec<usize>>, levels: usize) {
+    if buckets.len() <= levels {
+        buckets.resize_with(levels + 1, Vec::new);
+    }
+    for bucket in &mut buckets[..=levels] {
+        bucket.clear();
     }
 }
 
@@ -169,6 +189,13 @@ pub fn sample_decay_slot<R: Rng + ?Sized>(levels: usize, rng: &mut R) -> usize {
 /// idle and spend no energy. Deliveries are written into
 /// `frame.delivered()` (cleared on entry, first message heard wins);
 /// returns the number of channel slots the call occupied.
+///
+/// Every receiver listens from the first slot until it decodes a message
+/// and then sleeps (Lemma 2.4's expected-energy saving); the meter is
+/// charged exactly as if each slot had run through
+/// [`RadioNetwork::step_frame`] with the unserved receivers listening, but
+/// each slot only walks its transmitters' neighbourhoods (see the module
+/// docs).
 pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
     net: &mut RadioNetwork<M>,
     frame: &mut RoundFrame<M>,
@@ -185,6 +212,16 @@ pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
     let iterations = params.iterations();
     frame.clear_delivered();
     let (senders, receivers, delivered) = frame.parts_mut();
+    let DecayScratch {
+        buckets,
+        heard_at,
+        pending,
+        ..
+    } = scratch;
+    // The receivers still listening: receivers − senders, less each one
+    // as it hears.
+    pending.copy_from(receivers);
+    pending.difference_with(senders.keys());
     let mut slots_used = 0u64;
 
     for _ in 0..iterations {
@@ -193,34 +230,29 @@ pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
         // construction, no sort needed — the draw order is a pinned
         // contract), bucketed by slot so each slot below touches only its
         // own transmitters.
-        scratch.reset_buckets(levels);
+        reset_buckets(buckets, levels);
         for u in senders.keys().iter() {
-            scratch.buckets[sample_decay_slot(levels, rng)].push(u);
+            buckets[sample_decay_slot(levels, rng)].push(u);
         }
-        for slot in 1..=levels {
-            scratch.slot.clear();
-            for &u in &scratch.buckets[slot] {
-                scratch
-                    .slot
-                    .transmit
-                    .insert(u, senders.get(u).expect("occupied sender").clone());
-            }
-            // Receivers that have already heard something sleep for the
-            // rest of the call (Lemma 2.4's expected-energy saving):
-            // listeners = receivers − delivered − senders, word-parallel.
-            scratch.slot.listen.copy_from(receivers);
-            scratch.slot.listen.difference_with(delivered.keys());
-            scratch.slot.listen.difference_with(senders.keys());
-            net.step_frame(&mut scratch.slot);
+        for transmitters in &buckets[1..=levels] {
             slots_used += 1;
-            for v in scratch.slot.received.iter() {
-                if let Some(Feedback::Received(m)) = scratch.slot.feedback.get(v) {
-                    delivered.insert_if_absent(v, m.clone());
+            net.step_transmitters(transmitters, |v, t| {
+                if pending.remove(v) {
+                    delivered.insert(v, senders.get(t).expect("occupied sender").clone());
+                    heard_at[v] = slots_used;
                 }
-            }
+            });
         }
     }
 
+    // Listening, billed once per receiver: through the slot in which it
+    // heard, or through every slot of the call.
+    for v in delivered.keys() {
+        net.charge_listening(v, heard_at[v]);
+    }
+    for v in pending.iter() {
+        net.charge_listening(v, slots_used);
+    }
     slots_used
 }
 
@@ -282,6 +314,7 @@ pub fn decay_local_broadcast_cd<M: Clone + Default, R: Rng + ?Sized>(
         active_senders,
         heard_activity,
         pending,
+        ..
     } = scratch;
     active_senders.copy_from(senders.keys());
     let mut slots_used = 0u64;
@@ -312,12 +345,7 @@ pub fn decay_local_broadcast_cd<M: Clone + Default, R: Rng + ?Sized>(
         // Active senders draw their slots in ascending node order; the
         // active set evolves deterministically, so the RNG stream maps to
         // devices reproducibly (the draw order is a pinned contract).
-        if buckets.len() <= levels {
-            buckets.resize_with(levels + 1, Vec::new);
-        }
-        for bucket in &mut buckets[..=levels] {
-            bucket.clear();
-        }
+        reset_buckets(buckets, levels);
         for u in active_senders.iter() {
             buckets[sample_decay_slot(levels, rng)].push(u);
         }

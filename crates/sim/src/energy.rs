@@ -85,6 +85,11 @@ impl EnergyMeter {
         self.listen[v] += 1;
     }
 
+    /// Records that device `v` listened for `slots` slots.
+    pub(crate) fn charge_listen_slots(&mut self, v: usize, slots: u64) {
+        self.listen[v] += slots;
+    }
+
     /// Records that device `v` transmitted for one slot.
     pub fn charge_transmit(&mut self, v: usize) {
         self.transmit[v] += 1;

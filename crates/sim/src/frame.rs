@@ -20,9 +20,13 @@
 //!   words and slots the previous round occupied, so a sparse round on a
 //!   large universe stays cheap wherever its ids sit).
 //! * [`SlotFrame<M>`] — one physical channel slot: transmitters, listeners,
-//!   and per-listener feedback — the only input of
+//!   and per-listener feedback — the input of
 //!   [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame),
-//!   the simulator's one way to run a slot.
+//!   which runs the slots of the collision-detection Decay and of
+//!   [`run_devices`](crate::device::run_devices). (The no-CD
+//!   [`decay_local_broadcast`](crate::decay::decay_local_broadcast) needs
+//!   no per-listener feedback and resolves its slots from the
+//!   transmitters' side.)
 
 use crate::model::{Feedback, LbFeedback};
 
@@ -566,10 +570,6 @@ pub struct SlotFrame<M> {
     pub listen: NodeSet,
     /// Per-listener feedback (filled by the network).
     pub feedback: NodeSlots<Feedback<M>>,
-    /// The listeners whose feedback is [`Feedback::Received`] (filled by the
-    /// network alongside `feedback`), so harvest loops walk only the
-    /// deliveries instead of re-classifying every listener.
-    pub received: NodeSet,
 }
 
 impl<M> SlotFrame<M> {
@@ -579,17 +579,14 @@ impl<M> SlotFrame<M> {
             transmit: NodeSlots::new(n),
             listen: NodeSet::new(n),
             feedback: NodeSlots::new(n),
-            received: NodeSet::new(n),
         }
     }
 
-    /// Clears transmitters, listeners, feedback and the received index for
-    /// the next slot.
+    /// Clears transmitters, listeners and feedback for the next slot.
     pub fn clear(&mut self) {
         self.transmit.clear();
         self.listen.clear();
         self.feedback.clear();
-        self.received.clear();
     }
 }
 

@@ -15,9 +15,10 @@
 //! The simulator puts no bound on message size: it models `RN[∞]`, in
 //! which the paper's lower bounds hold, and payload sizes are the
 //! protocols' concern (the workspace's tests record the longest `Msg`
-//! each paper protocol sends, in 64-bit words). Every slot runs through
-//! one entry point, [`RadioNetwork::step_frame`], on a columnar
-//! [`SlotFrame`].
+//! each paper protocol sends, in 64-bit words). A slot with per-listener
+//! feedback runs through [`RadioNetwork::step_frame`] on a columnar
+//! [`SlotFrame`]; the no-CD [`decay_local_broadcast`] needs only the
+//! deliveries and resolves its slots from the transmitters' side.
 //!
 //! Layering: this crate knows nothing about clustering or BFS. Higher-level
 //! algorithms are written against the Local-Broadcast abstraction in

@@ -8,8 +8,8 @@ use crate::energy::EnergyMeter;
 use crate::frame::{NodeSet, SlotFrame};
 use crate::model::{CollisionDetection, Feedback};
 
-/// Reusable buffers for the columnar delivery-resolution path of
-/// [`RadioNetwork::step_frame`].
+/// Reusable coverage buffers of the columnar delivery-resolution path of
+/// [`RadioNetwork::step_frame`] and of [`RadioNetwork::step_transmitters`].
 #[derive(Clone, Debug)]
 struct ResolveScratch {
     /// Nodes covered by at least one transmitting neighbour this slot.
@@ -29,6 +29,29 @@ impl ResolveScratch {
             covered_once: NodeSet::new(n),
             covered_twice: NodeSet::new(n),
             from: vec![0; n],
+        }
+    }
+
+    /// Accumulates the coverage of `transmitters` — the reception rule: a
+    /// device decodes iff exactly one neighbour transmits, i.e. iff it ends
+    /// up in `covered_once` but not in `covered_twice`, and then it decodes
+    /// `from`'s message. `O(occupied ranges + Σ deg(transmitter))`.
+    fn cover(&mut self, graph: &Graph, transmitters: impl IntoIterator<Item = usize>) {
+        let ResolveScratch {
+            covered_once,
+            covered_twice,
+            from,
+        } = self;
+        covered_once.clear();
+        covered_twice.clear();
+        for t in transmitters {
+            for &u in graph.neighbors(t) {
+                if covered_once.insert(u) {
+                    from[u] = t;
+                } else {
+                    covered_twice.insert(u);
+                }
+            }
         }
     }
 }
@@ -107,13 +130,14 @@ impl<M: Clone> RadioNetwork<M> {
         self.meter.slots()
     }
 
-    /// Executes one synchronous slot — the simulator's only way to run one.
+    /// Executes one synchronous slot with per-listener feedback — the way
+    /// the collision-detection Decay and [`run_devices`](crate::device::run_devices)
+    /// run a slot.
     ///
     /// Transmitters and listeners come in as a [`SlotFrame`]; each
     /// transmitter and each listener is charged one unit, and every
     /// listener's feedback is written into `frame.feedback` (cleared on
-    /// entry), with `frame.received` indexing the listeners that decoded a
-    /// message. A listener decodes iff exactly one neighbour transmits;
+    /// entry). A listener decodes iff exactly one neighbour transmits;
     /// otherwise it gets [`Feedback::Nothing`], or under receiver-side
     /// collision detection [`Feedback::Silence`] (no transmitter) or
     /// [`Feedback::Noise`] (two or more). Nodes in neither set idle and
@@ -180,7 +204,6 @@ impl<M: Clone> RadioNetwork<M> {
     /// transmitters dominate listeners.
     pub fn step_frame_scan(&mut self, frame: &mut SlotFrame<M>) {
         frame.feedback.clear();
-        frame.received.clear();
         self.charge_transmitters(frame);
         for v in frame.listen.iter() {
             if frame.transmit.contains(v) {
@@ -199,10 +222,7 @@ impl<M: Clone> RadioNetwork<M> {
                 }
             }
             let fb = match (count, self.cd) {
-                (1, _) => {
-                    frame.received.insert(v);
-                    Feedback::Received(heard.expect("one transmitter").clone())
-                }
+                (1, _) => Feedback::Received(heard.expect("one transmitter").clone()),
                 (0, CollisionDetection::None) => Feedback::Nothing,
                 (_, CollisionDetection::None) => Feedback::Nothing,
                 (0, CollisionDetection::Receiver) => Feedback::Silence,
@@ -223,14 +243,11 @@ impl<M: Clone> RadioNetwork<M> {
     /// selects it when transmitters are few relative to listeners.
     pub fn step_frame_columnar(&mut self, frame: &mut SlotFrame<M>) {
         frame.feedback.clear();
-        frame.received.clear();
         self.charge_transmitters(frame);
+        self.resolve
+            .cover(&self.graph, frame.transmit.keys().iter());
         let RadioNetwork {
-            graph,
-            cd,
-            meter,
-            resolve,
-            ..
+            cd, meter, resolve, ..
         } = self;
         let cd = *cd;
         let ResolveScratch {
@@ -238,17 +255,6 @@ impl<M: Clone> RadioNetwork<M> {
             covered_twice,
             from,
         } = resolve;
-        covered_once.clear();
-        covered_twice.clear();
-        for (t, _) in frame.transmit.iter() {
-            for &u in graph.neighbors(t) {
-                if covered_once.insert(u) {
-                    from[u] = t;
-                } else {
-                    covered_twice.insert(u);
-                }
-            }
-        }
         let listen_w = frame.listen.words();
         let transmit_w = frame.transmit.keys().words();
         let once_w = covered_once.words();
@@ -269,7 +275,6 @@ impl<M: Clone> RadioNetwork<M> {
                         CollisionDetection::Receiver => Feedback::Noise,
                     }
                 } else if once_w[wi] & mask != 0 {
-                    frame.received.insert(v);
                     Feedback::Received(
                         frame
                             .transmit
@@ -287,6 +292,47 @@ impl<M: Clone> RadioNetwork<M> {
             }
         }
         meter.tick();
+    }
+
+    /// Executes one slot from the transmitters' side — the way the no-CD
+    /// Decay runs a slot. Each of `transmitters` is charged one unit, the
+    /// clock advances, and `heard(v, t)` is called for every device `v`
+    /// that exactly one transmitter `t` covers: by the same coverage kernel
+    /// as [`RadioNetwork::step_frame_columnar`], exactly the devices that
+    /// would decode `t`'s message if they listened. Transmitters covered by
+    /// one other transmitter are reported too; they cannot listen, so the
+    /// caller skips them.
+    ///
+    /// Nobody is charged for listening: the caller bills its listeners
+    /// with [`RadioNetwork::charge_listening`], so a device that listens
+    /// through many slots costs one charge instead of one per slot.
+    /// `O(Σ deg(transmitter))` plus the coverage sets' occupied ranges,
+    /// whatever the number of listeners.
+    pub(crate) fn step_transmitters(
+        &mut self,
+        transmitters: &[usize],
+        mut heard: impl FnMut(usize, usize),
+    ) {
+        for &t in transmitters {
+            self.meter.charge_transmit(t);
+        }
+        self.meter.tick();
+        self.resolve
+            .cover(&self.graph, transmitters.iter().copied());
+        let twice = &self.resolve.covered_twice;
+        for &t in transmitters {
+            for &u in self.graph.neighbors(t) {
+                if !twice.contains(u) {
+                    heard(u, t);
+                }
+            }
+        }
+    }
+
+    /// Charges device `v` for listening through `slots` slots at once —
+    /// the listening half of [`RadioNetwork::step_transmitters`].
+    pub(crate) fn charge_listening(&mut self, v: usize, slots: u64) {
+        self.meter.charge_listen_slots(v, slots);
     }
 }
 
@@ -404,9 +450,9 @@ mod tests {
     #[test]
     fn step_frame_paths_are_byte_identical() {
         // The adaptive dispatch must be invisible: scan and columnar agree
-        // bit-for-bit on feedback, received index and energy, whatever the
-        // CD mode. (The property suite fuzzes this on random graphs; this
-        // pins the hand-picked collision/silence/overlap cases.)
+        // bit-for-bit on feedback and energy, whatever the CD mode. (The
+        // property suite fuzzes this on random graphs; this pins the
+        // hand-picked collision/silence/overlap cases.)
         let g = generators::star(5);
         type Scenario = (Vec<(NodeId, u64)>, Vec<NodeId>);
         let scenarios: Vec<Scenario> = vec![
@@ -433,7 +479,6 @@ mod tests {
                 let va: Vec<_> = fa.feedback.iter().map(|(v, f)| (v, f.clone())).collect();
                 let vb: Vec<_> = fb.feedback.iter().map(|(v, f)| (v, f.clone())).collect();
                 assert_eq!(va, vb, "feedback diverged under {cd:?}");
-                assert_eq!(fa.received, fb.received, "received index diverged");
             }
             assert_eq!(a.meter(), b.meter(), "energy accounting diverged");
         }

@@ -13,16 +13,28 @@
 //!   set's reported range zero after every step;
 //! * the two delivery-resolution paths of the simulator,
 //!   `step_frame_scan` and `step_frame_columnar`, must produce identical
-//!   frames (feedback lane, received index) and identical energy meters on
-//!   random graphs and random transmit/listen splits, with and without
-//!   receiver-side collision detection — the invariant that makes the
-//!   adaptive dispatch in `step_frame` unobservable — both at the bottom of
-//!   the id space and with every participant confined to a high id window.
+//!   feedback lanes and identical energy meters on random graphs and random
+//!   transmit/listen splits, with and without receiver-side collision
+//!   detection — the invariant that makes the adaptive dispatch in
+//!   `step_frame` unobservable — both at the bottom of the id space and
+//!   with every participant confined to a high id window;
+//! * the no-CD `decay_local_broadcast`, which resolves each slot from its
+//!   transmitters' side and bills listening once per call, must leave the
+//!   same deliveries, meters, slot counts and RNG stream as the Decay loop
+//!   run slot by slot through `step_frame` (the oracle below), on random
+//!   graphs mixing stars, cliques and disconnected parts, with random and
+//!   overlapping sender/receiver roles.
 
 use proptest::prelude::*;
 
 use radio_graph::Graph;
-use radio_sim::{CollisionDetection, NodeSet, RadioNetwork, SlotFrame};
+use radio_sim::decay::sample_decay_slot;
+use radio_sim::{
+    decay_local_broadcast, CollisionDetection, DecayParams, DecayScratch, Feedback, NodeSet,
+    RadioNetwork, RoundFrame, SlotFrame,
+};
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Universes straddling the word boundaries: empty, single word, exactly
 /// one word, one past it, exactly two words, one past them.
@@ -259,8 +271,8 @@ fn random_graph_at(m: usize, base: usize, n: usize, p: u64, seed: &mut u64) -> G
 }
 
 /// Runs one slot through the given resolution path and serializes
-/// everything observable: per-listener feedback, the received index, the
-/// elapsed slots, and every device's nonzero listen and transmit counts.
+/// everything observable: per-listener feedback, the elapsed slots, and
+/// every device's nonzero listen and transmit counts.
 fn run_path(
     g: &Graph,
     cd: CollisionDetection,
@@ -287,22 +299,23 @@ fn run_path(
         .iter()
         .map(|(v, fb)| (v, format!("{fb:?}")))
         .collect();
-    let nonzero = |counts: &[u64]| -> Vec<(usize, u64)> {
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(v, &c)| (v, c))
-            .collect()
-    };
     format!(
-        "feedback {:?}\nreceived {:?}\nslots {}\nlisten {:?}\ntransmit {:?}",
+        "feedback {:?}\nslots {}\nlisten {:?}\ntransmit {:?}",
         feedback,
-        frame.received.iter().collect::<Vec<_>>(),
         net.slots(),
         nonzero(net.meter().listen_counts()),
         nonzero(net.meter().transmit_counts()),
     )
+}
+
+/// The nonzero entries of a per-device counter, as `(device, count)`.
+fn nonzero(counts: &[u64]) -> Vec<(usize, u64)> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c != 0)
+        .map(|(v, &c)| (v, c))
+        .collect()
 }
 
 /// A random transmit/listen split over the nodes `base..base + m`: each
@@ -354,6 +367,161 @@ proptest! {
                     n, base, p, split, cd
                 );
             }
+        }
+    }
+}
+
+/// The no-CD Decay run slot by slot: each slot's transmitters and the
+/// receivers that have not heard yet go into a [`SlotFrame`] that
+/// `step_frame` resolves, and every decoded message is harvested from its
+/// feedback lane. The RNG draws are `decay_local_broadcast`'s contract:
+/// one `sample_decay_slot` per sender per iteration, in ascending order.
+fn decay_slot_by_slot(
+    net: &mut RadioNetwork<u64>,
+    frame: &mut RoundFrame<u64>,
+    params: DecayParams,
+    rng: &mut ChaCha8Rng,
+) -> u64 {
+    let levels = params.slots_per_iteration();
+    frame.clear_delivered();
+    let (senders, receivers, delivered) = frame.parts_mut();
+    let mut slot: SlotFrame<u64> = SlotFrame::new(receivers.universe());
+    let mut slots_used = 0u64;
+    for _ in 0..params.iterations() {
+        let picks: Vec<(usize, usize)> = senders
+            .keys()
+            .iter()
+            .map(|u| (u, sample_decay_slot(levels, rng)))
+            .collect();
+        for t in 1..=levels {
+            slot.clear();
+            for &(u, pick) in &picks {
+                if pick == t {
+                    slot.transmit.insert(u, *senders.get(u).expect("sender"));
+                }
+            }
+            slot.listen.copy_from(receivers);
+            slot.listen.difference_with(delivered.keys());
+            slot.listen.difference_with(senders.keys());
+            net.step_frame(&mut slot);
+            slots_used += 1;
+            for (v, fb) in slot.feedback.iter() {
+                if let Feedback::Received(m) = fb {
+                    delivered.insert_if_absent(v, *m);
+                }
+            }
+        }
+    }
+    slots_used
+}
+
+/// A graph on `n` nodes cut into consecutive blocks of random length, each
+/// a star, a clique or a random graph with edge probability `p`/8; no edge
+/// joins two blocks, so most graphs have several components, and a block
+/// of one node is an isolated vertex.
+fn mixed_graph(n: usize, p: u64, seed: &mut u64) -> Graph {
+    let mut edges = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let block = start..start + 1 + next_bits(seed) as usize % (n - start);
+        match next_bits(seed) % 3 {
+            0 => edges.extend(block.clone().skip(1).map(|v| (start, v))),
+            1 => {
+                for u in block.clone() {
+                    edges.extend((u + 1..block.end).map(|v| (u, v)));
+                }
+            }
+            _ => {
+                for u in block.clone() {
+                    for v in u + 1..block.end {
+                        if next_bits(seed) % 8 < p {
+                            edges.push((u, v));
+                        }
+                    }
+                }
+            }
+        }
+        start = block.end;
+    }
+    Graph::from_edges(n, &edges)
+}
+
+/// Fills `frame` with random roles: each node sends with probability
+/// `send`/4 and, independently, receives with probability `receive`/4, so
+/// a node may be both, and a side is empty at 0 or all nodes at 4.
+fn random_decay_roles(frame: &mut RoundFrame<u64>, send: u64, receive: u64, seed: &mut u64) {
+    frame.clear();
+    for v in 0..frame.num_nodes() {
+        if next_bits(seed) % 4 < send {
+            frame.add_sender(v, 1_000 + v as u64);
+        }
+        if next_bits(seed) % 4 < receive {
+            frame.add_receiver(v);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn transmitter_side_decay_matches_the_slot_by_slot_loop(
+        (n, p, send, receive) in (1usize..40, 0u64..9, 0u64..5, 0u64..5),
+        (degree_pick, f_pick) in (0usize..3, 0usize..4),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut s = seed.wrapping_mul(2).wrapping_add(1);
+        let g = mixed_graph(n, p, &mut s);
+        // One slot per iteration, the graph's own Δ, or an arbitrary bound.
+        let max_degree = match degree_pick {
+            0 => 1,
+            1 => g.max_degree(),
+            _ => 1 + next_bits(&mut s) as usize % (2 * n),
+        };
+        let params = DecayParams {
+            max_degree,
+            failure_prob: [0.5, 0.1, 1e-2, 1e-3][f_pick],
+        };
+        for rng_seed in [seed, seed ^ 0x9e37_79b9, 7] {
+            let mut rng_new = ChaCha8Rng::seed_from_u64(rng_seed);
+            let mut rng_old = ChaCha8Rng::seed_from_u64(rng_seed);
+            let mut net_new: RadioNetwork<u64> = RadioNetwork::new(g.clone());
+            let mut net_old: RadioNetwork<u64> = RadioNetwork::new(g.clone());
+            let mut frame_new: RoundFrame<u64> = RoundFrame::new(n);
+            let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+            // Two calls with different roles through one frame, scratch and
+            // network, so nothing one call leaves behind may leak into the
+            // next.
+            let mut roles = s ^ rng_seed;
+            for (send, receive) in [(send, receive), (receive, send)] {
+                random_decay_roles(&mut frame_new, send, receive, &mut roles);
+                let mut frame_old = frame_new.clone();
+                let got =
+                    decay_local_broadcast(&mut net_new, &mut frame_new, &mut scratch, params, &mut rng_new);
+                let want = decay_slot_by_slot(&mut net_old, &mut frame_old, params, &mut rng_old);
+                let case = format!(
+                    "n={n} p={p} roles=({send},{receive}) params={params:?} rng seed {rng_seed}"
+                );
+                prop_assert_eq!(got, want, "returned slots: {}", case);
+                prop_assert_eq!(
+                    frame_new.delivered().iter().map(|(v, &m)| (v, m)).collect::<Vec<_>>(),
+                    frame_old.delivered().iter().map(|(v, &m)| (v, m)).collect::<Vec<_>>(),
+                    "deliveries: {}", case
+                );
+                prop_assert!(frame_new.feedback().is_empty(), "no-CD feedback: {}", case);
+                prop_assert_eq!(net_new.slots(), net_old.slots(), "elapsed slots: {}", case);
+                prop_assert_eq!(
+                    nonzero(net_new.meter().listen_counts()),
+                    nonzero(net_old.meter().listen_counts()),
+                    "listen counts: {}", case
+                );
+                prop_assert_eq!(
+                    nonzero(net_new.meter().transmit_counts()),
+                    nonzero(net_old.meter().transmit_counts()),
+                    "transmit counts: {}", case
+                );
+            }
+            prop_assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "next RNG draw");
         }
     }
 }
