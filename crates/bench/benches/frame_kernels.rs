@@ -18,12 +18,18 @@
 //!   2^20. This is HyperBall's call shape; since every frame set carries a
 //!   two-sided occupied-word range, the time per call should stay flat in n
 //!   (within 2x across the sizes) instead of growing with the sender's id.
-//! * `abstract_lb_call` — the two call shapes of the recursive BFS on the
+//! * `abstract_lb_call` — the call shapes of the recursive BFS on the
 //!   abstract stack. `cast` is an up- or down-cast step: one sender and
-//!   three receivers about ten words apart on a 2^12 path. `wavefront` is
-//!   a trivial-BFS hop: one sender and every other node listening, on 2^12
-//!   and 2^14 paths — dense listeners, sparse senders, where the sender
-//!   walk costs the sender's degree instead of every listener's.
+//!   three receivers about ten words apart on a 2^12 path, copied in bulk.
+//!   `wavefront` is a trivial-BFS hop: one sender and every other node
+//!   listening, on 2^12 and 2^14 paths — dense listeners, sparse senders,
+//!   where the sender walk costs the sender's degree instead of every
+//!   listener's. `silent_cast` is the commonest up-cast step, four
+//!   listeners spread over a 2^12 path and no sender, and `spread_cast` a
+//!   cast step whose three senders and six listeners span a 2^14 path,
+//!   both added one by one as the casts add them: the frame's participant
+//!   lists make both cost their participants, not the span of the
+//!   universe between them.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use radio_graph::generators;
@@ -142,30 +148,83 @@ fn bench_sparse_lb_call(c: &mut Criterion) {
     group.finish();
 }
 
+/// One call shape of `abstract_lb_call`: `senders` send and `listeners`
+/// listen on a path of `2^log_n` nodes, the listeners added one by one (as
+/// the casts add them) or copied in bulk (as the wavefront copies them).
+struct CallShape {
+    name: &'static str,
+    log_n: u32,
+    senders: Vec<usize>,
+    listeners: Vec<usize>,
+    one_by_one: bool,
+}
+
 /// One abstract Local-Broadcast per iteration, refilling a reused frame
 /// each time as the casts and the wavefront do.
 fn bench_abstract_lb_call(c: &mut Criterion) {
     let mut group = c.benchmark_group("abstract_lb_call");
     group.sample_size(2_000);
-    for (shape, log_n) in [("cast", 12u32), ("wavefront", 12), ("wavefront", 14)] {
-        let n = 1usize << log_n;
+    let shape = |name, log_n, senders, listeners, one_by_one| CallShape {
+        name,
+        log_n,
+        senders,
+        listeners,
+        one_by_one,
+    };
+    let all_but_middle = |n: usize| (0..n).filter(|&v| v != n / 2).collect::<Vec<_>>();
+    let shapes = [
         // A cast step: the sender's neighbour and two nodes ten and twenty
-        // words away listen. A wavefront hop: every other node listens.
-        let (sender, listeners): (usize, Vec<usize>) = if shape == "cast" {
-            (1000, vec![1001, 1641, 2281])
-        } else {
-            (n / 2, (0..n).filter(|&v| v != n / 2).collect())
-        };
+        // words away listen.
+        shape("cast", 12, vec![1000], vec![1001, 1641, 2281], false),
+        // A wavefront hop: every other node listens.
+        shape(
+            "wavefront",
+            12,
+            vec![1 << 11],
+            all_but_middle(1 << 12),
+            false,
+        ),
+        shape(
+            "wavefront",
+            14,
+            vec![1 << 13],
+            all_but_middle(1 << 14),
+            false,
+        ),
+        // A silent cast step (most up-cast steps): four listeners across
+        // the universe and no sender.
+        shape("silent_cast", 12, vec![], vec![5, 1030, 2055, 4090], true),
+        // A spread cast step: three senders at the ends and the middle of
+        // the universe, each with both neighbours listening.
+        shape(
+            "spread_cast",
+            14,
+            vec![10, 8_000, 16_370],
+            vec![9, 11, 7_999, 8_001, 16_369, 16_371],
+            true,
+        ),
+    ];
+    for shape in shapes {
+        let n = 1usize << shape.log_n;
         let mut receivers = NodeSet::new(n);
-        receivers.extend(listeners);
+        receivers.extend(shape.listeners.iter().copied());
         let mut net = StackBuilder::new(generators::path(n)).build();
         let mut frame = net.new_frame();
         let msg = Msg::words(&[1, 7]);
-        group.bench_with_input(BenchmarkId::new(shape, format!("2^{log_n}")), &n, |b, _| {
+        let id = BenchmarkId::new(shape.name, format!("2^{}", shape.log_n));
+        group.bench_with_input(id, &n, |b, _| {
             b.iter(|| {
                 frame.clear();
-                frame.add_sender(sender, msg.clone());
-                frame.set_receivers(&receivers);
+                for &s in &shape.senders {
+                    frame.add_sender(s, msg.clone());
+                }
+                if shape.one_by_one {
+                    for &r in &shape.listeners {
+                        frame.add_receiver(r);
+                    }
+                } else {
+                    frame.set_receivers(&receivers);
+                }
                 net.local_broadcast(&mut frame);
                 black_box(frame.delivered().len())
             });

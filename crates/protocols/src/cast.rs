@@ -21,6 +21,16 @@
 //! caller-provided [`LbFrame`] scratch (sized for the parent network), so a
 //! cast allocates nothing per call; the step → clusters schedule is a dense
 //! table over `[ℓ]`, iterated in ascending step order by construction.
+//!
+//! The schedule is also *live*: each step lists its clusters as
+//! `(radius, cluster)`, deepest first, and stage `s` walks only the prefix
+//! with `radius + 1 ≥ s` — the clusters that still have a layer `s − 1`.
+//! A cluster past its radius has no member to send or listen at that
+//! stage, so dropping it changes no call; a step with no live cluster is
+//! skipped without touching the frame. The up-cast also skips its holder
+//! scan at stages deeper than its deepest holder, where no member can hold
+//! a message yet. Every call, participant, delivery and RNG draw is the
+//! one the every-cluster loop makes.
 
 use radio_sim::{NodeSet, NodeSlots};
 
@@ -57,11 +67,15 @@ pub struct CastScratch {
     /// The occupied entries of `holding`, so reset is `O(|touched|)` rather
     /// than `O(n)` per cast.
     touched: Vec<usize>,
-    /// `clusters_at[j]`: participating clusters whose `S_Cl` contains `j`.
-    /// Dense over `[ℓ]`, so iteration is ascending without sorting.
-    clusters_at: Vec<Vec<usize>>,
+    /// `clusters_at[j]`: participating clusters whose `S_Cl` contains `j`,
+    /// as `(radius, cluster)`, deepest first. Dense over `[ℓ]`, so steps
+    /// iterate in ascending order without sorting.
+    clusters_at: Vec<Vec<(u32, usize)>>,
     /// The steps `j` with `clusters_at[j]` non-empty, ascending.
     steps: Vec<usize>,
+    /// The participating clusters as `(radius, cluster)`, deepest first:
+    /// the order the schedule's buckets are filled in.
+    by_depth: Vec<(u32, usize)>,
     /// Down-cast only: `wrapped[c]` is `wrap(c, messages[c])`, computed once
     /// per cast — every holder of cluster `c` sends exactly this message, so
     /// the per-sender tag-prepend becomes a straight clone. Only the casting
@@ -79,6 +93,7 @@ impl CastScratch {
             touched: Vec::new(),
             clusters_at: Vec::new(),
             steps: Vec::new(),
+            by_depth: Vec::new(),
             wrapped: Vec::new(),
         }
     }
@@ -95,24 +110,41 @@ impl CastScratch {
         self.touched.clear();
     }
 
-    /// Rebuilds the step schedule for `clusters` in the buffers.
-    fn build_schedule(&mut self, state: &ClusterState, clusters: impl Iterator<Item = usize>) {
+    /// Rebuilds the step schedule for `clusters` in the buffers and returns
+    /// the largest radius among them: the number of stages.
+    fn build_schedule(
+        &mut self,
+        state: &ClusterState,
+        clusters: impl Iterator<Item = usize>,
+    ) -> u32 {
         if self.clusters_at.len() < state.ell {
             self.clusters_at.resize_with(state.ell, Vec::new);
         }
         for bucket in &mut self.clusters_at[..state.ell] {
             bucket.clear();
         }
-        for c in clusters {
+        self.by_depth.clear();
+        self.by_depth.extend(clusters.map(|c| (state.radius(c), c)));
+        self.by_depth
+            .sort_unstable_by_key(|&(radius, c)| (std::cmp::Reverse(radius), c));
+        for &(radius, c) in &self.by_depth {
             for &j in &state.s_sets[c] {
-                self.clusters_at[j].push(c);
+                self.clusters_at[j].push((radius, c));
             }
         }
         self.steps.clear();
         let clusters_at = &self.clusters_at;
         self.steps
             .extend((0..state.ell).filter(|&j| !clusters_at[j].is_empty()));
+        self.by_depth.first().map_or(0, |&(radius, _)| radius)
     }
+}
+
+/// The clusters of a deepest-first bucket that still have a layer
+/// `stage − 1`, i.e. whose `radius + 1 ≥ stage`: a prefix of the bucket.
+#[inline]
+fn live(bucket: &[(u32, usize)], stage: u32) -> &[(u32, usize)] {
+    &bucket[..bucket.partition_point(|&(radius, _)| radius + 1 >= stage)]
 }
 
 /// Down-cast: disseminates `messages[c]` from the center of each cluster `c`
@@ -137,13 +169,14 @@ pub fn down_cast_with<'s>(
     if messages.is_empty() {
         return &scratch.holding[..n];
     }
-    scratch.build_schedule(state, messages.keys().iter());
+    let max_stage = scratch.build_schedule(state, messages.keys().iter());
     let CastScratch {
         holding,
         touched,
         clusters_at,
         steps,
         wrapped,
+        ..
     } = scratch;
     // Centers start out holding their message; by induction every holder of
     // cluster `c` holds exactly `messages[c]`, so the tagged message each
@@ -157,16 +190,14 @@ pub fn down_cast_with<'s>(
         wrapped[c] = Some(wrap(c, m));
     }
 
-    let max_stage = messages
-        .keys()
-        .iter()
-        .map(|c| state.radius(c))
-        .max()
-        .unwrap_or(0);
     for stage in 1..=max_stage {
         for &j in &*steps {
+            let live = live(&clusters_at[j], stage);
+            if live.is_empty() {
+                continue;
+            }
             frame.clear();
-            for &c in &clusters_at[j] {
+            for &(_, c) in live {
                 let tagged = wrapped[c]
                     .as_ref()
                     .expect("scheduled cluster has a message");
@@ -236,7 +267,7 @@ pub fn up_cast_into(
     if participating.is_empty() {
         return;
     }
-    scratch.build_schedule(state, participating.iter());
+    let max_stage = scratch.build_schedule(state, participating.iter());
     let CastScratch {
         holding,
         touched,
@@ -244,26 +275,32 @@ pub fn up_cast_into(
         steps,
         ..
     } = scratch;
+    // Holders only move towards the center, so no member deeper than the
+    // deepest initial holder ever holds a message.
+    let mut deepest_holder = None;
     for (v, m) in messages.iter() {
         if participating.contains(state.cluster_of[v]) {
             holding[v] = Some(m.clone());
             touched.push(v);
+            deepest_holder = deepest_holder.max(Some(state.layer[v]));
         }
     }
 
-    let max_stage = participating
-        .iter()
-        .map(|c| state.radius(c))
-        .max()
-        .unwrap_or(0);
     // Stages walk from the deepest layer towards the center.
     for stage in (1..=max_stage).rev() {
+        let senders_possible = deepest_holder.is_some_and(|deepest| stage <= deepest);
         for &j in &*steps {
+            let live = live(&clusters_at[j], stage);
+            if live.is_empty() {
+                continue;
+            }
             frame.clear();
-            for &c in &clusters_at[j] {
-                for &v in state.members_at_layer(c, stage) {
-                    if let Some(payload) = &holding[v] {
-                        frame.add_sender(v, wrap(c, payload));
+            for &(_, c) in live {
+                if senders_possible {
+                    for &v in state.members_at_layer(c, stage) {
+                        if let Some(payload) = &holding[v] {
+                            frame.add_sender(v, wrap(c, payload));
+                        }
                     }
                 }
                 for &v in state.members_at_layer(c, stage - 1) {

@@ -102,8 +102,7 @@ impl RadioStack for VirtualClusterNet<'_> {
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
         frame.clear_delivered();
-        self.ledger
-            .record_call(frame.senders().keys(), frame.receivers());
+        self.ledger.record_call(frame);
 
         // Step 1: Down-cast the senders' messages within their clusters.
         let holding = down_cast_with(

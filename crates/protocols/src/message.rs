@@ -9,10 +9,18 @@
 //! `Msg` is an inline small-vector: up to [`Msg::INLINE_WORDS`] words live
 //! directly in the struct, spilling to a heap `Vec` only beyond that. The
 //! decay hot loop clones one message per transmitter per slot
-//! (`slot.transmit.insert(u, m.clone())`), and the overwhelming majority of
-//! protocol payloads — wavefront distances (1 word), cast-wrapped distances
-//! (2 words), clustering join messages (3 words) — now clone without
-//! touching the allocator.
+//! (`slot.transmit.insert(u, m.clone())`), and the protocol payloads of
+//! every spec in the default catalog — wavefront distances (1 word),
+//! cast-wrapped distances (2 words), clustering join messages (3 words) —
+//! clone without touching the allocator (`tests/paper_claims.rs` checks
+//! each spec's longest payload).
+//!
+//! One known spill: each recursion level wraps its own cast tag around the
+//! payload, so `recursive:d=2` (two levels, not in the default catalog)
+//! sends 4-word messages on paths, and every clone of one allocates.
+//! Whether to widen `INLINE_WORDS` to 4 or drop one tag per level is an
+//! open choice of ROADMAP item 5 (per-level β), the work that makes a
+//! second level worth running; until then the capacity stays at 3.
 
 /// A Local-Broadcast payload: a short vector of words, stored inline up to
 /// [`Msg::INLINE_WORDS`] words.
@@ -237,7 +245,9 @@ mod tests {
     #[test]
     fn hot_path_payloads_stay_inline() {
         // Wavefront distances (1 word), cast-wrapped distances (2 words) and
-        // clustering join messages (3 words) must not touch the heap.
+        // clustering join messages (3 words) must not touch the heap. Two
+        // recursion levels' tags make 4 words and spill (see the module
+        // doc).
         for words in [&[5u64][..], &[1, 5][..], &[2, 3, 0xDEAD][..]] {
             assert!(matches!(Msg::words(words).0, Repr::Inline { .. }));
         }

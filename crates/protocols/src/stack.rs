@@ -554,7 +554,10 @@ impl StackBuilder {
 ///   then its pick — receivers without a sending neighbour draw nothing —
 ///   so the RNG stream and every outcome are the same whichever walk ran.
 ///   With collision detection, one pass over `R` then gives `Silence` to
-///   every receiver left without a verdict;
+///   every receiver left without a verdict. A *silent* call — receivers
+///   but no sender, as in most steps of an up-cast — returns right after
+///   the ledger charge, with no degree sum and no walk (with collision
+///   detection, after giving every receiver `Silence`);
 /// * the **physical** channel expands every call into Decay slots
 ///   (Lemma 2.4) on the `radio-sim` simulator, so collisions and per-slot
 ///   energy are fully modelled. With collision detection it runs the
@@ -659,8 +662,7 @@ impl RadioStack for Stack {
     }
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
-        self.ledger
-            .record_call(frame.senders().keys(), frame.receivers());
+        self.ledger.record_call(frame);
         let cd = self.cd == CollisionDetection::Receiver;
         match &mut self.channel {
             Channel::Abstract {
@@ -670,6 +672,16 @@ impl RadioStack for Stack {
             } => {
                 frame.clear_delivered();
                 let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
+                if senders.is_empty() {
+                    // A silent call: no receiver has a sending neighbour, so
+                    // nothing is delivered and nothing is drawn.
+                    if cd {
+                        for r in receivers {
+                            feedback.insert(r, LbFeedback::Silence);
+                        }
+                    }
+                    return;
+                }
                 let graph = &*self.graph;
                 // The sender walk costs `O(Σ deg(S) + words of the marks'
                 // range)`, the receiver walk `O(Σ_{r∈R} deg(r))`; the cheaper

@@ -16,9 +16,11 @@
 //!   one bit-test and iteration is ascending.
 //! * [`RoundFrame<M>`] — one Local-Broadcast-shaped round: senders (with
 //!   their messages), receivers, and the delivered output, all reusable
-//!   across calls via [`RoundFrame::clear`] (clearing touches only the
-//!   words and slots the previous round occupied, so a sparse round on a
-//!   large universe stays cheap wherever its ids sit).
+//!   across calls via [`RoundFrame::clear`]. The frame also lists the ids
+//!   handed to it one by one, so the charge of a call
+//!   ([`RoundFrame::for_each_participant`]) and the clear of a few
+//!   participants cost those participants, not the span of the universe
+//!   they sit in.
 //! * [`SlotFrame<M>`] — one physical channel slot: transmitters, listeners,
 //!   and per-listener feedback — the input of
 //!   [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame),
@@ -142,6 +144,16 @@ impl NodeSet {
                 f(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
+        }
+        self.forget_range();
+    }
+
+    /// Removes every member by zeroing the word of each id in `ids`, which
+    /// must name every member. `O(|ids|)`, wherever the members sit.
+    #[inline]
+    fn clear_listed(&mut self, ids: &[u32]) {
+        for &v in ids {
+            self.words[v as usize / 64] = 0;
         }
         self.forget_range();
     }
@@ -397,6 +409,15 @@ impl<T> NodeSlots<T> {
         self.occupied.clear_each(|v| slots[v] = None);
     }
 
+    /// Removes and drops every entry, walking `ids`, which must name every
+    /// occupied slot. `O(|ids|)`, wherever the slots sit.
+    fn clear_listed(&mut self, ids: &[u32]) {
+        for &v in ids {
+            self.slots[v as usize] = None;
+        }
+        self.occupied.clear_listed(ids);
+    }
+
     /// Inserts `value` at node `v`, replacing any previous value.
     pub fn insert(&mut self, v: usize, value: T) {
         self.slots[v] = Some(value);
@@ -441,22 +462,92 @@ impl<T> NodeSlots<T> {
 /// `RadioStack::new_frame` in `radio-protocols`), then `clear`/fill/call for
 /// every round. Backends write deliveries through [`RoundFrame::parts_mut`],
 /// which splits the frame into disjoint input/output borrows.
+///
+/// Besides the two sets, the frame lists the ids handed to
+/// [`RoundFrame::add_sender`] and [`RoundFrame::add_receiver`], in insertion
+/// order, while a set has fewer members than words. A call charges its
+/// participants ([`RoundFrame::for_each_participant`]) from those lists, and
+/// [`RoundFrame::clear`] zeroes the listed words and slots when a list is
+/// shorter than its set's occupied range — so a cast step whose few
+/// participants sit far apart costs those participants. A dense fill
+/// outgrows its list and falls back to the range walk, and
+/// [`RoundFrame::set_receivers`], the wavefront's bulk copy, lists nothing:
+/// building a list there would add a pass over the set to every hop.
 #[derive(Clone, Debug)]
 pub struct RoundFrame<M> {
     senders: NodeSlots<M>,
     receivers: NodeSet,
     delivered: NodeSlots<M>,
     feedback: NodeSlots<LbFeedback>,
+    sender_ids: IdList,
+    receiver_ids: IdList,
+}
+
+/// The ids one of a [`RoundFrame`]'s sets gained since its last clear, in
+/// insertion order, each once — kept only while the list is the cheaper
+/// walk.
+#[derive(Clone, Debug)]
+struct IdList {
+    ids: Vec<u32>,
+    /// `false` once the set was filled in bulk or gained as many members
+    /// as it has words: the set's occupied range is then never longer than
+    /// the list, so the list is dropped and the range is walked instead.
+    complete: bool,
+}
+
+impl IdList {
+    fn new() -> Self {
+        IdList {
+            ids: Vec::new(),
+            complete: true,
+        }
+    }
+
+    /// Records `v`, a fresh member of a set of `words` words.
+    #[inline]
+    fn push(&mut self, v: usize, words: usize) {
+        if self.complete {
+            if self.ids.len() < words {
+                self.ids.push(v as u32);
+            } else {
+                self.complete = false;
+            }
+        }
+    }
+
+    /// The listed ids, if they are every member of the set.
+    #[inline]
+    fn get(&self) -> Option<&[u32]> {
+        self.complete.then_some(&self.ids)
+    }
+
+    /// The listed ids, if they name every member and are fewer than the
+    /// `range` words a range clear would zero.
+    #[inline]
+    fn cheaper_than(&self, range: std::ops::Range<usize>) -> Option<&[u32]> {
+        self.get().filter(|ids| ids.len() < range.len())
+    }
+
+    #[inline]
+    fn reset(&mut self) {
+        self.ids.clear();
+        self.complete = true;
+    }
 }
 
 impl<M> RoundFrame<M> {
     /// An empty frame over the universe `0..n`.
+    ///
+    /// Panics if `n` exceeds `u32::MAX + 1` (the listed ids are `u32`).
     pub fn new(n: usize) -> Self {
+        assert!(n as u64 <= 1 << 32, "frame universe {n} exceeds u32 ids");
         RoundFrame {
             senders: NodeSlots::new(n),
             receivers: NodeSet::new(n),
             delivered: NodeSlots::new(n),
             feedback: NodeSlots::new(n),
+            sender_ids: IdList::new(),
+            receiver_ids: IdList::new(),
         }
     }
 
@@ -465,31 +556,76 @@ impl<M> RoundFrame<M> {
         self.receivers.universe()
     }
 
-    /// Clears senders, receivers, deliveries and feedback for reuse, each
-    /// in `O(occupied range + |set|)`.
+    /// Clears senders, receivers, deliveries and feedback for reuse. Senders
+    /// and receivers cost the cheaper of their listed ids and their occupied
+    /// range; deliveries and feedback cost `O(occupied range + |set|)`.
     pub fn clear(&mut self) {
-        self.senders.clear();
-        self.receivers.clear();
+        match self
+            .sender_ids
+            .cheaper_than(self.senders.keys().occupied_words())
+        {
+            Some(ids) => self.senders.clear_listed(ids),
+            None => self.senders.clear(),
+        }
+        match self
+            .receiver_ids
+            .cheaper_than(self.receivers.occupied_words())
+        {
+            Some(ids) => self.receivers.clear_listed(ids),
+            None => self.receivers.clear(),
+        }
+        self.sender_ids.reset();
+        self.receiver_ids.reset();
         self.delivered.clear();
         self.feedback.clear();
     }
 
-    /// Registers `v` as a sender holding `m`.
+    /// Registers `v` as a sender holding `m`, replacing the message of a
+    /// sender registered before.
     pub fn add_sender(&mut self, v: usize, m: M) {
-        self.senders.insert(v, m);
+        self.senders.slots[v] = Some(m);
+        if self.senders.occupied.insert(v) {
+            self.sender_ids.push(v, self.senders.occupied.words.len());
+        }
     }
 
     /// Registers `v` as a receiver.
     pub fn add_receiver(&mut self, v: usize) {
-        self.receivers.insert(v);
+        if self.receivers.insert(v) {
+            self.receiver_ids.push(v, self.receivers.words.len());
+        }
     }
 
     /// Replaces the receiver set with a copy of `set` (same universe
     /// required) — the word-parallel bulk form of [`RoundFrame::add_receiver`]
     /// for drivers that already track their listening frontier as a
-    /// [`NodeSet`].
+    /// [`NodeSet`]. The receivers are not listed until the next clear, so
+    /// the charge and the clear walk their occupied range.
     pub fn set_receivers(&mut self, set: &NodeSet) {
         self.receivers.copy_from(set);
+        self.receiver_ids.complete = false;
+    }
+
+    /// Calls `f` once for every node in senders ∪ receivers — the devices a
+    /// Local-Broadcast call charges — receivers first, then the senders
+    /// that are not receivers. Each side walks its listed ids while the
+    /// frame has them (in insertion order) and its occupied range otherwise
+    /// (in ascending order), so a sparse call costs its participants.
+    pub fn for_each_participant(&self, mut f: impl FnMut(usize)) {
+        match self.receiver_ids.get() {
+            Some(ids) => ids.iter().for_each(|&v| f(v as usize)),
+            None => self.receivers.iter().for_each(&mut f),
+        }
+        let receivers = &self.receivers;
+        let mut sender = |v: usize| {
+            if !receivers.contains(v) {
+                f(v)
+            }
+        };
+        match self.sender_ids.get() {
+            Some(ids) => ids.iter().for_each(|&v| sender(v as usize)),
+            None => self.senders.keys().iter().for_each(sender),
+        }
     }
 
     /// The sender arena.

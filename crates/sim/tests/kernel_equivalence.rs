@@ -23,15 +23,21 @@
 //!   same deliveries, meters, slot counts and RNG stream as the Decay loop
 //!   run slot by slot through `step_frame` (the oracle below), on random
 //!   graphs mixing stars, cliques and disconnected parts, with random and
-//!   overlapping sender/receiver roles.
+//!   overlapping sender/receiver roles;
+//! * a reused [`RoundFrame`], whose participant lists drive the ledger
+//!   charge and the clear of sparse frames, must charge exactly
+//!   senders ∪ receivers after every operation and be empty in every word
+//!   and slot after every clear, through random sequences of sender and
+//!   receiver inserts (duplicates, overwrites, ids on both sides), bulk
+//!   receiver copies, sparse and dense clears and delivery swaps.
 
 use proptest::prelude::*;
 
 use radio_graph::Graph;
 use radio_sim::decay::sample_decay_slot;
 use radio_sim::{
-    decay_local_broadcast, CollisionDetection, DecayParams, DecayScratch, Feedback, NodeSet,
-    RadioNetwork, RoundFrame, SlotFrame,
+    decay_local_broadcast, CollisionDetection, DecayParams, DecayScratch, Feedback, LbFeedback,
+    NodeSet, NodeSlots, RadioNetwork, RoundFrame, SlotFrame,
 };
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -523,5 +529,180 @@ proptest! {
             }
             prop_assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "next RNG draw");
         }
+    }
+}
+
+/// The frame holds exactly the reference senders (with their messages) and
+/// receivers, and charges every node of senders ∪ receivers once.
+fn assert_frame_matches(
+    frame: &RoundFrame<u64>,
+    senders: &[Option<u64>],
+    receivers: &[bool],
+    what: &str,
+) {
+    let n = frame.num_nodes();
+    let want_senders: Vec<(usize, u64)> = senders
+        .iter()
+        .enumerate()
+        .filter_map(|(v, m)| m.map(|m| (v, m)))
+        .collect();
+    let got_senders: Vec<(usize, u64)> = frame.senders().iter().map(|(v, &m)| (v, m)).collect();
+    assert_eq!(got_senders, want_senders, "{what}: senders");
+    assert_eq!(
+        frame.senders().len(),
+        want_senders.len(),
+        "{what}: sender count"
+    );
+    assert_matches(frame.receivers(), receivers, &format!("{what}: receivers"));
+    assert_range_invariant(frame.senders().keys(), &format!("{what}: sender set"));
+    let mut charged = vec![0u64; n];
+    frame.for_each_participant(|v| charged[v] += 1);
+    let union: Vec<u64> = (0..n)
+        .map(|v| u64::from(senders[v].is_some() || receivers[v]))
+        .collect();
+    assert_eq!(charged, union, "{what}: one charge per node of S ∪ R");
+}
+
+/// Every word and every slot of the frame is empty.
+fn assert_frame_empty(frame: &RoundFrame<u64>, what: &str) {
+    let n = frame.num_nodes();
+    let zero = |words: &[u64]| words.iter().all(|&w| w == 0);
+    assert!(zero(frame.senders().keys().words()), "{what}: sender words");
+    assert!(zero(frame.receivers().words()), "{what}: receiver words");
+    assert!(
+        zero(frame.delivered().keys().words()),
+        "{what}: delivery words"
+    );
+    assert!(
+        zero(frame.feedback().keys().words()),
+        "{what}: feedback words"
+    );
+    for v in 0..n {
+        assert!(
+            frame.senders().get(v).is_none()
+                && frame.delivered().get(v).is_none()
+                && frame.feedback().get(v).is_none(),
+            "{what}: slot {v} survived the clear"
+        );
+    }
+    let mut charged = 0;
+    frame.for_each_participant(|_| charged += 1);
+    assert_eq!(charged, 0, "{what}: a cleared frame charges nobody");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn reused_frame_charges_the_union_and_clears_every_word(
+        n in 1usize..301,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut s = seed.wrapping_mul(2).wrapping_add(1);
+        let mut frame: RoundFrame<u64> = RoundFrame::new(n);
+        let mut senders: Vec<Option<u64>> = vec![None; n];
+        let mut receivers = vec![false; n];
+        let mut held: NodeSlots<u64> = NodeSlots::new(n);
+        // Ids are drawn from a few far-apart words, so a sparse frame's
+        // occupied range is wider than its participant list.
+        let spread = |s: &mut u64| {
+            let words = n.div_ceil(64);
+            let w = [0, words / 2, words - 1][next_bits(s) as usize % 3];
+            (w * 64 + next_bits(s) as usize % 64).min(n - 1)
+        };
+        for step in 0..96 {
+            let what = format!("n={n} step {step}");
+            match next_bits(&mut s) % 16 {
+                0..=3 => {
+                    // Overwrites an existing sender's message now and then.
+                    let v = spread(&mut s);
+                    let m = next_bits(&mut s) % 1_000;
+                    frame.add_sender(v, m);
+                    senders[v] = Some(m);
+                }
+                4..=6 => {
+                    // Duplicates, and ids that are also senders.
+                    let v = if next_bits(&mut s).is_multiple_of(3) {
+                        (0..n).find(|&u| senders[u].is_some()).unwrap_or(0)
+                    } else {
+                        spread(&mut s)
+                    };
+                    frame.add_receiver(v);
+                    receivers[v] = true;
+                }
+                7 => {
+                    let (set, bits) = random_set(n, next_bits(&mut s) % 65, &mut s);
+                    frame.set_receivers(&set);
+                    receivers = bits;
+                }
+                8 => {
+                    // A dense fill, as a clustering round or a sweep makes.
+                    for v in 0..n {
+                        if next_bits(&mut s).is_multiple_of(2) {
+                            frame.add_receiver(v);
+                            receivers[v] = true;
+                        } else if next_bits(&mut s).is_multiple_of(4) {
+                            frame.add_sender(v, v as u64);
+                            senders[v] = Some(v as u64);
+                        }
+                    }
+                }
+                9 => {
+                    // A backend's output: deliveries and verdicts for some
+                    // receivers that are not senders.
+                    let (_, r, delivered, feedback) = frame.parts_with_feedback_mut();
+                    for v in r.iter().collect::<Vec<_>>() {
+                        if senders[v].is_none() && next_bits(&mut s).is_multiple_of(2) {
+                            delivered.insert(v, 7_000 + v as u64);
+                            feedback.insert(v, LbFeedback::Delivered);
+                        }
+                    }
+                }
+                10 => {
+                    let before: Vec<(usize, u64)> =
+                        frame.delivered().iter().map(|(v, &m)| (v, m)).collect();
+                    let mut other: Vec<(usize, u64)> =
+                        held.iter().map(|(v, &m)| (v, m)).collect();
+                    frame.swap_delivered(&mut held);
+                    prop_assert_eq!(
+                        held.iter().map(|(v, &m)| (v, m)).collect::<Vec<_>>(),
+                        before,
+                        "{}: swapped-out deliveries", what
+                    );
+                    other.sort_unstable();
+                    prop_assert_eq!(
+                        frame.delivered().iter().map(|(v, &m)| (v, m)).collect::<Vec<_>>(),
+                        other,
+                        "{}: swapped-in deliveries", what
+                    );
+                }
+                _ => {
+                    frame.clear();
+                    senders.fill(None);
+                    receivers.fill(false);
+                    assert_frame_empty(&frame, &what);
+                }
+            }
+            assert_frame_matches(&frame, &senders, &receivers, &what);
+        }
+        // Both clear paths at the end of every case: participants at both
+        // ends of the universe (listed, and cheaper than their range once
+        // n spans three words), then every node (past the lists' cap).
+        frame.clear();
+        for v in [0, n - 1, 0] {
+            frame.add_sender(v, 1);
+        }
+        for v in [n / 2, n - 1, n / 2] {
+            frame.add_receiver(v);
+        }
+        frame.parts_mut().2.insert(n / 2, 3);
+        frame.clear();
+        assert_frame_empty(&frame, &format!("n={n} final sparse clear"));
+        for v in 0..n {
+            frame.add_receiver(v);
+            frame.add_sender(v, 2);
+        }
+        frame.clear();
+        assert_frame_empty(&frame, &format!("n={n} final dense clear"));
     }
 }

@@ -3,6 +3,7 @@
 //! reference implementation.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -15,7 +16,7 @@ use radio_energy::graph::diameter::{exact_diameter, satisfies_theorem_5_4_bound}
 use radio_energy::graph::generators;
 use radio_energy::graph::lower_bound::build_disjointness_graph;
 use radio_energy::protocols::{
-    cluster_distributed, Capabilities, ClusteringConfig, LbFrame, ProtocolInput, RadioStack,
+    cluster_distributed, Capabilities, ClusteringConfig, LbFrame, Msg, ProtocolInput, RadioStack,
     StackBuilder,
 };
 
@@ -371,7 +372,9 @@ impl RadioStack for PayloadMeter<'_> {
 /// The paper's protocols carry `O(1)` ids, layers and labels per message,
 /// i.e. `O(log n)` bits: the longest payload each registry protocol sends
 /// on paths and grids is a constant number of words, the same at every n.
-/// A second recursion level wraps one more cast tag around the payload.
+/// A second recursion level wraps one more cast tag around the payload,
+/// which is the one known spill past `Msg::INLINE_WORDS` (see
+/// `default_catalog_payloads_stay_inline`).
 /// The nearly-3/2 estimator runs about `√n·log n` recursive BFSs, so it
 /// stops at n = 256 (its 1,024-node path takes minutes in a debug build);
 /// its payloads are the recursion's and the aggregates', which the other
@@ -419,6 +422,67 @@ fn every_paper_protocol_sends_constant_size_messages() {
                 longest.iter().all(|&words| words == longest[0]),
                 "{spec} on {family}s: the longest payload grows with n: {longest:?}"
             );
+            if spec == "recursive:d=2" && family == "path" {
+                // The known spill: two levels of cast tags around a
+                // 2-word payload, one word past the inline capacity on
+                // every path (ROADMAP item 5).
+                assert_eq!(longest[0], Msg::INLINE_WORDS + 1, "{spec} on paths");
+            } else {
+                assert!(
+                    longest[0] <= Msg::INLINE_WORDS,
+                    "{spec} on {family}s sends {} words, past Msg::INLINE_WORDS",
+                    longest[0]
+                );
+            }
         }
+    }
+}
+
+/// Payloads past `Msg::INLINE_WORDS` that a default-catalog spec sends by
+/// design: HyperBall's message *is* its HyperLogLog register array, 2^p
+/// one-byte registers (p = 6: 64 registers in 8 words), not one of the
+/// paper's `O(log n)`-bit messages.
+const DESIGNED_SPILLS: [(&str, usize); 1] = [("diameter:hyperball:p=6", 8)];
+
+/// Every other spec the default sweep runs keeps its payloads inline: the
+/// longest message it hands a frame fits in `Msg::INLINE_WORDS` words, so
+/// the per-sender clones on the hot paths never touch the heap. Each spec
+/// runs once, on the first cell (size, seed and stack) of the first default
+/// scenario that names it.
+#[test]
+fn default_catalog_payloads_stay_inline() {
+    let registry = radio_energy::bfs::protocol::registry();
+    let mut seen = HashSet::new();
+    for scenario in radio_bench::scenarios::default_scenarios() {
+        let spec = scenario.protocol.spec();
+        if !seen.insert(spec.clone()) {
+            continue;
+        }
+        let protocol = registry.get(&spec).expect("catalog spec resolves");
+        let (size, seed) = (scenario.sizes[0], scenario.seeds[0]);
+        let mut stack = scenario
+            .stack
+            .build(Arc::new(scenario.family.build(size)), seed);
+        let mut net = PayloadMeter {
+            inner: &mut stack,
+            longest: 0,
+        };
+        protocol
+            .run(&mut net, &ProtocolInput::from_seed(seed))
+            .expect("catalog cell runs");
+        let cell = format!("{spec} ({}, n = {size})", scenario.name);
+        match DESIGNED_SPILLS.iter().find(|(name, _)| *name == spec) {
+            Some(&(_, words)) => assert_eq!(net.longest, words, "{cell}"),
+            None => assert!(
+                net.longest <= Msg::INLINE_WORDS,
+                "{cell} sends {} words, past Msg::INLINE_WORDS = {}",
+                net.longest,
+                Msg::INLINE_WORDS
+            ),
+        }
+    }
+    assert!(seen.len() >= 9, "the default catalog names {seen:?}");
+    for (spec, _) in DESIGNED_SPILLS {
+        assert!(seen.contains(spec), "{spec} left the default catalog");
     }
 }
