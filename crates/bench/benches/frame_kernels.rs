@@ -1,17 +1,12 @@
 //! E6 bench: the word-parallel frame kernels in isolation, and the per-call
 //! cost of a sparse Local-Broadcast on a large universe.
 //!
-//! Four groups:
+//! Three groups:
 //!
 //! * `nodeset_kernels` — the bulk [`NodeSet`] kernel `difference_with`,
-//!   across universe sizes and fill densities. It is what the
-//!   collision-detection Decay's bookkeeping calls every slot, so its
-//!   throughput bounds that per-slot cost.
-//! * `delivery_resolution` — `step_frame_scan` vs `step_frame_columnar` on
-//!   the same physical slot, at the two extremes the adaptive dispatch in
-//!   `step_frame` arbitrates between: a handful of transmitters with the
-//!   whole graph listening (columnar territory) and a dense transmitter set
-//!   (scan territory).
+//!   across universe sizes and fill densities. Each Decay call and each
+//!   virtual cluster-network call runs it once to take the senders out of
+//!   the receiver set.
 //! * `sparse_lb_call` — one Local-Broadcast per iteration on a grid, with a
 //!   single sender near the top of the id range and its grid neighbours
 //!   listening, on the default abstract stack (ledger on), from n = 2^12 to
@@ -34,7 +29,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use radio_graph::generators;
 use radio_protocols::{Msg, RadioStack, StackBuilder};
-use radio_sim::{NodeSet, RadioNetwork, SlotFrame};
+use radio_sim::NodeSet;
 
 /// A deterministic set over `0..n` holding every `stride`-th element,
 /// phase-shifted so two sets with different offsets overlap partially.
@@ -67,43 +62,6 @@ fn bench_nodeset_kernels(c: &mut Criterion) {
                 });
             });
         }
-    }
-    group.finish();
-}
-
-/// One physical slot on a grid: `k` spread-out transmitters, everyone else
-/// listening. Benchmarks both resolution paths on the identical frame so
-/// the crossover the adaptive dispatch encodes is visible in wall-clock.
-fn bench_delivery_resolution(c: &mut Criterion) {
-    let mut group = c.benchmark_group("delivery_resolution");
-    group.sample_size(50);
-    let side = 64usize;
-    let n = side * side;
-    let g = generators::grid(side, side);
-    for &k in &[4usize, 64, 1024] {
-        let mut frame: SlotFrame<u64> = SlotFrame::new(n);
-        for i in 0..k {
-            frame.transmit.insert(i * (n / k), i as u64);
-        }
-        for v in 0..n {
-            if frame.transmit.get(v).is_none() {
-                frame.listen.insert(v);
-            }
-        }
-        group.bench_with_input(BenchmarkId::new("scan", k), &k, |b, _| {
-            let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
-            b.iter(|| {
-                net.step_frame_scan(&mut frame);
-                black_box(frame.feedback.len())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("columnar", k), &k, |b, _| {
-            let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
-            b.iter(|| {
-                net.step_frame_columnar(&mut frame);
-                black_box(frame.feedback.len())
-            });
-        });
     }
     group.finish();
 }
@@ -236,7 +194,6 @@ fn bench_abstract_lb_call(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_nodeset_kernels,
-    bench_delivery_resolution,
     bench_sparse_lb_call,
     bench_abstract_lb_call
 );

@@ -20,7 +20,7 @@ fn bench_decay(c: &mut Criterion) {
             let g = generators::star(n);
             let params = DecayParams::for_network(n, n - 1);
             let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-            let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+            let mut scratch: DecayScratch = DecayScratch::new(n);
             let mut r = rng(300 + n as u64);
             b.iter(|| {
                 let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
@@ -40,12 +40,14 @@ fn bench_decay(c: &mut Criterion) {
 /// path, every other node listening). The CD variant resolves hopeless
 /// receivers after one iteration and retires the sender via the echo slot,
 /// so it simulates far fewer slots and spends far less energy (the saving
-/// the `path-lbsweep-*` scenarios record). It is still the slower of the
-/// two in wall-clock: every CD slot classifies every unresolved listener,
-/// while a plain slot walks only its transmitter's neighbourhood and bills
-/// each hopeless listener once per call (about 19 µs against 62 µs at
-/// n = 4096 on a 2-vCPU VM, where the plain call took 3.8 ms when every
-/// slot visited every listener).
+/// the `path-lbsweep-*` scenarios record). Both variants walk only each
+/// slot's transmitters' neighbourhoods and bill each receiver's listening
+/// once per call, so the CD call's fewer slots make it the faster one at
+/// n = 64 and 256, while at n = 4096 its verdict for every receiver costs
+/// more than the slots it saves. Medians of 8 alternating runs on a 2-vCPU
+/// VM: `path_no_cd` 4.1 / 6.2 / 31 µs and `path_cd` 1.1 / 3.1 / 40 µs at
+/// n = 64 / 256 / 4096, where `path_cd` read 2.1 / 7.0 / 96 µs while
+/// every CD slot classified every unresolved listener.
 fn bench_decay_cd(c: &mut Criterion) {
     let mut group = c.benchmark_group("decay_cd");
     group.sample_size(20);
@@ -54,7 +56,7 @@ fn bench_decay_cd(c: &mut Criterion) {
         let params = DecayParams::for_network(n, 2);
         group.bench_with_input(BenchmarkId::new("path_no_cd", n), &n, |b, &n| {
             let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-            let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+            let mut scratch: DecayScratch = DecayScratch::new(n);
             let mut r = rng(400 + n as u64);
             b.iter(|| {
                 let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
@@ -68,7 +70,7 @@ fn bench_decay_cd(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("path_cd", n), &n, |b, &n| {
             let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-            let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+            let mut scratch: DecayScratch = DecayScratch::new(n);
             let mut r = rng(400 + n as u64);
             b.iter(|| {
                 let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone())

@@ -581,7 +581,7 @@ fn e3_local_broadcast() {
         let mut slots = 0u64;
         // One frame + scratch reused across all trials.
         let mut frame: radio_sim::RoundFrame<u64> = radio_sim::RoundFrame::new(n);
-        let mut scratch: radio_sim::DecayScratch<u64> = radio_sim::DecayScratch::new(n);
+        let mut scratch: radio_sim::DecayScratch = radio_sim::DecayScratch::new(n);
         for _ in 0..trials {
             let mut net: radio_sim::RadioNetwork<u64> = radio_sim::RadioNetwork::new(g.clone());
             frame.clear();

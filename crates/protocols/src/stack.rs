@@ -599,7 +599,7 @@ struct PhysicalChannel {
     net: RadioNetwork<Msg>,
     model: EnergyModel,
     decay: DecayParams,
-    scratch: DecayScratch<Msg>,
+    scratch: DecayScratch,
 }
 
 impl Stack {
@@ -671,7 +671,7 @@ impl RadioStack for Stack {
                 reached,
             } => {
                 frame.clear_delivered();
-                let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
+                let (senders, receivers, delivered, feedback) = frame.parts_mut();
                 if senders.is_empty() {
                     // A silent call: no receiver has a sending neighbour, so
                     // nothing is delivered and nothing is drawn.
@@ -685,11 +685,11 @@ impl RadioStack for Stack {
                 let graph = &*self.graph;
                 // The sender walk costs `O(Σ deg(S) + words of the marks'
                 // range)`, the receiver walk `O(Σ_{r∈R} deg(r))`; the cheaper
-                // one is chosen per call, like `RadioNetwork::step_frame`'s
-                // scan and columnar paths. Both visit their candidates in
-                // ascending node order — the frame's iteration order by
-                // construction — and only those with a sending neighbour
-                // draw, so the RNG stream maps to receivers identically.
+                // one is chosen per call from the degree sum. Both visit
+                // their candidates in ascending node order — the frame's
+                // iteration order by construction — and only those with a
+                // sending neighbour draw, so the RNG stream maps to
+                // receivers identically.
                 let degree_sum: usize = senders.keys().iter().map(|s| graph.degree(s)).sum();
                 let candidates = if degree_sum < receivers.len() {
                     reached.clear();
@@ -742,8 +742,8 @@ impl RadioStack for Stack {
                     // Every receiver with a sending neighbour has its verdict;
                     // the rest heard nothing.
                     for r in receivers {
-                        if !feedback.contains(r) && !senders.contains(r) {
-                            feedback.insert(r, LbFeedback::Silence);
+                        if !senders.contains(r) {
+                            feedback.insert_if_absent(r, LbFeedback::Silence);
                         }
                     }
                 }

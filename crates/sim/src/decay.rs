@@ -25,23 +25,26 @@
 //! construction — so the RNG stream maps to devices deterministically
 //! without any per-call sort.
 //!
-//! Without collision detection a receiver learns nothing from a slot but
-//! the message it decodes, so [`decay_local_broadcast`] resolves each slot
-//! from its transmitters' side: only the devices a slot's transmitters
-//! reach can change state, and each receiver's listening is billed once per
-//! call — every slot up to and including the one in which it heard, or
-//! every slot of the call if it heard nothing. A call then costs
+//! Both [`decay_local_broadcast`] and its collision-detection form
+//! [`decay_local_broadcast_cd`] resolve each slot from its transmitters'
+//! side. What a receiver learns from a *data slot* (one in which senders
+//! transmit; the CD form adds an echo slot per iteration) — the message it
+//! decodes, and under collision detection whether any neighbour
+//! transmitted at all — is decided by that slot's transmitters'
+//! neighbourhoods, so each data slot runs through
+//! `RadioNetwork::step_transmitters`, which walks only those. Each
+//! receiver's listening is billed once per call: every data slot up to and
+//! including the one in which it heard or got its verdict, or every data
+//! slot of the call if it never did. A no-CD call then costs
 //! `O(iterations · (|S| + Σ_{s ∈ S} deg(s)) + |R|)` host work rather than
-//! one pass over the listeners per slot, with the same RNG draws,
-//! deliveries and meters as a slot-by-slot run.
-//! [`decay_local_broadcast_cd`] needs every listener's per-slot verdict
-//! and runs its slots through
-//! [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame).
+//! one pass over the listeners per slot; a CD call adds one pass per
+//! iteration over the unresolved receivers' words. RNG draws, deliveries,
+//! verdicts and meters are those of a slot-by-slot run.
 
 use rand::Rng;
 
-use crate::frame::{NodeSet, RoundFrame, SlotFrame};
-use crate::model::{CollisionDetection, Feedback, LbFeedback};
+use crate::frame::{NodeSet, RoundFrame};
+use crate::model::{CollisionDetection, LbFeedback};
 use crate::network::RadioNetwork;
 
 /// Parameters of one Local-Broadcast execution.
@@ -122,33 +125,30 @@ impl DecayParams {
 /// Reusable buffers for [`decay_local_broadcast`] and
 /// [`decay_local_broadcast_cd`], so that repeated calls allocate nothing.
 #[derive(Clone, Debug)]
-pub struct DecayScratch<M> {
-    /// CD variant only: the slot handed to
-    /// [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame).
-    slot: SlotFrame<M>,
+pub struct DecayScratch {
     /// `buckets[t]` lists the senders that picked slot `t` this iteration,
     /// in ascending node order (bucket 0 is unused — slots are 1-based).
     /// Bucketing the schedule once per iteration lets each slot touch only
     /// its own transmitters instead of re-scanning every sender per slot.
     buckets: Vec<Vec<usize>>,
-    /// No-CD variant only: for a receiver that has heard this call, the
-    /// 1-based slot of the call in which it heard (and stopped listening).
-    /// Entries of other devices are stale and never read.
+    /// For a receiver that stopped listening this call, the number of data
+    /// slots it listened through: up to and including the one in which it
+    /// heard or got its verdict. Entries of other devices are stale and
+    /// never read.
     heard_at: Vec<u64>,
     /// CD variant only: senders that still have unresolved receivers nearby.
     active_senders: NodeSet,
-    /// CD variant only: receivers that heard non-silence this iteration.
+    /// CD variant only: receivers that heard activity this iteration.
     heard_activity: NodeSet,
-    /// The receivers still listening (no-CD), or a word-parallel workspace
-    /// for the unresolved receivers (CD).
+    /// The receivers still listening: those that have not heard (no-CD),
+    /// or have no verdict yet (CD).
     pending: NodeSet,
 }
 
-impl<M> DecayScratch<M> {
+impl DecayScratch {
     /// Scratch buffers for a network of `n` devices.
     pub fn new(n: usize) -> Self {
         DecayScratch {
-            slot: SlotFrame::new(n),
             buckets: Vec::new(),
             heard_at: vec![0; n],
             active_senders: NodeSet::new(n),
@@ -158,14 +158,28 @@ impl<M> DecayScratch<M> {
     }
 }
 
-/// Empties `buckets[..=levels]` for a new iteration with `levels` slots.
-fn reset_buckets(buckets: &mut Vec<Vec<usize>>, levels: usize) {
+/// Draws one iteration's schedule: each of `senders`, in ascending node
+/// order, picks its transmission slot, and the picks are bucketed by slot.
+/// Returns the buckets of slots `1..=levels`, each in ascending node order.
+/// Iterating a [`NodeSet`] is ascending by construction, so the RNG stream
+/// maps to devices deterministically with no sort (the draw order is a
+/// pinned contract).
+fn draw_schedule<'a, R: Rng + ?Sized>(
+    buckets: &'a mut Vec<Vec<usize>>,
+    senders: &NodeSet,
+    levels: usize,
+    rng: &mut R,
+) -> &'a [Vec<usize>] {
     if buckets.len() <= levels {
         buckets.resize_with(levels + 1, Vec::new);
     }
     for bucket in &mut buckets[..=levels] {
         bucket.clear();
     }
+    for u in senders {
+        buckets[sample_decay_slot(levels, rng)].push(u);
+    }
+    &buckets[1..=levels]
 }
 
 /// Samples the decay slot: `P(X = t) = 2^{−t}` for `t < L`, with the
@@ -199,7 +213,7 @@ pub fn sample_decay_slot<R: Rng + ?Sized>(levels: usize, rng: &mut R) -> usize {
 pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
     net: &mut RadioNetwork<M>,
     frame: &mut RoundFrame<M>,
-    scratch: &mut DecayScratch<M>,
+    scratch: &mut DecayScratch,
     params: DecayParams,
     rng: &mut R,
 ) -> u64 {
@@ -211,7 +225,7 @@ pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
     let levels = params.slots_per_iteration();
     let iterations = params.iterations();
     frame.clear_delivered();
-    let (senders, receivers, delivered) = frame.parts_mut();
+    let (senders, receivers, delivered, _) = frame.parts_mut();
     let DecayScratch {
         buckets,
         heard_at,
@@ -225,21 +239,14 @@ pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
     let mut slots_used = 0u64;
 
     for _ in 0..iterations {
-        // Each sender independently picks its transmission slot for this
-        // iteration, in ascending node order (deterministic by
-        // construction, no sort needed — the draw order is a pinned
-        // contract), bucketed by slot so each slot below touches only its
-        // own transmitters.
-        reset_buckets(buckets, levels);
-        for u in senders.keys().iter() {
-            buckets[sample_decay_slot(levels, rng)].push(u);
-        }
-        for transmitters in &buckets[1..=levels] {
+        for transmitters in draw_schedule(buckets, senders.keys(), levels, rng) {
             slots_used += 1;
-            net.step_transmitters(transmitters, |v, t| {
-                if pending.remove(v) {
-                    delivered.insert(v, senders.get(t).expect("occupied sender").clone());
-                    heard_at[v] = slots_used;
+            net.step_transmitters(transmitters, |v, from| {
+                if let Some(t) = from {
+                    if pending.remove(v) {
+                        delivered.insert(v, senders.get(t).expect("occupied sender").clone());
+                        heard_at[v] = slots_used;
+                    }
                 }
             });
         }
@@ -265,8 +272,9 @@ pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
 ///
 /// 1. **Silent iteration ⇒ no sending neighbour.** Every sender transmits
 ///    in exactly one slot per iteration, so a receiver that hears
-///    [`Feedback::Silence`] in *every* slot of one full iteration provably
-///    has no active sending neighbour and sleeps for the rest of the call.
+///    [`Feedback::Silence`](crate::model::Feedback::Silence) in *every*
+///    slot of one full iteration provably has no active sending neighbour
+///    and sleeps for the rest of the call.
 ///    (Without CD it cannot distinguish silence from collisions and must
 ///    listen through all `O(log Δ · log f⁻¹)` slots.)
 /// 2. **Echo slot ⇒ local sender termination.** Each iteration ends with
@@ -287,10 +295,17 @@ pub fn decay_local_broadcast<M: Clone, R: Rng + ?Sized>(
 /// [`LbFeedback::Delivered`], [`LbFeedback::Silence`] (no sending
 /// neighbour), or [`LbFeedback::Noise`] (activity heard but nothing decoded
 /// by the end of the call). Returns the number of channel slots used.
-pub fn decay_local_broadcast_cd<M: Clone + Default, R: Rng + ?Sized>(
+///
+/// Slots are resolved from the transmitters' side (see the module docs): a
+/// data slot can only change the state of its transmitters' unresolved
+/// neighbours, and the echo slot only that of the active senders, each of
+/// which hears a beacon iff an unresolved receiver is its neighbour. The
+/// meter is charged exactly as if every slot had run through
+/// [`RadioNetwork::step_frame`].
+pub fn decay_local_broadcast_cd<M: Clone, R: Rng + ?Sized>(
     net: &mut RadioNetwork<M>,
     frame: &mut RoundFrame<M>,
-    scratch: &mut DecayScratch<M>,
+    scratch: &mut DecayScratch,
     params: DecayParams,
     rng: &mut R,
 ) -> u64 {
@@ -307,29 +322,20 @@ pub fn decay_local_broadcast_cd<M: Clone + Default, R: Rng + ?Sized>(
     let levels = params.slots_per_iteration();
     let iterations = params.iterations();
     frame.clear_delivered();
-    let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
+    let (senders, receivers, delivered, feedback) = frame.parts_mut();
     let DecayScratch {
-        slot,
         buckets,
+        heard_at,
         active_senders,
         heard_activity,
         pending,
-        ..
     } = scratch;
     active_senders.copy_from(senders.keys());
-    let mut slots_used = 0u64;
-
-    // The unresolved receivers — neither resolved with a verdict nor
-    // senders — recomputed word-parallel into the `pending` scratch set
-    // wherever the call needs them (the feedback lane doubles as the
-    // resolved set, since every resolution records a verdict).
-    macro_rules! unresolved_into_pending {
-        () => {{
-            pending.copy_from(receivers);
-            pending.difference_with(feedback.keys());
-            pending.difference_with(senders.keys());
-        }};
-    }
+    // The unresolved receivers: receivers − senders, less each one as its
+    // verdict lands.
+    pending.copy_from(receivers);
+    pending.difference_with(senders.keys());
+    let (mut data_slots, mut echo_slots) = (0u64, 0u64);
 
     for _ in 0..iterations {
         // Stop once every sender has retired AND every receiver is
@@ -338,81 +344,65 @@ pub fn decay_local_broadcast_cd<M: Clone + Default, R: Rng + ?Sized>(
         // `Silence` verdict by listening — matching the abstract CD
         // backend's verdict for the same call — rather than being
         // misreported as `Noise` by the fallback below.
-        unresolved_into_pending!();
         if active_senders.is_empty() && pending.is_empty() {
             break;
         }
-        // Active senders draw their slots in ascending node order; the
-        // active set evolves deterministically, so the RNG stream maps to
-        // devices reproducibly (the draw order is a pinned contract).
-        reset_buckets(buckets, levels);
-        for u in active_senders.iter() {
-            buckets[sample_decay_slot(levels, rng)].push(u);
-        }
         heard_activity.clear();
-        for bucket in buckets.iter().take(levels + 1).skip(1) {
-            slot.clear();
-            for &u in bucket {
-                slot.transmit
-                    .insert(u, senders.get(u).expect("occupied sender").clone());
-            }
-            // A receiver listens while unresolved.
-            unresolved_into_pending!();
-            slot.listen.copy_from(pending);
-            net.step_frame(slot);
-            slots_used += 1;
-            for (v, fb) in slot.feedback.iter() {
-                match fb {
-                    Feedback::Received(m) => {
-                        delivered.insert_if_absent(v, m.clone());
-                        feedback.insert(v, LbFeedback::Delivered);
-                        heard_activity.insert(v);
-                    }
-                    Feedback::Noise => {
-                        heard_activity.insert(v);
-                    }
-                    Feedback::Silence | Feedback::Nothing => {}
+        for transmitters in draw_schedule(buckets, active_senders, levels, rng) {
+            data_slots += 1;
+            // An unresolved receiver a transmitter covers hears activity:
+            // a message if it is covered once, noise otherwise. The rest
+            // hear silence.
+            net.step_transmitters(transmitters, |v, from| {
+                if !pending.contains(v) {
+                    return;
                 }
-            }
+                heard_activity.insert(v);
+                if let Some(t) = from {
+                    pending.remove(v);
+                    delivered.insert(v, senders.get(t).expect("occupied sender").clone());
+                    feedback.insert(v, LbFeedback::Delivered);
+                    heard_at[v] = data_slots;
+                }
+            });
         }
         // Rule 1: an unresolved receiver that heard silence in every slot of
         // this iteration has no active sending neighbour — and since senders
         // only retire once all their neighbouring receivers are resolved, no
-        // sending neighbour at all. Set form: unresolved − heard_activity.
-        unresolved_into_pending!();
-        pending.difference_with(heard_activity);
-        for v in pending.iter() {
-            feedback.insert(v, LbFeedback::Silence);
-        }
+        // sending neighbour at all.
+        pending.retain(|v| {
+            let heard = heard_activity.contains(v);
+            if !heard {
+                feedback.insert(v, LbFeedback::Silence);
+                heard_at[v] = data_slots;
+            }
+            heard
+        });
         // Rule 2 (echo slot): unresolved receivers beacon, active senders
         // listen; silence retires the sender. With no senders left to
         // retire the slot would be pure dead air — skip it.
         if active_senders.is_empty() {
             continue;
         }
-        slot.clear();
-        unresolved_into_pending!();
-        for v in pending.iter() {
-            slot.transmit.insert(v, M::default());
-        }
-        slot.listen.copy_from(active_senders);
-        net.step_frame(slot);
-        slots_used += 1;
-        for (u, fb) in slot.feedback.iter() {
-            if matches!(fb, Feedback::Silence) {
-                active_senders.remove(u);
-            }
-        }
+        net.charge_slot(pending, active_senders);
+        echo_slots += 1;
+        let graph = net.graph();
+        active_senders.retain(|u| graph.neighbors(u).iter().any(|&v| pending.contains(v)));
     }
 
     // Receivers still unresolved after all iterations heard activity they
     // could never decode (persistent collisions — a 1/poly(n) tail event).
-    unresolved_into_pending!();
     for v in pending.iter() {
         feedback.insert(v, LbFeedback::Noise);
+        heard_at[v] = data_slots;
     }
-
-    slots_used
+    // Listening, billed once per receiver: every data slot through the one
+    // of its verdict. In echo slots receivers beacon, and `charge_slot`
+    // billed them.
+    for v in feedback.keys() {
+        net.charge_listening(v, heard_at[v]);
+    }
+    data_slots + echo_slots
 }
 
 #[cfg(test)]
@@ -511,7 +501,7 @@ mod tests {
         let g = generators::star(n);
         let params = DecayParams::for_network(n, n - 1);
         let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+        let mut scratch: DecayScratch = DecayScratch::new(n);
         let mut failures = 0;
         for seed in 0..20 {
             let mut r = rng(100 + seed);
@@ -603,7 +593,7 @@ mod tests {
             failure_prob: 1e-6,
         };
         let mut frame: RoundFrame<u64> = RoundFrame::new(4);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(4);
+        let mut scratch: DecayScratch = DecayScratch::new(4);
         frame.add_sender(0, 7u64);
         frame.add_receiver(1);
         frame.add_receiver(3);
@@ -630,7 +620,7 @@ mod tests {
         let mut r2 = rng(3);
         let mut cd = cd_net(g);
         let mut frame: RoundFrame<u64> = RoundFrame::new(4);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(4);
+        let mut scratch: DecayScratch = DecayScratch::new(4);
         frame.add_sender(0, 7u64);
         frame.add_receiver(1);
         frame.add_receiver(3);
@@ -658,7 +648,7 @@ mod tests {
         let g = generators::star(n);
         let params = DecayParams::for_network(n, n - 1);
         let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+        let mut scratch: DecayScratch = DecayScratch::new(n);
         for seed in 0..20 {
             let mut r = rng(500 + seed);
             let mut net = cd_net(g.clone());
@@ -690,7 +680,7 @@ mod tests {
             failure_prob: 1e-6,
         };
         let mut frame: RoundFrame<u64> = RoundFrame::new(3);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(3);
+        let mut scratch: DecayScratch = DecayScratch::new(3);
         frame.add_receiver(0);
         frame.add_receiver(2);
         let slots = decay_local_broadcast_cd(&mut net, &mut frame, &mut scratch, params, &mut r);
@@ -716,7 +706,7 @@ mod tests {
             failure_prob: 1e-9,
         };
         let mut frame: RoundFrame<u64> = RoundFrame::new(3);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(3);
+        let mut scratch: DecayScratch = DecayScratch::new(3);
         frame.add_sender(0, 1u64);
         let slots = decay_local_broadcast_cd(&mut net, &mut frame, &mut scratch, params, &mut r);
         // One full iteration plus its echo slot, then every sender retires.
@@ -732,7 +722,7 @@ mod tests {
         let mut net: RadioNetwork<u64> = RadioNetwork::new(g);
         let params = DecayParams::for_network(4, 2);
         let mut frame: RoundFrame<u64> = RoundFrame::new(4);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(4);
+        let mut scratch: DecayScratch = DecayScratch::new(4);
         frame.add_sender(0, 9);
         frame.add_receiver(1);
         decay_local_broadcast(&mut net, &mut frame, &mut scratch, params, &mut r);
@@ -819,7 +809,7 @@ mod tests {
         let mut delivered = 0usize;
         let trials = 30;
         let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+        let mut scratch: DecayScratch = DecayScratch::new(n);
         for _ in 0..trials {
             let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
             frame.clear();

@@ -67,7 +67,7 @@ pub struct EnergyMeter {
 
 impl EnergyMeter {
     /// A meter for `n` devices, all counters zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         EnergyMeter {
             listen: vec![0; n],
             transmit: vec![0; n],
@@ -80,23 +80,18 @@ impl EnergyMeter {
         self.listen.len()
     }
 
-    /// Records that device `v` listened for one slot.
-    pub fn charge_listen(&mut self, v: usize) {
-        self.listen[v] += 1;
-    }
-
     /// Records that device `v` listened for `slots` slots.
-    pub(crate) fn charge_listen_slots(&mut self, v: usize, slots: u64) {
+    pub(crate) fn charge_listen(&mut self, v: usize, slots: u64) {
         self.listen[v] += slots;
     }
 
     /// Records that device `v` transmitted for one slot.
-    pub fn charge_transmit(&mut self, v: usize) {
+    pub(crate) fn charge_transmit(&mut self, v: usize) {
         self.transmit[v] += 1;
     }
 
     /// Advances global time by one slot.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.slots += 1;
     }
 
@@ -152,8 +147,7 @@ mod tests {
     #[test]
     fn charges_accumulate() {
         let mut m = EnergyMeter::new(3);
-        m.charge_listen(0);
-        m.charge_listen(0);
+        m.charge_listen(0, 2);
         m.charge_transmit(1);
         m.tick();
         m.tick();

@@ -24,11 +24,9 @@
 //! * [`SlotFrame<M>`] — one physical channel slot: transmitters, listeners,
 //!   and per-listener feedback — the input of
 //!   [`RadioNetwork::step_frame`](crate::network::RadioNetwork::step_frame),
-//!   which runs the slots of the collision-detection Decay and of
-//!   [`run_devices`](crate::device::run_devices). (The no-CD
-//!   [`decay_local_broadcast`](crate::decay::decay_local_broadcast) needs
-//!   no per-listener feedback and resolves its slots from the
-//!   transmitters' side.)
+//!   which runs the slots of [`run_devices`](crate::device::run_devices).
+//!   (Both Decay variants resolve their slots from the transmitters' side
+//!   and keep no per-slot frame.)
 
 use crate::model::{Feedback, LbFeedback};
 
@@ -424,8 +422,8 @@ impl<T> NodeSlots<T> {
         self.occupied.insert(v);
     }
 
-    /// Inserts only if `v` is unoccupied (first-write-wins semantics, the
-    /// shape every delivery loop in this repository wants).
+    /// Inserts only if `v` is unoccupied (first-write-wins semantics, as
+    /// when a fallback verdict goes to every receiver that has none yet).
     pub fn insert_if_absent(&mut self, v: usize, value: T) {
         if !self.occupied.contains(v) {
             self.insert(v, value);
@@ -460,8 +458,9 @@ impl<T> NodeSlots<T> {
 ///
 /// The frame is the unit of reuse: allocate it once per network (e.g. via
 /// `RadioStack::new_frame` in `radio-protocols`), then `clear`/fill/call for
-/// every round. Backends write deliveries through [`RoundFrame::parts_mut`],
-/// which splits the frame into disjoint input/output borrows.
+/// every round. Backends write deliveries and verdicts through
+/// [`RoundFrame::parts_mut`], which splits the frame into disjoint
+/// input/output borrows.
 ///
 /// Besides the two sets, the frame lists the ids handed to
 /// [`RoundFrame::add_sender`] and [`RoundFrame::add_receiver`], in insertion
@@ -651,17 +650,11 @@ impl<M> RoundFrame<M> {
         &self.feedback
     }
 
-    /// Splits the frame into `(senders, receivers, delivered)` with the
-    /// output mutably borrowed — the shape every backend needs to read the
-    /// inputs while recording deliveries.
-    pub fn parts_mut(&mut self) -> (&NodeSlots<M>, &NodeSet, &mut NodeSlots<M>) {
-        (&self.senders, &self.receivers, &mut self.delivered)
-    }
-
-    /// Like [`RoundFrame::parts_mut`], additionally borrowing the feedback
-    /// lane mutably — the shape collision-detection-capable backends need to
-    /// record per-receiver verdicts alongside deliveries.
-    pub fn parts_with_feedback_mut(
+    /// Splits the frame into `(senders, receivers, delivered, feedback)`
+    /// with the two output lanes mutably borrowed — the shape every backend
+    /// needs to read the inputs while recording deliveries and, with
+    /// collision detection, per-receiver verdicts.
+    pub fn parts_mut(
         &mut self,
     ) -> (
         &NodeSlots<M>,
@@ -740,7 +733,7 @@ mod tests {
         assert_send::<NodeSlots<u64>>();
         assert_send::<RoundFrame<u64>>();
         assert_send::<SlotFrame<u64>>();
-        assert_send::<crate::DecayScratch<u64>>();
+        assert_send::<crate::DecayScratch>();
         assert_send::<crate::RadioNetwork<u64>>();
         assert_send::<crate::EnergyMeter>();
     }
@@ -950,7 +943,7 @@ mod tests {
         let mut f: RoundFrame<u64> = RoundFrame::new(10);
         f.add_sender(2, 22);
         f.add_receiver(5);
-        let (s, r, d) = f.parts_mut();
+        let (s, r, d, _) = f.parts_mut();
         assert_eq!(s.get(2), Some(&22));
         assert!(r.contains(5));
         d.insert(5, 22);

@@ -15,10 +15,12 @@
 //! The simulator puts no bound on message size: it models `RN[∞]`, in
 //! which the paper's lower bounds hold, and payload sizes are the
 //! protocols' concern (the workspace's tests record the longest `Msg`
-//! each paper protocol sends, in 64-bit words). A slot with per-listener
-//! feedback runs through [`RadioNetwork::step_frame`] on a columnar
-//! [`SlotFrame`]; the no-CD [`decay_local_broadcast`] needs only the
-//! deliveries and resolves its slots from the transmitters' side.
+//! each paper protocol sends, in 64-bit words). Every slot is resolved by
+//! one coverage kernel: [`RadioNetwork::step_frame`] runs a slot of
+//! [`run_devices`](device::run_devices), whose devices each act on their own
+//! feedback, on a columnar [`SlotFrame`]; both Decay variants,
+//! [`decay_local_broadcast`] and [`decay_local_broadcast_cd`], resolve
+//! their slots from the transmitters' side.
 //!
 //! Layering: this crate knows nothing about clustering or BFS. Higher-level
 //! algorithms are written against the Local-Broadcast abstraction in

@@ -8,8 +8,8 @@ use crate::energy::EnergyMeter;
 use crate::frame::{NodeSet, SlotFrame};
 use crate::model::{CollisionDetection, Feedback};
 
-/// Reusable coverage buffers of the columnar delivery-resolution path of
-/// [`RadioNetwork::step_frame`] and of [`RadioNetwork::step_transmitters`].
+/// Reusable coverage buffers of the reception rule, shared by
+/// [`RadioNetwork::step_frame`] and [`RadioNetwork::step_transmitters`].
 #[derive(Clone, Debug)]
 struct ResolveScratch {
     /// Nodes covered by at least one transmitting neighbour this slot.
@@ -131,8 +131,8 @@ impl<M: Clone> RadioNetwork<M> {
     }
 
     /// Executes one synchronous slot with per-listener feedback — the way
-    /// the collision-detection Decay and [`run_devices`](crate::device::run_devices)
-    /// run a slot.
+    /// [`run_devices`](crate::device::run_devices) runs a slot, each device
+    /// acting on what it heard in the last one.
     ///
     /// Transmitters and listeners come in as a [`SlotFrame`]; each
     /// transmitter and each listener is charged one unit, and every
@@ -144,106 +144,25 @@ impl<M: Clone> RadioNetwork<M> {
     /// spend no energy; a node in both sets only transmits, and a
     /// transmitter gets no feedback about its own slot.
     ///
-    /// Delivery resolution is **adaptive**: when the transmitters' summed
-    /// degree is small relative to the listeners' (the common decay case —
-    /// a few senders, a settling frontier of listeners), reception is
-    /// resolved by the columnar path ([`RadioNetwork::step_frame_columnar`])
-    /// that accumulates transmitter coverage into two bitsets and classifies
-    /// all listeners a `u64` word at a time; when transmitters dominate, the
-    /// listener-scan path ([`RadioNetwork::step_frame_scan`]) walks each
-    /// listener's CSR neighbourhood instead. Both paths produce bit-for-bit
-    /// identical frames and meters (pinned by the kernel-equivalence tests),
-    /// so the choice is invisible to protocols.
+    /// The transmitters' coverage is accumulated into covered-once and
+    /// covered-twice bitsets (`O(Σ deg(transmitter))`), then the listeners
+    /// are classified a `u64` word at a time over the listen set's
+    /// occupied-word range: silence, unique delivery, or collision fall out
+    /// of `listen & !transmit`, `once` and `twice` word combinations.
     ///
     /// Panics if the frame's universe differs from the network's node count.
     pub fn step_frame(&mut self, frame: &mut SlotFrame<M>) {
-        // Crossover heuristic (measured via the `frame_kernels/delivery`
-        // bench): the scan path costs ~Σ deg(listener) bitset probes, the
-        // columnar path ~Σ deg(transmitter) coverage writes — each a little
-        // heavier than a probe, hence the 2x weight — plus a word-parallel
-        // classification sweep over the listen set's occupied-word range.
-        // Both sums are O(range + |set|) to compute from the CSR degree
-        // table, negligible next to either resolution loop.
-        let t_deg: usize = frame
-            .transmit
-            .keys()
-            .iter()
-            .map(|t| self.graph.degree(t))
-            .sum();
-        let l_deg: usize = frame
-            .listen
-            .iter()
-            .filter(|&v| !frame.transmit.contains(v))
-            .map(|v| self.graph.degree(v))
-            .sum();
-        if 2 * t_deg + frame.listen.occupied_words().len() <= l_deg {
-            self.step_frame_columnar(frame);
-        } else {
-            self.step_frame_scan(frame);
-        }
-    }
-
-    /// Charges every transmitter — the stage both resolution paths share.
-    fn charge_transmitters(&mut self, frame: &SlotFrame<M>) {
         let n = self.num_nodes();
         assert_eq!(
             frame.listen.universe(),
             n,
             "slot frame universe does not match the network"
         );
+        frame.feedback.clear();
         for v in frame.transmit.keys() {
             assert!(v < n, "device {v} out of range");
             self.meter.charge_transmit(v);
         }
-    }
-
-    /// The listener-scan resolution path: one CSR neighbourhood walk per
-    /// listener, counting transmitting neighbours with an early exit at two.
-    /// `O(Σ deg(listener))`. This is the scalar reference the columnar path
-    /// is pinned against; [`RadioNetwork::step_frame`] selects it when
-    /// transmitters dominate listeners.
-    pub fn step_frame_scan(&mut self, frame: &mut SlotFrame<M>) {
-        frame.feedback.clear();
-        self.charge_transmitters(frame);
-        for v in frame.listen.iter() {
-            if frame.transmit.contains(v) {
-                continue; // transmitting wins; already charged above
-            }
-            self.meter.charge_listen(v);
-            let mut heard: Option<&M> = None;
-            let mut count = 0usize;
-            for &u in self.graph.neighbors(v) {
-                if let Some(m) = frame.transmit.get(u) {
-                    count += 1;
-                    heard = Some(m);
-                    if count > 1 {
-                        break;
-                    }
-                }
-            }
-            let fb = match (count, self.cd) {
-                (1, _) => Feedback::Received(heard.expect("one transmitter").clone()),
-                (0, CollisionDetection::None) => Feedback::Nothing,
-                (_, CollisionDetection::None) => Feedback::Nothing,
-                (0, CollisionDetection::Receiver) => Feedback::Silence,
-                (_, CollisionDetection::Receiver) => Feedback::Noise,
-            };
-            frame.feedback.insert(v, fb);
-        }
-        self.meter.tick();
-    }
-
-    /// The columnar resolution path: accumulate each transmitter's coverage
-    /// into `covered_once`/`covered_twice` bitsets (`O(Σ deg(transmitter))`),
-    /// then classify all listeners a `u64` word at a time over the listen
-    /// set's occupied-word range — silence, unique delivery, or collision
-    /// fall out of `listen & !transmit`, `once` and `twice` word
-    /// combinations. Byte-identical in outputs and energy to
-    /// [`RadioNetwork::step_frame_scan`]; [`RadioNetwork::step_frame`]
-    /// selects it when transmitters are few relative to listeners.
-    pub fn step_frame_columnar(&mut self, frame: &mut SlotFrame<M>) {
-        frame.feedback.clear();
-        self.charge_transmitters(frame);
         self.resolve
             .cover(&self.graph, frame.transmit.keys().iter());
         let RadioNetwork {
@@ -267,7 +186,7 @@ impl<M: Clone> RadioNetwork<M> {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let v = wi * 64 + b;
-                meter.charge_listen(v);
+                meter.charge_listen(v, 1);
                 let mask = 1u64 << b;
                 let fb = if twice_w[wi] & mask != 0 {
                     match cd {
@@ -294,14 +213,17 @@ impl<M: Clone> RadioNetwork<M> {
         meter.tick();
     }
 
-    /// Executes one slot from the transmitters' side — the way the no-CD
-    /// Decay runs a slot. Each of `transmitters` is charged one unit, the
-    /// clock advances, and `heard(v, t)` is called for every device `v`
-    /// that exactly one transmitter `t` covers: by the same coverage kernel
-    /// as [`RadioNetwork::step_frame_columnar`], exactly the devices that
-    /// would decode `t`'s message if they listened. Transmitters covered by
-    /// one other transmitter are reported too; they cannot listen, so the
-    /// caller skips them.
+    /// Executes one slot from the transmitters' side — the way both Decay
+    /// variants run their data slots. Each of `transmitters` is charged one
+    /// unit, the clock advances, and `heard(v, from)` is called for every
+    /// neighbour `v` of every transmitter, once per transmitter that covers
+    /// it. By the reception rule of [`RadioNetwork::step_frame`] (the same
+    /// coverage kernel decides it), `from` is `Some(t)` when `t` is `v`'s
+    /// only transmitting neighbour, whose message `v` would decode if it
+    /// listened, and `None` when two or more neighbours transmit. A device
+    /// no transmitter covers would hear silence and is never reported.
+    /// Transmitters covered by another transmitter are reported too; they
+    /// cannot listen, so the caller skips them.
     ///
     /// Nobody is charged for listening: the caller bills its listeners
     /// with [`RadioNetwork::charge_listening`], so a device that listens
@@ -311,7 +233,7 @@ impl<M: Clone> RadioNetwork<M> {
     pub(crate) fn step_transmitters(
         &mut self,
         transmitters: &[usize],
-        mut heard: impl FnMut(usize, usize),
+        mut heard: impl FnMut(usize, Option<usize>),
     ) {
         for &t in transmitters {
             self.meter.charge_transmit(t);
@@ -322,17 +244,29 @@ impl<M: Clone> RadioNetwork<M> {
         let twice = &self.resolve.covered_twice;
         for &t in transmitters {
             for &u in self.graph.neighbors(t) {
-                if !twice.contains(u) {
-                    heard(u, t);
-                }
+                heard(u, (!twice.contains(u)).then_some(t));
             }
         }
+    }
+
+    /// Charges one slot whose outcome the caller works out itself: each of
+    /// `transmitters` transmits, each of `listeners` listens, and the clock
+    /// advances — the collision-detection Decay's echo slot, in which a
+    /// listening sender only learns whether any neighbour beacons.
+    pub(crate) fn charge_slot(&mut self, transmitters: &NodeSet, listeners: &NodeSet) {
+        for v in transmitters {
+            self.meter.charge_transmit(v);
+        }
+        for v in listeners {
+            self.meter.charge_listen(v, 1);
+        }
+        self.meter.tick();
     }
 
     /// Charges device `v` for listening through `slots` slots at once —
     /// the listening half of [`RadioNetwork::step_transmitters`].
     pub(crate) fn charge_listening(&mut self, v: usize, slots: u64) {
-        self.meter.charge_listen_slots(v, slots);
+        self.meter.charge_listen(v, slots);
     }
 }
 
@@ -448,39 +382,32 @@ mod tests {
     }
 
     #[test]
-    fn step_frame_paths_are_byte_identical() {
-        // The adaptive dispatch must be invisible: scan and columnar agree
-        // bit-for-bit on feedback and energy, whatever the CD mode. (The
-        // property suite fuzzes this on random graphs; this pins the
-        // hand-picked collision/silence/overlap cases.)
-        let g = generators::star(5);
-        type Scenario = (Vec<(NodeId, u64)>, Vec<NodeId>);
-        let scenarios: Vec<Scenario> = vec![
-            (vec![(1, 11)], vec![0, 2]),
-            (vec![(1, 11), (2, 22)], vec![0]),
-            (vec![], vec![0, 3]),
-            (vec![(0, 7)], vec![0, 1, 2, 3, 4]),
-        ];
-        for cd in [CollisionDetection::None, CollisionDetection::Receiver] {
-            let mut a: RadioNetwork<u64> =
-                RadioNetwork::new(g.clone()).with_collision_detection(cd);
-            let mut b: RadioNetwork<u64> =
-                RadioNetwork::new(g.clone()).with_collision_detection(cd);
-            let mut fa: SlotFrame<u64> = SlotFrame::new(5);
-            for (tx, listen) in &scenarios {
-                fa.clear();
-                for &(v, m) in tx {
-                    fa.transmit.insert(v, m);
-                }
-                fa.listen.extend(listen.iter().copied());
-                let mut fb = fa.clone();
-                a.step_frame_scan(&mut fa);
-                b.step_frame_columnar(&mut fb);
-                let va: Vec<_> = fa.feedback.iter().map(|(v, f)| (v, f.clone())).collect();
-                let vb: Vec<_> = fb.feedback.iter().map(|(v, f)| (v, f.clone())).collect();
-                assert_eq!(va, vb, "feedback diverged under {cd:?}");
-            }
-            assert_eq!(a.meter(), b.meter(), "energy accounting diverged");
-        }
+    fn transmitter_side_slot_reports_decodes_and_collisions() {
+        // Path 0-1-2-3-4 with 1 and 3 transmitting: 0 and 4 decode their
+        // only transmitting neighbour, 2 hears both (once per transmitter).
+        let g = generators::path(5);
+        let mut net: RadioNetwork<u64> = RadioNetwork::new(g);
+        let mut heard = Vec::new();
+        net.step_transmitters(&[1, 3], |v, from| heard.push((v, from)));
+        heard.sort_unstable();
+        assert_eq!(
+            heard,
+            vec![(0, Some(1)), (2, None), (2, None), (4, Some(3))]
+        );
+        // Transmitters pay and the clock ticks; nobody is charged for
+        // listening until the caller bills it.
+        assert_eq!(net.meter().transmit_counts(), &[0, 1, 0, 1, 0]);
+        assert_eq!(net.meter().listen_counts(), &[0; 5]);
+        assert_eq!(net.slots(), 1);
+        net.charge_listening(0, 3);
+        // An echo slot: 2 beacons while 1 and 3 listen, one more tick.
+        let mut beacons = NodeSet::new(5);
+        beacons.insert(2);
+        let mut listeners = NodeSet::new(5);
+        listeners.extend([1, 3]);
+        net.charge_slot(&beacons, &listeners);
+        assert_eq!(net.meter().transmit_counts(), &[0, 1, 1, 1, 0]);
+        assert_eq!(net.meter().listen_counts(), &[3, 1, 0, 1, 0]);
+        assert_eq!(net.slots(), 2);
     }
 }

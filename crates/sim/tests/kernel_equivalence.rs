@@ -1,7 +1,5 @@
-//! Property tests pinning the word-parallel frame kernels to their scalar
-//! definitions.
-//!
-//! Two families:
+//! Property tests pinning the word-parallel frame kernels and the slot
+//! kernels of the simulator to their scalar definitions:
 //!
 //! * every bulk [`NodeSet`] kernel must agree with a naive per-bit reference
 //!   (`Vec<bool>`), across universes chosen to straddle the 64-bit word
@@ -11,19 +9,20 @@
 //!   agreeing through random insert/remove/clear/kernel sequences that
 //!   leave stale occupied-word ranges behind, with every word outside a
 //!   set's reported range zero after every step;
-//! * the two delivery-resolution paths of the simulator,
-//!   `step_frame_scan` and `step_frame_columnar`, must produce identical
-//!   feedback lanes and identical energy meters on random graphs and random
-//!   transmit/listen splits, with and without receiver-side collision
-//!   detection — the invariant that makes the adaptive dispatch in
-//!   `step_frame` unobservable — both at the bottom of the id space and
-//!   with every participant confined to a high id window;
-//! * the no-CD `decay_local_broadcast`, which resolves each slot from its
-//!   transmitters' side and bills listening once per call, must leave the
-//!   same deliveries, meters, slot counts and RNG stream as the Decay loop
-//!   run slot by slot through `step_frame` (the oracle below), on random
-//!   graphs mixing stars, cliques and disconnected parts, with random and
-//!   overlapping sender/receiver roles;
+//! * `RadioNetwork::step_frame` must give every listener the feedback the
+//!   model prescribes, worked out listener by listener below (a decode iff
+//!   exactly one neighbour transmits, silence or noise only with
+//!   receiver-side collision detection), and charge exactly one unit to
+//!   each transmitter and each listener, on hand-picked star slots and on
+//!   random graphs and random transmit/listen splits, both at the bottom of
+//!   the id space and with every participant confined to a high id window;
+//! * both Decay variants, which resolve each slot from its transmitters'
+//!   side and bill listening once per receiver, must leave the same
+//!   deliveries, verdicts, meters, slot counts and RNG stream as the Decay
+//!   loop run slot by slot through `step_frame` (the oracle below, with and
+//!   without collision detection), on random graphs mixing stars, cliques
+//!   and disconnected parts, with random and overlapping sender/receiver
+//!   roles;
 //! * a reused [`RoundFrame`], whose participant lists drive the ledger
 //!   charge and the clear of sparse frames, must charge exactly
 //!   senders ∪ receivers after every operation and be empty in every word
@@ -36,8 +35,8 @@ use proptest::prelude::*;
 use radio_graph::Graph;
 use radio_sim::decay::sample_decay_slot;
 use radio_sim::{
-    decay_local_broadcast, CollisionDetection, DecayParams, DecayScratch, Feedback, LbFeedback,
-    NodeSet, NodeSlots, RadioNetwork, RoundFrame, SlotFrame,
+    decay_local_broadcast, decay_local_broadcast_cd, CollisionDetection, DecayParams, DecayScratch,
+    Feedback, LbFeedback, NodeSet, NodeSlots, RadioNetwork, RoundFrame, SlotFrame,
 };
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -276,15 +275,29 @@ fn random_graph_at(m: usize, base: usize, n: usize, p: u64, seed: &mut u64) -> G
     Graph::from_edges(n, &edges)
 }
 
-/// Runs one slot through the given resolution path and serializes
-/// everything observable: per-listener feedback, the elapsed slots, and
-/// every device's nonzero listen and transmit counts.
-fn run_path(
+/// Everything a slot leaves observable, serialized: per-listener feedback,
+/// the elapsed slots, and every device's nonzero listen and transmit counts.
+fn slot_record(
+    feedback: &[(usize, Feedback<u64>)],
+    slots: u64,
+    listen: &[u64],
+    transmit: &[u64],
+) -> String {
+    format!(
+        "feedback {:?}\nslots {}\nlisten {:?}\ntransmit {:?}",
+        feedback,
+        slots,
+        nonzero(listen),
+        nonzero(transmit),
+    )
+}
+
+/// Runs one slot through `step_frame` on a fresh network.
+fn run_step_frame(
     g: &Graph,
     cd: CollisionDetection,
     transmitters: &[(usize, u64)],
     listeners: &[usize],
-    columnar: bool,
 ) -> String {
     let n = g.num_nodes();
     let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone()).with_collision_detection(cd);
@@ -295,23 +308,55 @@ fn run_path(
     for &v in listeners {
         frame.listen.insert(v);
     }
-    if columnar {
-        net.step_frame_columnar(&mut frame);
-    } else {
-        net.step_frame_scan(&mut frame);
-    }
-    let feedback: Vec<(usize, String)> = frame
+    net.step_frame(&mut frame);
+    let feedback: Vec<(usize, Feedback<u64>)> = frame
         .feedback
         .iter()
-        .map(|(v, fb)| (v, format!("{fb:?}")))
+        .map(|(v, fb)| (v, fb.clone()))
         .collect();
-    format!(
-        "feedback {:?}\nslots {}\nlisten {:?}\ntransmit {:?}",
-        feedback,
+    slot_record(
+        &feedback,
         net.slots(),
-        nonzero(net.meter().listen_counts()),
-        nonzero(net.meter().transmit_counts()),
+        net.meter().listen_counts(),
+        net.meter().transmit_counts(),
     )
+}
+
+/// The same slot, worked out listener by listener from the model: every
+/// transmitter and every listener pays one unit, a node that does both only
+/// transmits, and a listener decodes iff exactly one neighbour transmits;
+/// otherwise it hears nothing, or, under collision detection, silence (no
+/// transmitting neighbour) or noise (two or more).
+fn per_listener_reference(
+    g: &Graph,
+    cd: CollisionDetection,
+    transmitters: &[(usize, u64)],
+    listeners: &[usize],
+) -> String {
+    let n = g.num_nodes();
+    let mut message: Vec<Option<u64>> = vec![None; n];
+    let mut transmit = vec![0u64; n];
+    for &(v, m) in transmitters {
+        message[v] = Some(m);
+        transmit[v] = 1;
+    }
+    let mut listen = vec![0u64; n];
+    let mut feedback = Vec::new();
+    for v in 0..n {
+        if !listeners.contains(&v) || message[v].is_some() {
+            continue;
+        }
+        listen[v] = 1;
+        let heard: Vec<u64> = g.neighbors(v).iter().filter_map(|&u| message[u]).collect();
+        let fb = match (heard.as_slice(), cd) {
+            ([m], _) => Feedback::Received(*m),
+            (_, CollisionDetection::None) => Feedback::Nothing,
+            ([], CollisionDetection::Receiver) => Feedback::Silence,
+            (_, CollisionDetection::Receiver) => Feedback::Noise,
+        };
+        feedback.push((v, fb));
+    }
+    slot_record(&feedback, 1, &listen, &transmit)
 }
 
 /// The nonzero entries of a per-device counter, as `(device, count)`.
@@ -345,31 +390,56 @@ fn random_roles(
     (transmitters, listeners)
 }
 
+/// One slot's roles: transmitters with their messages, and listeners.
+type SlotRoles = (Vec<(usize, u64)>, Vec<usize>);
+
+/// Hand-picked slots on a five-node star (centre 0): a unique delivery
+/// next to silence, a collision at the centre, an all-silent slot, and the
+/// centre both transmitting and listening while every leaf listens.
+fn star_slots() -> Vec<SlotRoles> {
+    vec![
+        (vec![(1, 11)], vec![0, 2]),
+        (vec![(1, 11), (2, 22)], vec![0]),
+        (vec![], vec![0, 3]),
+        (vec![(0, 7)], vec![0, 1, 2, 3, 4]),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn columnar_and_scan_resolution_are_byte_identical(
+    fn step_frame_matches_the_per_listener_reference(
         (n, p, split) in (2usize..48, 0u64..9, 0u64..8),
         seed in 0u64..1_000_000,
     ) {
+        let cds = [CollisionDetection::None, CollisionDetection::Receiver];
+        let star = radio_graph::generators::star(5);
+        for (transmitters, listeners) in star_slots() {
+            for cd in cds {
+                prop_assert_eq!(
+                    run_step_frame(&star, cd, &transmitters, &listeners),
+                    per_listener_reference(&star, cd, &transmitters, &listeners),
+                    "star slot {:?} listening {:?} under {:?}", transmitters, listeners, cd
+                );
+            }
+        }
         let mut s = seed.wrapping_mul(2).wrapping_add(1);
         // The same draw twice: at the bottom of an n-node universe, and
         // confined to a window near the top of a 2^14-node one (starting at
-        // an arbitrary bit of a high word), so the columnar loop's start
-        // word is exercised away from word 0.
+        // an arbitrary bit of a high word), so the classification loop's
+        // start word is exercised away from word 0.
         let universe = 1usize << 14;
         let high_base = universe - n - (next_bits(&mut s) as usize % 200);
         for (base, total) in [(0, n), (high_base, universe)] {
             let mut draw = s;
             let g = random_graph_at(n, base, total, p, &mut draw);
             let (transmitters, listeners) = random_roles(n, base, split, &mut draw);
-            for cd in [CollisionDetection::None, CollisionDetection::Receiver] {
-                let scan = run_path(&g, cd, &transmitters, &listeners, false);
-                let columnar = run_path(&g, cd, &transmitters, &listeners, true);
+            for cd in cds {
                 prop_assert_eq!(
-                    &scan, &columnar,
-                    "paths diverged on n={} base={} p={} split={} cd={:?}",
+                    run_step_frame(&g, cd, &transmitters, &listeners),
+                    per_listener_reference(&g, cd, &transmitters, &listeners),
+                    "step_frame diverged on n={} base={} p={} split={} cd={:?}",
                     n, base, p, split, cd
                 );
             }
@@ -377,28 +447,52 @@ proptest! {
     }
 }
 
-/// The no-CD Decay run slot by slot: each slot's transmitters and the
-/// receivers that have not heard yet go into a [`SlotFrame`] that
-/// `step_frame` resolves, and every decoded message is harvested from its
-/// feedback lane. The RNG draws are `decay_local_broadcast`'s contract:
-/// one `sample_decay_slot` per sender per iteration, in ascending order.
+/// The Decay loop run slot by slot, with or without collision detection
+/// as the network has it: each slot's transmitters and the receivers still
+/// listening go into a [`SlotFrame`] that `step_frame` resolves, and each
+/// listener's feedback is read from its lane. A receiver listens until it
+/// decodes a message or, under collision detection, gets a verdict. The
+/// RNG draws are the Decay contract: one `sample_decay_slot` per active
+/// sender per iteration, in ascending order.
+///
+/// Under collision detection each iteration also applies the two rules of
+/// `decay_local_broadcast_cd`: a receiver that heard silence in every slot
+/// of the iteration gets `Silence`, and in an echo slot the unresolved
+/// receivers beacon while the active senders listen, a sender that hears
+/// silence retiring. The call stops once no sender is active and no
+/// receiver unresolved, and a receiver still unresolved at the end gets
+/// `Noise`.
 fn decay_slot_by_slot(
     net: &mut RadioNetwork<u64>,
     frame: &mut RoundFrame<u64>,
     params: DecayParams,
     rng: &mut ChaCha8Rng,
 ) -> u64 {
+    let cd = net.collision_detection().is_receiver();
     let levels = params.slots_per_iteration();
     frame.clear_delivered();
-    let (senders, receivers, delivered) = frame.parts_mut();
-    let mut slot: SlotFrame<u64> = SlotFrame::new(receivers.universe());
+    let (senders, receivers, delivered, feedback) = frame.parts_mut();
+    let n = receivers.universe();
+    // Receivers that neither heard a message nor got a verdict.
+    let listening = |delivered: &NodeSlots<u64>, feedback: &NodeSlots<LbFeedback>| {
+        let mut set = receivers.clone();
+        set.difference_with(delivered.keys());
+        set.difference_with(feedback.keys());
+        set.difference_with(senders.keys());
+        set
+    };
+    let mut slot: SlotFrame<u64> = SlotFrame::new(n);
+    let mut active = senders.keys().clone();
     let mut slots_used = 0u64;
     for _ in 0..params.iterations() {
-        let picks: Vec<(usize, usize)> = senders
-            .keys()
+        if cd && active.is_empty() && listening(delivered, feedback).is_empty() {
+            break;
+        }
+        let picks: Vec<(usize, usize)> = active
             .iter()
             .map(|u| (u, sample_decay_slot(levels, rng)))
             .collect();
+        let mut heard_activity = NodeSet::new(n);
         for t in 1..=levels {
             slot.clear();
             for &(u, pick) in &picks {
@@ -406,16 +500,52 @@ fn decay_slot_by_slot(
                     slot.transmit.insert(u, *senders.get(u).expect("sender"));
                 }
             }
-            slot.listen.copy_from(receivers);
-            slot.listen.difference_with(delivered.keys());
-            slot.listen.difference_with(senders.keys());
+            slot.listen.copy_from(&listening(delivered, feedback));
             net.step_frame(&mut slot);
             slots_used += 1;
             for (v, fb) in slot.feedback.iter() {
-                if let Feedback::Received(m) = fb {
-                    delivered.insert_if_absent(v, *m);
+                match fb {
+                    Feedback::Received(m) => {
+                        delivered.insert_if_absent(v, *m);
+                        if cd {
+                            feedback.insert(v, LbFeedback::Delivered);
+                        }
+                        heard_activity.insert(v);
+                    }
+                    Feedback::Noise => {
+                        heard_activity.insert(v);
+                    }
+                    Feedback::Silence | Feedback::Nothing => {}
                 }
             }
+        }
+        if !cd {
+            continue;
+        }
+        let mut silent = listening(delivered, feedback);
+        silent.difference_with(&heard_activity);
+        for v in silent.iter() {
+            feedback.insert(v, LbFeedback::Silence);
+        }
+        if active.is_empty() {
+            continue;
+        }
+        slot.clear();
+        for v in listening(delivered, feedback).iter() {
+            slot.transmit.insert(v, 0);
+        }
+        slot.listen.copy_from(&active);
+        net.step_frame(&mut slot);
+        slots_used += 1;
+        for (u, fb) in slot.feedback.iter() {
+            if *fb == Feedback::Silence {
+                active.remove(u);
+            }
+        }
+    }
+    if cd {
+        for v in listening(delivered, feedback).iter() {
+            feedback.insert(v, LbFeedback::Noise);
         }
     }
     slots_used
@@ -468,14 +598,20 @@ fn random_decay_roles(frame: &mut RoundFrame<u64>, send: u64, receive: u64, seed
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn transmitter_side_decay_matches_the_slot_by_slot_loop(
         (n, p, send, receive) in (1usize..40, 0u64..9, 0u64..5, 0u64..5),
-        (degree_pick, f_pick) in (0usize..3, 0usize..4),
+        (degree_pick, f_pick, cd_pick) in (0usize..3, 0usize..4, 0usize..2),
         seed in 0u64..1_000_000,
     ) {
+        let cd = [CollisionDetection::None, CollisionDetection::Receiver][cd_pick];
+        let decay = if cd.is_receiver() {
+            decay_local_broadcast_cd::<u64, ChaCha8Rng>
+        } else {
+            decay_local_broadcast::<u64, ChaCha8Rng>
+        };
         let mut s = seed.wrapping_mul(2).wrapping_add(1);
         let g = mixed_graph(n, p, &mut s);
         // One slot per iteration, the graph's own Δ, or an arbitrary bound.
@@ -491,10 +627,11 @@ proptest! {
         for rng_seed in [seed, seed ^ 0x9e37_79b9, 7] {
             let mut rng_new = ChaCha8Rng::seed_from_u64(rng_seed);
             let mut rng_old = ChaCha8Rng::seed_from_u64(rng_seed);
-            let mut net_new: RadioNetwork<u64> = RadioNetwork::new(g.clone());
-            let mut net_old: RadioNetwork<u64> = RadioNetwork::new(g.clone());
+            let mut net_new: RadioNetwork<u64> =
+                RadioNetwork::new(g.clone()).with_collision_detection(cd);
+            let mut net_old = net_new.clone();
             let mut frame_new: RoundFrame<u64> = RoundFrame::new(n);
-            let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+            let mut scratch: DecayScratch = DecayScratch::new(n);
             // Two calls with different roles through one frame, scratch and
             // network, so nothing one call leaves behind may leak into the
             // next.
@@ -502,11 +639,10 @@ proptest! {
             for (send, receive) in [(send, receive), (receive, send)] {
                 random_decay_roles(&mut frame_new, send, receive, &mut roles);
                 let mut frame_old = frame_new.clone();
-                let got =
-                    decay_local_broadcast(&mut net_new, &mut frame_new, &mut scratch, params, &mut rng_new);
+                let got = decay(&mut net_new, &mut frame_new, &mut scratch, params, &mut rng_new);
                 let want = decay_slot_by_slot(&mut net_old, &mut frame_old, params, &mut rng_old);
                 let case = format!(
-                    "n={n} p={p} roles=({send},{receive}) params={params:?} rng seed {rng_seed}"
+                    "n={n} p={p} roles=({send},{receive}) params={params:?} {cd:?} rng seed {rng_seed}"
                 );
                 prop_assert_eq!(got, want, "returned slots: {}", case);
                 prop_assert_eq!(
@@ -514,7 +650,11 @@ proptest! {
                     frame_old.delivered().iter().map(|(v, &m)| (v, m)).collect::<Vec<_>>(),
                     "deliveries: {}", case
                 );
-                prop_assert!(frame_new.feedback().is_empty(), "no-CD feedback: {}", case);
+                prop_assert_eq!(
+                    frame_new.feedback().iter().map(|(v, &f)| (v, f)).collect::<Vec<_>>(),
+                    frame_old.feedback().iter().map(|(v, &f)| (v, f)).collect::<Vec<_>>(),
+                    "verdicts: {}", case
+                );
                 prop_assert_eq!(net_new.slots(), net_old.slots(), "elapsed slots: {}", case);
                 prop_assert_eq!(
                     nonzero(net_new.meter().listen_counts()),
@@ -650,7 +790,7 @@ proptest! {
                 9 => {
                     // A backend's output: deliveries and verdicts for some
                     // receivers that are not senders.
-                    let (_, r, delivered, feedback) = frame.parts_with_feedback_mut();
+                    let (_, r, delivered, feedback) = frame.parts_mut();
                     for v in r.iter().collect::<Vec<_>>() {
                         if senders[v].is_none() && next_bits(&mut s).is_multiple_of(2) {
                             delivered.insert(v, 7_000 + v as u64);

@@ -31,7 +31,7 @@ fn decay_local_broadcast_is_seed_deterministic_across_runs() {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut net: RadioNetwork<u64> = RadioNetwork::new(g.clone());
         let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+        let mut scratch: DecayScratch = DecayScratch::new(n);
         let mut log = String::new();
         // Several consecutive calls through one reused frame, alternating
         // sender/receiver splits.
@@ -122,7 +122,7 @@ fn cd_decay_local_broadcast_is_seed_deterministic_across_runs() {
         let mut net: RadioNetwork<u64> =
             RadioNetwork::new(g.clone()).with_collision_detection(CollisionDetection::Receiver);
         let mut frame: RoundFrame<u64> = RoundFrame::new(n);
-        let mut scratch: DecayScratch<u64> = DecayScratch::new(n);
+        let mut scratch: DecayScratch = DecayScratch::new(n);
         let mut log = String::new();
         for round in 0..4u64 {
             frame.clear();
