@@ -410,4 +410,55 @@ mod tests {
         assert_eq!(net.meter().listen_counts(), &[3, 1, 0, 1, 0]);
         assert_eq!(net.slots(), 2);
     }
+
+    #[test]
+    fn step_frame_paths_are_byte_identical() {
+        // A slot's two paths must agree bit-for-bit on feedback and energy,
+        // whatever the CD mode: `step_frame` classifies its listeners, and
+        // `step_transmitters` reports what the transmitters' neighbours
+        // hear while the caller bills its listeners and reads silence off
+        // the devices never reported. (The property suite checks
+        // `step_frame` against the model on random graphs; this pins the
+        // hand-picked collision/silence/overlap cases.)
+        let g = generators::star(5);
+        type Scenario = (Vec<(NodeId, u64)>, Vec<NodeId>);
+        let scenarios: Vec<Scenario> = vec![
+            (vec![(1, 11)], vec![0, 2]),
+            (vec![(1, 11), (2, 22)], vec![0]),
+            (vec![], vec![0, 3]),
+            (vec![(0, 7)], vec![0, 1, 2, 3, 4]),
+        ];
+        for cd in [CollisionDetection::None, CollisionDetection::Receiver] {
+            let (silence, noise) = match cd {
+                CollisionDetection::None => (Feedback::Nothing, Feedback::Nothing),
+                CollisionDetection::Receiver => (Feedback::Silence, Feedback::Noise),
+            };
+            let mut a: RadioNetwork<u64> =
+                RadioNetwork::new(g.clone()).with_collision_detection(cd);
+            let mut b: RadioNetwork<u64> =
+                RadioNetwork::new(g.clone()).with_collision_detection(cd);
+            for (tx, listen) in &scenarios {
+                let fa = slot(&mut a, tx, listen);
+                let senders: Vec<NodeId> = tx.iter().map(|&(v, _)| v).collect();
+                let mut heard = vec![Vec::new(); 5];
+                b.step_transmitters(&senders, |v, from| heard[v].push(from));
+                let mut fb = Vec::new();
+                for &v in listen.iter().filter(|v| !senders.contains(v)) {
+                    b.charge_listening(v, 1);
+                    // Read the verdict as the Decays do: `Some(t)` decodes
+                    // `t`'s message, `None` is a collision.
+                    let f = match heard[v].first() {
+                        None => silence.clone(),
+                        Some(Some(t)) => {
+                            Feedback::Received(tx[senders.iter().position(|u| u == t).unwrap()].1)
+                        }
+                        Some(None) => noise.clone(),
+                    };
+                    fb.push((v, f));
+                }
+                assert_eq!(fa, fb, "feedback diverged under {cd:?}");
+            }
+            assert_eq!(a.meter(), b.meter(), "energy accounting diverged");
+        }
+    }
 }

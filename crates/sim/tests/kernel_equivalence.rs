@@ -9,13 +9,15 @@
 //!   agreeing through random insert/remove/clear/kernel sequences that
 //!   leave stale occupied-word ranges behind, with every word outside a
 //!   set's reported range zero after every step;
-//! * `RadioNetwork::step_frame` must give every listener the feedback the
-//!   model prescribes, worked out listener by listener below (a decode iff
-//!   exactly one neighbour transmits, silence or noise only with
-//!   receiver-side collision detection), and charge exactly one unit to
-//!   each transmitter and each listener, on hand-picked star slots and on
-//!   random graphs and random transmit/listen splits, both at the bottom of
-//!   the id space and with every participant confined to a high id window;
+//! * `RadioNetwork::step_frame`, which classifies listeners a word at a
+//!   time against the transmitters' coverage, must give every listener the
+//!   feedback the model prescribes, worked out below by scanning each
+//!   listener's neighbours (a decode iff exactly one neighbour transmits,
+//!   silence or noise only with receiver-side collision detection), and
+//!   charge exactly one unit to each transmitter and each listener, on
+//!   hand-picked star slots and on random graphs and random transmit/listen
+//!   splits, both at the bottom of the id space and with every participant
+//!   confined to a high id window;
 //! * both Decay variants, which resolve each slot from its transmitters'
 //!   side and bill listening once per receiver, must leave the same
 //!   deliveries, verdicts, meters, slot counts and RNG stream as the Decay
@@ -322,11 +324,11 @@ fn run_step_frame(
     )
 }
 
-/// The same slot, worked out listener by listener from the model: every
-/// transmitter and every listener pays one unit, a node that does both only
-/// transmits, and a listener decodes iff exactly one neighbour transmits;
-/// otherwise it hears nothing, or, under collision detection, silence (no
-/// transmitting neighbour) or noise (two or more).
+/// The same slot, worked out from the model by scanning each listener's
+/// neighbours: every transmitter and every listener pays one unit, a node
+/// that does both only transmits, and a listener decodes iff exactly one
+/// neighbour transmits; otherwise it hears nothing, or, under collision
+/// detection, silence (no transmitting neighbour) or noise (two or more).
 fn per_listener_reference(
     g: &Graph,
     cd: CollisionDetection,
@@ -409,7 +411,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn step_frame_matches_the_per_listener_reference(
+    fn columnar_and_scan_resolution_are_byte_identical(
         (n, p, split) in (2usize..48, 0u64..9, 0u64..8),
         seed in 0u64..1_000_000,
     ) {
